@@ -2,14 +2,13 @@
 
 Rule 0 erases everything at once, rule 1 blinks, rule 110 grows interacting
 structures on a regular background, and rule 30 looks random.  Each pattern
-is also written as a plain PBM bitmap next to this script.
+is also written as a plain PBM bitmap to the current working directory.
 """
 
 from pathlib import Path
 
 from infodyn import EcaConfig, run_eca, trajectory_pbm
 
-HERE = Path(__file__).resolve().parent
 WIDTH = 79
 STEPS = 32
 
@@ -21,6 +20,6 @@ for rule in (0, 1, 110, 30):
     print(f"\nrule {rule}:")
     for row in traj.states:
         print("".join("█" if cell else " " for cell in row))
-    out = HERE / f"rule_{rule}_single_cell.pbm"
+    out = Path(f"rule_{rule}_single_cell.pbm")
     out.write_text(trajectory_pbm(traj))
-    print(f"(bitmap written to {out.name})")
+    print(f"(bitmap written to {out})")

@@ -9,13 +9,7 @@ balance, i.e. where I is near one half.
 
 import numpy as np
 
-from infodyn import (
-    SymbolSequence,
-    complexity_simplified,
-    emergence_simplified,
-    self_organization_simplified,
-    shannon_information,
-)
+from infodyn import SymbolSequence, shannon_information, simplified_measures
 
 LENGTH = 100_000
 rng = np.random.default_rng(1)
@@ -23,11 +17,12 @@ rng = np.random.default_rng(1)
 print(f"{'P(1)':>5}  {'I':>8}  {'E':>8}  {'S':>8}  {'C':>8}")
 for p in np.linspace(0.0, 1.0, 21):
     bits = SymbolSequence((rng.random(LENGTH) < p).astype(int), 1)
+    ms = simplified_measures(bits)
     i = shannon_information(bits)
-    e = emergence_simplified(bits)
-    s = self_organization_simplified(bits)
-    c = complexity_simplified(bits)
-    print(f"{p:5.2f}  {i:8.4f}  {e:8.4f}  {s:8.4f}  {c:8.4f}")
+    print(
+        f"{p:5.2f}  {i:8.4f}  {ms.emergence:8.4f}"
+        f"  {ms.self_organization:8.4f}  {ms.complexity:8.4f}"
+    )
 
 print()
 print("I is maximal for a fair coin and zero once the outcome is certain;")

@@ -11,9 +11,7 @@ from .measures import (
     MeasureSet,
     SymbolSequence,
     complexity,
-    complexity_simplified,
     emergence,
-    emergence_simplified,
     estimate_distribution,
     expand_to_bits,
     hamming_distance,
@@ -22,7 +20,6 @@ from .measures import (
     normalized_information,
     rescale,
     self_organization,
-    self_organization_simplified,
     shannon_information,
     simplified_measures,
     uncorrelated_homeostasis,
@@ -32,7 +29,6 @@ from .trajectory import (
     node_series,
     series_matrix_measures,
     trajectory_csv,
-    trajectory_measures,
     trajectory_pbm,
 )
 from .rbn import (
@@ -48,10 +44,8 @@ from .rbn import (
 )
 from .eca import (
     EcaConfig,
-    EcaRule,
     as_boolean_network,
     eca_measures,
-    eca_series,
     eca_step,
     rule_table,
     run_eca,
@@ -65,7 +59,6 @@ from .experiments import (
     SeedSchedule,
     SweepResult,
     aggregate,
-    derive_seed,
     eca_class_survey,
     multiscale_profiles,
     rbn_sweep,

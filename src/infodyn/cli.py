@@ -18,17 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .eca import EcaConfig, eca_measures, run_eca
+from .eca import ORIENTATIONS, EcaConfig, eca_measures, rule_table, run_eca
 from .experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
     PROFILE_RULES,
+    csv_text,
     eca_class_survey,
     multiscale_profiles,
     rbn_sweep,
     write_sweep_files,
+    write_text,
 )
-from .measures import NORM_CONSTANT, SymbolSequence, normalized_information, rescale
+from .measures import SymbolSequence, check_scale, rescale, simplified_measures
 from .plots import plot_script
 from .rbn import RbnConfig, generate_rbn, network_measures, run_rbn, serialize_network
 from .trajectory import trajectory_csv, trajectory_pbm
@@ -52,8 +54,8 @@ def _parse_scales(text: str) -> tuple[int, ...]:
         scales = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliInputError(f"bad scales list: {text!r}") from exc
-    if not scales or any(b < 1 for b in scales):
-        raise CliInputError(f"bad scales list: {text!r}")
+    for b in scales:
+        check_scale(b)
     return scales
 
 
@@ -63,8 +65,7 @@ def _parse_rules(text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise CliInputError(f"bad rules list: {text!r}") from exc
     for rule in rules:
-        if not 0 <= rule <= 255:
-            raise CliInputError(f"rule out of range: {rule}")
+        rule_table(rule)
     return rules
 
 
@@ -133,27 +134,13 @@ def _read_input(source: str, fmt: str) -> SymbolSequence:
     return seq
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".9g")
-
-
-def _emit_report(rows: list[dict], columns: tuple[str, ...], args) -> None:
+def _emit_report(rows: list[dict], args) -> None:
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(row[c]) if c == "scale" else _fmt(row[c]) for c in columns
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = csv_text(tuple(rows[0]), rows)
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -162,51 +149,44 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_measure(args) -> int:
-    seq = _read_input(args.input, args.input_format)
-    rows = []
-    for b in _parse_scales(args.scales):
-        try:
-            i_b = normalized_information(rescale(seq, b))
-        except ValueError:
-            _warn(f"scale {b}: sequence too short, reported as null")
-            rows.append({"scale": b, "I_b": None, "E": None, "S": None, "C": None})
-            continue
-        rows.append(
-            {
-                "scale": b,
-                "I_b": i_b,
-                "E": i_b,
-                "S": 1.0 - i_b,
-                "C": NORM_CONSTANT * i_b * (1.0 - i_b),
-            }
-        )
-    _emit_report(rows, ("scale", "I_b", "E", "S", "C"), args)
-    return 0
+_FIELDS = {
+    "I_b": "emergence",
+    "E": "emergence",
+    "S": "self_organization",
+    "C": "complexity",
+    "H": "homeostasis",
+}
 
 
-def _measure_rows(traj, scales, measure_fn) -> list[dict]:
+def _measure_rows(scales, measure, columns, unit) -> list[dict]:
+    """One report row per scale; a scale the data is too short for is null."""
     rows = []
     for b in scales:
         try:
-            ms = measure_fn(traj, b)
+            ms = measure(b)
         except ValueError:
-            _warn(f"scale {b}: window too short, reported as null")
-            rows.append({"scale": b, "E": None, "S": None, "C": None, "H": None})
-            continue
-        rows.append(
-            {
-                "scale": b,
-                "E": ms.emergence,
-                "S": ms.self_organization,
-                "C": ms.complexity,
-                "H": ms.homeostasis,
-            }
-        )
+            _warn(f"scale {b}: {unit} too short, reported as null")
+            ms = None
+        row = {"scale": b}
+        for c in columns:
+            row[c] = None if ms is None else getattr(ms, _FIELDS[c])
+        rows.append(row)
     return rows
 
 
+def cmd_measure(args) -> int:
+    scales = _parse_scales(args.scales)
+    seq = _read_input(args.input, args.input_format)
+
+    def measure(b):
+        return simplified_measures(rescale(seq, b))
+
+    _emit_report(_measure_rows(scales, measure, ("I_b", "E", "S", "C"), "sequence"), args)
+    return 0
+
+
 def cmd_rbn(args) -> int:
+    scales = _parse_scales(args.scales)
     config = RbnConfig(
         n=args.n, k=args.k, transient=args.transient, window=args.window, seed=args.seed
     )
@@ -214,21 +194,19 @@ def cmd_rbn(args) -> int:
     if args.dump_network:
         # regenerate from the same seed: identical to the simulated network
         net = generate_rbn(config, np.random.default_rng(config.seed))
-        with open(args.dump_network, "w", newline="\n") as fh:
-            fh.write(serialize_network(net))
+        write_text(args.dump_network, serialize_network(net))
     if args.dump_trajectory:
-        with open(args.dump_trajectory, "w", newline="\n") as fh:
-            fh.write(trajectory_csv(traj))
+        write_text(args.dump_trajectory, trajectory_csv(traj))
 
-    def measure(t, b):
-        return network_measures(t, b, average_h=args.average_h)
+    def measure(b):
+        return network_measures(traj, b, average_h=args.average_h)
 
-    rows = _measure_rows(traj, _parse_scales(args.scales), measure)
-    _emit_report(rows, ("scale", "E", "S", "C", "H"), args)
+    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), "window"), args)
     return 0
 
 
 def cmd_eca(args) -> int:
+    scales = _parse_scales(args.scales)
     config = EcaConfig(
         rule=args.rule,
         n=args.n,
@@ -236,21 +214,17 @@ def cmd_eca(args) -> int:
         transient=args.transient,
         window=args.window,
         seed=args.seed,
-        orientation=args.orientation,
     )
     traj = run_eca(config)
     if args.dump_bitmap:
-        with open(args.dump_bitmap, "w", newline="\n") as fh:
-            fh.write(trajectory_pbm(traj))
+        write_text(args.dump_bitmap, trajectory_pbm(traj))
     if args.dump_trajectory:
-        with open(args.dump_trajectory, "w", newline="\n") as fh:
-            fh.write(trajectory_csv(traj))
+        write_text(args.dump_trajectory, trajectory_csv(traj))
 
-    def measure(t, b):
-        return eca_measures(t, b, args.orientation, average_h=args.average_h)
+    def measure(b):
+        return eca_measures(traj, b, args.orientation, average_h=args.average_h)
 
-    rows = _measure_rows(traj, _parse_scales(args.scales), measure)
-    _emit_report(rows, ("scale", "E", "S", "C", "H"), args)
+    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), "window"), args)
     return 0
 
 
@@ -370,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transient", type=int, default=1024)
     p.add_argument("--window", type=int, default=1024)
     p.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
-    p.add_argument("--orientation", choices=("vertical", "horizontal", "diagonal"),
+    p.add_argument("--orientation", choices=ORIENTATIONS,
                    default="vertical", help="series read-out direction")
     p.add_argument("--average-h", action="store_true",
                    help="average H over all successive macro-state pairs")

@@ -14,18 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import MeasureSet, SymbolSequence
+from .measures import MeasureSet
 from .rbn import BooleanNetwork
 from .trajectory import Trajectory, series_matrix_measures
 
 __all__ = [
-    "EcaRule",
     "EcaConfig",
     "rule_table",
     "eca_step",
     "run_eca",
     "run_eca_many",
-    "eca_series",
     "eca_measures",
     "as_boolean_network",
     "ORIENTATIONS",
@@ -35,51 +33,31 @@ ORIENTATIONS = ("vertical", "horizontal", "diagonal")
 INITS = ("random", "single_cell")
 
 
-@dataclass(frozen=True)
-class EcaRule:
-    """A rule number and its 8-entry output table, ``table[4l + 2c + r]``."""
+def rule_table(number: int) -> np.ndarray:
+    """The 8-entry uint8 output table of a rule (0..255), ``table[4l + 2c + r]``.
 
-    number: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.number <= 255:
-            raise ValueError("rule number must be in 0..255")
-        table = np.asarray(self.table, dtype=np.uint8).ravel()
-        if table.size != 8 or table.max(initial=0) > 1:
-            raise ValueError("table must be 8 bits")
-        expected = (self.number >> np.arange(8)) & 1
-        if not np.array_equal(table, expected):
-            raise ValueError("table does not match rule number")
-        object.__setattr__(self, "table", table)
-
-
-def rule_table(number: int) -> EcaRule:
-    """Build the lookup table for a rule number (0..255)."""
+    This is the one place a rule number is validated.
+    """
     number = int(number)
     if not 0 <= number <= 255:
-        raise ValueError("rule number must be in 0..255")
-    table = ((number >> np.arange(8)) & 1).astype(np.uint8)
-    return EcaRule(number, table)
+        raise ValueError(f"rule out of range: {number} (must be in 0..255)")
+    return ((number >> np.arange(8)) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)
 class EcaConfig:
     """Parameters of one automaton run; ``seed`` only affects a random init."""
 
-    rule: EcaRule
+    rule: int
     n: int = 256
     init: str = "random"
     transient: int = 1024
     window: int = 1024
     seed: int = 0
-    orientation: str = "vertical"
 
     def __post_init__(self):
-        if isinstance(self.rule, (int, np.integer)):
-            object.__setattr__(self, "rule", rule_table(int(self.rule)))
-        elif not isinstance(self.rule, EcaRule):
-            raise ValueError("rule must be an EcaRule or an integer 0..255")
+        rule_table(self.rule)
+        object.__setattr__(self, "rule", int(self.rule))
         if self.n < 3:
             raise ValueError("n must be >= 3")
         if self.init not in INITS:
@@ -88,8 +66,6 @@ class EcaConfig:
             raise ValueError("transient must be >= 0")
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -101,14 +77,14 @@ def _step_matrix(states: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[(left << 2) | (states << 1) | right]
 
 
-def eca_step(state: np.ndarray | Sequence[int], rule: EcaRule) -> np.ndarray:
-    """One synchronous update of an n-bit ring state."""
+def eca_step(state: np.ndarray | Sequence[int], table: np.ndarray) -> np.ndarray:
+    """One synchronous update of an n-bit ring state under a :func:`rule_table`."""
     state = np.asarray(state, dtype=np.uint8)
     if state.ndim != 1 or state.size < 3:
         raise ValueError("state must be a ring of at least 3 bits")
     if state.max(initial=0) > 1:
         raise ValueError("state must be binary")
-    return _step_matrix(state, rule.table)
+    return _step_matrix(state, np.asarray(table, dtype=np.uint8))
 
 
 def _initial_states(config: EcaConfig, seeds: Sequence[int]) -> np.ndarray:
@@ -137,22 +113,22 @@ def _run_matrix(states: np.ndarray, table: np.ndarray, transient: int, window: i
 def run_eca(config: EcaConfig) -> Trajectory:
     """Record a window of states; the first recorded state is the one reached
     after ``transient`` steps (the initial state itself when transient=0)."""
-    start = _initial_states(config, [config.seed])[0]
-    recorded = _run_matrix(start, config.rule.table, config.transient, config.window)
-    return Trajectory(recorded, config.transient)
+    return run_eca_many(config, [config.seed])[0]
 
 
 def run_eca_many(
     config: EcaConfig, seeds: Sequence[int], *, max_batch: int = 64
 ) -> list[Trajectory]:
     """Run one instance per seed (``config.seed`` is ignored), batching the
-    rows through the update kernel; bit-identical to per-seed :func:`run_eca`."""
+    rows through the update kernel; rows evolve independently, so a result
+    does not depend on the batch it shares."""
     seeds = list(seeds)
+    table = rule_table(config.rule)
     trajectories: list[Trajectory] = []
     for start in range(0, len(seeds), max_batch):
         chunk = seeds[start : start + max_batch]
         states = _initial_states(config, chunk)
-        recorded = _run_matrix(states, config.rule.table, config.transient, config.window)
+        recorded = _run_matrix(states, table, config.transient, config.window)
         for j in range(len(chunk)):
             trajectories.append(Trajectory(recorded[:, j, :].copy(), config.transient))
     return trajectories
@@ -174,28 +150,6 @@ def _oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:
     raise ValueError(f"orientation must be one of {ORIENTATIONS}")
 
 
-def eca_series(traj: Trajectory, index: int, orientation: str = "vertical") -> SymbolSequence:
-    """One binary series from a trajectory.
-
-    ``vertical``: cell ``index`` over time; ``horizontal``: the full row at
-    time ``index``; ``diagonal``: the down-left diagonal starting at cell
-    ``index`` of the first recorded state.
-    """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    limit = traj.window if orientation == "horizontal" else traj.n
-    if not 0 <= index < limit:
-        raise IndexError(f"series index out of range: {index}")
-    if orientation == "vertical":
-        values = traj.states[:, index]
-    elif orientation == "horizontal":
-        values = traj.states[index, :]
-    else:
-        t = np.arange(traj.window)
-        values = traj.states[t, (index - t) % traj.n]
-    return SymbolSequence(values.astype(np.int64), 1)
-
-
 def eca_measures(
     traj: Trajectory,
     scale: int,
@@ -215,18 +169,17 @@ def eca_measures(
 
 
 def as_boolean_network(
-    rule: EcaRule | int, n: int, state: np.ndarray | Sequence[int]
+    rule: int, n: int, state: np.ndarray | Sequence[int]
 ) -> BooleanNetwork:
     """The equivalent Boolean network: ring topology, one shared rule table.
 
     Node inputs are ``(i-1, i, i+1) mod n`` in that order, so the lookup index
     matches the automaton's ``(left, center, right)`` reading.
     """
-    if isinstance(rule, (int, np.integer)):
-        rule = rule_table(int(rule))
+    table = rule_table(rule)
     if n < 3:
         raise ValueError("n must be >= 3")
     idx = np.arange(n, dtype=np.int64)
     inputs = [np.array([(i - 1) % n, i, (i + 1) % n], dtype=np.int64) for i in idx]
-    tables = [rule.table.copy() for _ in idx]
+    tables = [table.copy() for _ in idx]
     return BooleanNetwork(n, inputs, tables, np.asarray(state, dtype=np.uint8))

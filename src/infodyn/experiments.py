@@ -14,11 +14,11 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .eca import EcaConfig, eca_measures, run_eca_many
+from .eca import EcaConfig, eca_measures, rule_table, run_eca_many
 from .measures import MeasureSet, uncorrelated_homeostasis
 from .rbn import RbnConfig, network_measures, run_rbn_many
 
@@ -27,7 +27,6 @@ __all__ = [
     "PROFILE_RULES",
     "DEFAULT_K_GRID",
     "SeedSchedule",
-    "derive_seed",
     "aggregate",
     "SweepResult",
     "ProfileResult",
@@ -36,6 +35,8 @@ __all__ = [
     "multiscale_profiles",
     "instance_rows",
     "aggregate_rows",
+    "csv_text",
+    "write_text",
     "write_sweep_files",
 ]
 
@@ -59,11 +60,6 @@ class SeedSchedule:
         key = f"{self.master_seed}|{experiment_id}|{index}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "little")
-
-
-def derive_seed(schedule: SeedSchedule, experiment_id: str, index: int) -> int:
-    """Stable, order-independent 64-bit seed for one work item."""
-    return schedule.seed_for(experiment_id, index)
 
 
 def _measure_values(measures: Sequence[MeasureSet], key: str) -> np.ndarray:
@@ -123,6 +119,40 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _sweep(
+    experiment: str,
+    key: str,
+    parameters: Sequence[float | int],
+    make_config: Callable,
+    run_many: Callable,
+    measure: Callable,
+    instances: int,
+    scales: Sequence[int],
+    master_seed: int,
+    threads: int,
+) -> list[SweepResult]:
+    """The one cell runner: per parameter, seed and run ``instances`` systems,
+    then measure and aggregate them at every scale."""
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
+    schedule = SeedSchedule(master_seed)
+
+    def cell(parameter: float | int) -> list[SweepResult]:
+        experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
+        seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
+        trajectories = run_many(make_config(parameter), seeds)
+        results = []
+        for scale in scales:
+            measured = [measure(t, scale) for t in trajectories]
+            results.append(
+                SweepResult(experiment, parameter, int(scale), seeds, measured, aggregate(measured))
+            )
+        return results
+
+    nested = _ordered_map(cell, list(parameters), threads)
+    return [result for cell_results in nested for result in cell_results]
+
+
 def rbn_sweep(
     n: int = 100,
     k_grid: Sequence[float] = DEFAULT_K_GRID,
@@ -134,25 +164,14 @@ def rbn_sweep(
     threads: int = 1,
 ) -> list[SweepResult]:
     """Connectivity sweep: `instances` independent networks per K value."""
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    schedule = SeedSchedule(master_seed)
 
-    def cell(k: float) -> list[SweepResult]:
-        experiment_id = f"rbn_sweep/k={float(k):.9g}"
-        seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        config = RbnConfig(n=n, k=float(k), transient=transient, window=window)
-        trajectories = run_rbn_many(config, seeds)
-        results = []
-        for scale in scales:
-            measured = [network_measures(t, scale) for t in trajectories]
-            results.append(
-                SweepResult("rbn_sweep", float(k), int(scale), seeds, measured, aggregate(measured))
-            )
-        return results
+    def make_config(k: float) -> RbnConfig:
+        return RbnConfig(n=n, k=k, transient=transient, window=window)
 
-    nested = _ordered_map(cell, list(k_grid), threads)
-    return [result for cell_results in nested for result in cell_results]
+    return _sweep(
+        "rbn_sweep", "k", [float(k) for k in k_grid], make_config, run_rbn_many,
+        network_measures, instances, scales, master_seed, threads,
+    )
 
 
 def _rule_survey(
@@ -166,25 +185,16 @@ def _rule_survey(
     master_seed: int,
     threads: int,
 ) -> list[SweepResult]:
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    schedule = SeedSchedule(master_seed)
+    for rule in rules:
+        rule_table(rule)
 
-    def cell(rule: int) -> list[SweepResult]:
-        experiment_id = f"{experiment}/rule={int(rule)}"
-        seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        config = EcaConfig(rule=int(rule), n=n, transient=transient, window=window)
-        trajectories = run_eca_many(config, seeds)
-        results = []
-        for scale in scales:
-            measured = [eca_measures(t, scale) for t in trajectories]
-            results.append(
-                SweepResult(experiment, int(rule), int(scale), seeds, measured, aggregate(measured))
-            )
-        return results
+    def make_config(rule: int) -> EcaConfig:
+        return EcaConfig(rule=rule, n=n, transient=transient, window=window)
 
-    nested = _ordered_map(cell, [int(r) for r in rules], threads)
-    return [result for cell_results in nested for result in cell_results]
+    return _sweep(
+        experiment, "rule", [int(r) for r in rules], make_config, run_eca_many,
+        eca_measures, instances, scales, master_seed, threads,
+    )
 
 
 def eca_class_survey(
@@ -198,9 +208,6 @@ def eca_class_survey(
     threads: int = 1,
 ) -> list[SweepResult]:
     """Rule survey with random initial states, averaged over instances."""
-    for rule in rules:
-        if not 0 <= int(rule) <= 255:
-            raise ValueError(f"rule out of range: {rule}")
     return _rule_survey(
         "eca_survey", rules, n, instances, transient, window, scales, master_seed, threads
     )
@@ -241,18 +248,8 @@ def multiscale_profiles(
     return ProfileResult(sweeps, baseline, baseline_form)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def _fmt_parameter(parameter: float | int) -> str:
-    if isinstance(parameter, (int, np.integer)):
-        return str(int(parameter))
-    return _fmt(parameter)
-
-
-INSTANCE_HEADER = "experiment,rule_or_k,scale,instance,seed,E,S,C,H"
-AGGREGATE_HEADER = "experiment,rule_or_k,scale,stat,E,S,C,H"
+INSTANCE_COLUMNS = ("experiment", "rule_or_k", "scale", "instance", "seed", "E", "S", "C", "H")
+AGGREGATE_COLUMNS = ("experiment", "rule_or_k", "scale", "stat", "E", "S", "C", "H")
 
 
 def instance_rows(results: Sequence[SweepResult]) -> list[dict]:
@@ -295,45 +292,29 @@ def aggregate_rows(results: Sequence[SweepResult]) -> list[dict]:
     return rows
 
 
-def _instance_csv(rows: Iterable[dict]) -> str:
-    lines = [INSTANCE_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["experiment"],
-                    _fmt_parameter(row["rule_or_k"]),
-                    str(row["scale"]),
-                    str(row["instance"]),
-                    str(row["seed"]),
-                    _fmt(row["E"]),
-                    _fmt(row["S"]),
-                    _fmt(row["C"]),
-                    _fmt(row["H"]),
-                ]
-            )
-        )
+def _fmt(value) -> str:
+    """One CSV field: text as is, ints in full, floats at 9 significant
+    digits (byte-comparable across runs), ``None`` as an empty field."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".9g")
+
+
+def csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    """The one CSV writer: a header line, then one line per row."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _aggregate_csv(rows: Iterable[dict]) -> str:
-    lines = [AGGREGATE_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["experiment"],
-                    _fmt_parameter(row["rule_or_k"]),
-                    str(row["scale"]),
-                    row["stat"],
-                    _fmt(row["E"]),
-                    _fmt(row["S"]),
-                    _fmt(row["C"]),
-                    _fmt(row["H"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def write_text(path: str | Path, text: str) -> None:
+    """The one text-file writer: Unix line endings on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_sweep_files(
@@ -355,20 +336,18 @@ def write_sweep_files(
 
     def emit(name: str, text: str) -> None:
         path = outdir / name
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
         written.append(path)
 
     inst = instance_rows(results)
     agg = aggregate_rows(results)
-    emit(f"{experiment}_instances.csv", _instance_csv(inst))
-    emit(f"{experiment}_aggregate.csv", _aggregate_csv(agg))
+    emit(f"{experiment}_instances.csv", csv_text(INSTANCE_COLUMNS, inst))
+    emit(f"{experiment}_aggregate.csv", csv_text(AGGREGATE_COLUMNS, agg))
     emit(f"{experiment}_instances.json", json.dumps(inst, indent=2) + "\n")
     emit(f"{experiment}_aggregate.json", json.dumps(agg, indent=2) + "\n")
     if h_baseline is not None:
-        lines = ["scale,h_baseline"]
-        lines += [f"{scale},{_fmt(value)}" for scale, value in sorted(h_baseline.items())]
-        emit(f"{experiment}_h_baseline.csv", "\n".join(lines) + "\n")
+        rows = [{"scale": b, "h_baseline": h} for b, h in sorted(h_baseline.items())]
+        emit(f"{experiment}_h_baseline.csv", csv_text(("scale", "h_baseline"), rows))
     if plot_script is not None:
         emit(f"plot_{experiment}.py", plot_script)
     return written

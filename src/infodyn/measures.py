@@ -23,14 +23,12 @@ __all__ = [
     "estimate_distribution",
     "shannon_information",
     "normalized_information",
+    "check_scale",
     "rescale",
     "expand_to_bits",
     "emergence",
-    "emergence_simplified",
     "self_organization",
-    "self_organization_simplified",
     "complexity",
-    "complexity_simplified",
     "hamming_distance",
     "homeostasis",
     "simplified_measures",
@@ -38,14 +36,22 @@ __all__ = [
     "uncorrelated_homeostasis",
 ]
 
-# Normalizing constant for the simplified complexity parabola.  Fixed for
-# normalized (binary-derived) information; kept as a keyword hook only.
+# Normalizing constant ``a`` of the simplified complexity parabola
+# ``C = a E (1 - E)``; 4 maps normalized information onto [0, 1].
 NORM_CONSTANT = 4.0
 
 # Symbols are packed into int64, so grouped scales cannot exceed 62 bits.
 _MAX_SCALE = 62
 
 _RANGE_TOL = 1e-9
+
+
+def check_scale(scale: int) -> int:
+    """The one scale validator: ``scale`` as an int in ``1..62``."""
+    scale = int(scale)
+    if not 1 <= scale <= _MAX_SCALE:
+        raise ValueError(f"scale must be in 1..{_MAX_SCALE} (got {scale})")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,7 @@ class SymbolSequence:
         symbols = np.asarray(self.symbols, dtype=np.int64)
         if symbols.ndim != 1:
             raise ValueError("symbols must be one-dimensional")
-        b = int(self.bits_per_symbol)
-        if b < 1:
-            raise ValueError("bits_per_symbol must be >= 1")
-        if b > _MAX_SCALE:
-            raise ValueError(f"bits_per_symbol must be <= {_MAX_SCALE}")
+        b = check_scale(self.bits_per_symbol)
         if symbols.size and (symbols.min() < 0 or int(symbols.max()) >= (1 << b)):
             raise ValueError(f"symbols must lie in [0, 2^{b})")
         object.__setattr__(self, "symbols", symbols)
@@ -126,8 +128,7 @@ class MeasureSet:
     scale: int
 
     def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
+        check_scale(self.scale)
         for name in ("emergence", "self_organization", "complexity", "homeostasis"):
             value = getattr(self, name)
             if value is None:
@@ -178,17 +179,19 @@ def rescale(bits: SymbolSequence, target_b: int) -> SymbolSequence:
     """
     if bits.bits_per_symbol != 1:
         raise ValueError("rescale requires a binary (b=1) sequence")
-    target_b = int(target_b)
-    if target_b < 1:
-        raise ValueError("target_b must be >= 1")
-    if target_b > _MAX_SCALE:
-        raise ValueError(f"target_b must be <= {_MAX_SCALE}")
-    groups = len(bits) // target_b
-    if groups == 0:
+    target_b = check_scale(target_b)
+    if len(bits) < target_b:
         raise ValueError("sequence too short for scale")
-    weights = (np.int64(1) << np.arange(target_b - 1, -1, -1, dtype=np.int64))
-    blocks = bits.symbols[: groups * target_b].reshape(groups, target_b)
-    return SymbolSequence(blocks @ weights, target_b)
+    return SymbolSequence(_group_symbols(bits.symbols[None, :], target_b)[0], target_b)
+
+
+def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
+    """Regroup rows of a (units x length) bit matrix into MSB-first symbols."""
+    units, length = series.shape
+    groups = length // scale
+    weights = np.int64(1) << np.arange(scale - 1, -1, -1, dtype=np.int64)
+    blocks = series[:, : groups * scale].reshape(units, groups, scale)
+    return blocks @ weights
 
 
 def expand_to_bits(seq: SymbolSequence) -> SymbolSequence:
@@ -210,11 +213,6 @@ def emergence(i_in: float, i_out: float) -> float:
     return i_out / i_in
 
 
-def emergence_simplified(seq: SymbolSequence) -> float:
-    """Simplified emergence (random input assumed): the normalized information."""
-    return normalized_information(seq)
-
-
 def self_organization(i_in: float, i_out: float) -> float:
     """General-form self-organization: the information reduction ``i_in - i_out``.
 
@@ -223,23 +221,9 @@ def self_organization(i_in: float, i_out: float) -> float:
     return i_in - i_out
 
 
-def self_organization_simplified(seq: SymbolSequence) -> float:
-    """Simplified self-organization: one minus the normalized information."""
-    return 1.0 - normalized_information(seq)
-
-
 def complexity(e: float, s: float) -> float:
     """General-form complexity: the product of emergence and self-organization."""
     return e * s
-
-
-def complexity_simplified(seq: SymbolSequence, *, norm_constant: float = NORM_CONSTANT) -> float:
-    """Simplified complexity ``a * I * (1 - I)`` on normalized information.
-
-    With the default ``a=4`` the result spans ``[0, 1]``, peaking at ``I=0.5``.
-    """
-    i_out = normalized_information(seq)
-    return norm_constant * i_out * (1.0 - i_out)
 
 
 def _check_comparable(a: SymbolSequence, b: SymbolSequence) -> None:
@@ -265,7 +249,12 @@ def homeostasis(a: SymbolSequence, b: SymbolSequence) -> float:
 
 
 def simplified_measures(seq: SymbolSequence) -> MeasureSet:
-    """Simplified (E, S, C) of one sequence at its own scale; H is None."""
+    """Simplified (E, S, C) of one sequence at its own scale; H is None.
+
+    With random input assumed, E is the normalized information ``I_b``,
+    ``S = 1 - E`` and ``C = 4 E (1 - E)``, which spans ``[0, 1]`` and peaks
+    at ``E = 0.5``.
+    """
     e = min(max(normalized_information(seq), 0.0), 1.0)
     return MeasureSet(
         emergence=e,
@@ -300,8 +289,7 @@ def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:
     convention sometimes used for this reference line; the two coincide at
     scales 1 and 2.
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    check_scale(scale)
     if form == "exact":
         return 2.0 ** -scale
     if form == "inv2b":

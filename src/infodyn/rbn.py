@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import MeasureSet
-from .trajectory import Trajectory, node_series, series_matrix_measures
+from .trajectory import Trajectory, series_matrix_measures
 
 __all__ = [
     "RbnConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "run_rbn",
     "run_rbn_many",
     "network_measures",
-    "node_series",
     "serialize_network",
     "parse_network",
 ]
@@ -179,9 +178,7 @@ def run_rbn(config: RbnConfig) -> Trajectory:
 
     The first recorded state is the state reached after ``transient`` steps.
     """
-    net = generate_rbn(config, np.random.default_rng(config.seed))
-    recorded = _run_stacked([net], config.transient, config.window)
-    return Trajectory(recorded, config.transient)
+    return run_rbn_many(config, [config.seed])[0]
 
 
 def run_rbn_many(
@@ -190,8 +187,8 @@ def run_rbn_many(
     """Run one independent network per seed; ``config.seed`` is ignored.
 
     Networks are stacked into batches of at most ``max_batch`` and stepped as
-    one block-diagonal system; results are bit-identical to per-seed
-    :func:`run_rbn` calls.
+    one block-diagonal system; a network's trajectory does not depend on the
+    batch it shares.
     """
     trajectories: list[Trajectory] = []
     seeds = list(seeds)

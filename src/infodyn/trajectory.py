@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import NORM_CONSTANT, MeasureSet, SymbolSequence
+from .measures import NORM_CONSTANT, MeasureSet, SymbolSequence, _group_symbols, check_scale
 
 __all__ = [
     "Trajectory",
     "node_series",
     "series_matrix_measures",
-    "trajectory_measures",
     "trajectory_csv",
     "trajectory_pbm",
 ]
@@ -65,15 +64,6 @@ def node_series(traj: Trajectory, node: int) -> SymbolSequence:
     return SymbolSequence(traj.states[:, node].astype(np.int64), 1)
 
 
-def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
-    """Regroup rows of a (units x length) bit matrix into MSB-first symbols."""
-    units, length = series.shape
-    groups = length // scale
-    weights = np.int64(1) << np.arange(scale - 1, -1, -1, dtype=np.int64)
-    blocks = series[:, : groups * scale].reshape(units, groups, scale)
-    return blocks @ weights
-
-
 def series_matrix_measures(
     series: np.ndarray, scale: int, *, average_h: bool = False
 ) -> MeasureSet:
@@ -89,9 +79,7 @@ def series_matrix_measures(
     series = np.asarray(series)
     if series.ndim != 2:
         raise ValueError("series must be a 2-D (units x length) matrix")
-    scale = int(scale)
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    scale = check_scale(scale)
     units, length = series.shape
     if length < 2 * scale:
         raise ValueError(f"window too short for scale {scale}")
@@ -125,13 +113,6 @@ def series_matrix_measures(
         homeostasis=1.0 - d,
         scale=scale,
     )
-
-
-def trajectory_measures(
-    traj: Trajectory, scale: int, *, average_h: bool = False
-) -> MeasureSet:
-    """Measure a trajectory column-wise (one series per node/cell)."""
-    return series_matrix_measures(traj.states.T, scale, average_h=average_h)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -16,11 +16,9 @@ from infodyn.eca import as_boolean_network, eca_step, rule_table
 from infodyn.experiments import DEFAULT_RULES, eca_class_survey, rbn_sweep
 from infodyn.measures import (
     SymbolSequence,
-    complexity_simplified,
-    emergence_simplified,
     normalized_information,
     rescale,
-    self_organization_simplified,
+    simplified_measures,
 )
 from infodyn.rbn import rbn_step
 
@@ -92,10 +90,8 @@ def test_criterion_3_algebraic_identities():
             length = int(rng.integers(scale, 4097))
             p = rng.uniform(0.02, 0.98)
             bits = SymbolSequence((rng.random(length) < p).astype(np.int64), 1)
-            seq = rescale(bits, scale)
-            e = emergence_simplified(seq)
-            s = self_organization_simplified(seq)
-            c = complexity_simplified(seq)
+            ms = simplified_measures(rescale(bits, scale))
+            e, s, c = ms.emergence, ms.self_organization, ms.complexity
             assert abs(s - (1.0 - e)) <= 1e-12
             assert abs(c - 4.0 * e * (1.0 - e)) <= 1e-12
             infos.append(e)

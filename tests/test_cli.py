@@ -68,6 +68,15 @@ class TestMeasureCommand:
         assert lines[2] == "8,,,,"
         assert b"warning" in proc.stderr
 
+    def test_scale_out_of_range_exits_2(self, tmp_path, cli_env):
+        # 63-bit symbols do not fit int64: rejected, not reported as "too short"
+        path = tmp_path / "short.txt"
+        path.write_text("0101")
+        proc = run_cli(["measure", str(path), "--scales", "63"], cli_env)
+        assert proc.returncode == 2
+        assert b"scale must be in 1..62" in proc.stderr
+        assert proc.stdout == b""
+
     def test_stdin_and_raw_format(self, cli_env):
         # 0xF0 unpacks MSB-first to 11110000
         proc = run_cli(
@@ -170,6 +179,12 @@ class TestEcaCommand:
     def test_invalid_rule_exits_2(self, cli_env):
         proc = run_cli(["eca", "--rule", "300", "--n", "8", "--window", "8"], cli_env)
         assert proc.returncode == 2
+
+    def test_scale_out_of_range_exits_2(self, cli_env):
+        proc = run_cli(["eca", "--rule", "30", "--scales", "63"], cli_env)
+        assert proc.returncode == 2
+        assert b"scale must be in 1..62" in proc.stderr
+        assert b"internal error" not in proc.stderr
 
     def test_bitmap_matches_hand_evolution(self, tmp_path, cli_env):
         dump = tmp_path / "traj.pbm"
@@ -299,6 +314,14 @@ class TestSweepCommand:
             )
             assert render.returncode == 0, render.stderr.decode()
             assert list(out.glob("*.png")), f"no images rendered for {what}"
+
+    def test_scale_out_of_range_exits_2(self, tmp_path, cli_env):
+        out = tmp_path / "none"
+        proc = run_cli(["sweep", "eca", "--rules", "0", "--scales", "1,63",
+                        "--output-dir", str(out)], cli_env)
+        assert proc.returncode == 2
+        assert b"scale must be in 1..62" in proc.stderr
+        assert not out.exists()
 
     def test_unwritable_output_dir_exits_2(self, cli_env):
         proc = run_cli(

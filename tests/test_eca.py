@@ -3,10 +3,9 @@ import pytest
 
 from infodyn.eca import (
     EcaConfig,
-    EcaRule,
+    _oriented_series,
     as_boolean_network,
     eca_measures,
-    eca_series,
     eca_step,
     rule_table,
     run_eca,
@@ -28,17 +27,17 @@ def naive_step(state, rule_number):
 
 class TestRuleTable:
     def test_rule_zero(self):
-        assert not rule_table(0).table.any()
+        assert not rule_table(0).any()
 
     def test_rule_204_is_identity(self):
         rule = rule_table(204)
         for k in range(8):
             center = (k >> 1) & 1
-            assert rule.table[k] == center
+            assert rule[k] == center
 
     def test_rule_110_table(self):
         expected = {7: 0, 6: 1, 5: 1, 4: 0, 3: 1, 2: 1, 1: 1, 0: 0}
-        table = rule_table(110).table
+        table = rule_table(110)
         assert {k: int(table[k]) for k in range(8)} == expected
 
     def test_out_of_range(self):
@@ -48,8 +47,11 @@ class TestRuleTable:
             rule_table(-1)
 
     def test_table_must_match_number(self):
-        with pytest.raises(ValueError):
-            EcaRule(0, np.ones(8, dtype=np.uint8))
+        # the table is derived from the number: its bits read back the rule
+        for number in range(256):
+            table = rule_table(number)
+            assert table.dtype == np.uint8 and table.shape == (8,)
+            assert sum(int(bit) << k for k, bit in enumerate(table)) == number
 
 
 class TestStep:
@@ -112,7 +114,7 @@ class TestRun:
         traj = run_eca(config)
         for t in range(traj.window - 1):
             assert np.array_equal(
-                eca_step(traj.states[t], config.rule), traj.states[t + 1]
+                eca_step(traj.states[t], rule_table(config.rule)), traj.states[t + 1]
             )
 
     def test_run_many_equals_individual_runs(self):
@@ -128,22 +130,23 @@ class TestRun:
             EcaConfig(rule=30, n=2)
         with pytest.raises(ValueError):
             EcaConfig(rule=30, init="bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rule out of range"):
             EcaConfig(rule=300)
+        assert EcaConfig(rule=np.uint8(30)).rule == 30
 
 
 class TestSeries:
     def test_vertical_series_length(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))
-        series = eca_series(traj, 5)
-        assert len(series) == 24
-        assert np.array_equal(series.symbols, traj.states[:, 5])
+        series = _oriented_series(traj, "vertical")
+        assert series.shape == (16, 24)
+        assert np.array_equal(series[5], traj.states[:, 5])
 
     def test_horizontal_series_is_a_row(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))
-        series = eca_series(traj, 3, orientation="horizontal")
-        assert len(series) == 16
-        assert np.array_equal(series.symbols, traj.states[3, :])
+        series = _oriented_series(traj, "horizontal")
+        assert series.shape == (24, 16)
+        assert np.array_equal(series[3], traj.states[3, :])
 
     def test_diagonal_tracks_drifting_pattern(self):
         # rule 2 shifts a lone cell one position left per step
@@ -152,17 +155,10 @@ class TestSeries:
         )
         traj = run_eca(config)
         center = 21 // 2
-        diagonal = eca_series(traj, center, orientation="diagonal")
-        assert diagonal.symbols.all()  # constant 1 along the drift
-        vertical = eca_series(traj, center)
-        assert not vertical.symbols.all()
-
-    def test_index_bounds(self):
-        traj = run_eca(EcaConfig(rule=30, n=8, transient=0, window=12, seed=1))
-        with pytest.raises(IndexError):
-            eca_series(traj, 8)
-        with pytest.raises(IndexError):
-            eca_series(traj, 12, orientation="horizontal")
+        diagonal = _oriented_series(traj, "diagonal")[center]
+        assert diagonal.all()  # constant 1 along the drift
+        vertical = _oriented_series(traj, "vertical")[center]
+        assert not vertical.all()
 
 
 class TestMeasures:

@@ -11,7 +11,6 @@ from infodyn.experiments import (
     SeedSchedule,
     aggregate,
     aggregate_rows,
-    derive_seed,
     eca_class_survey,
     instance_rows,
     multiscale_profiles,
@@ -31,7 +30,7 @@ def ms(e, s=None, c=None, h=0.5, scale=1):
 class TestSeedSchedule:
     def test_stable(self):
         schedule = SeedSchedule(42)
-        assert derive_seed(schedule, "exp/a", 3) == derive_seed(schedule, "exp/a", 3)
+        assert schedule.seed_for("exp/a", 3) == SeedSchedule(42).seed_for("exp/a", 3)
 
     def test_distinct_inputs_distinct_seeds(self):
         # collision scan over a million (experiment id, index) pairs

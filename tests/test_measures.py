@@ -7,10 +7,9 @@ import pytest
 from infodyn.measures import (
     MeasureSet,
     SymbolSequence,
+    check_scale,
     complexity,
-    complexity_simplified,
     emergence,
-    emergence_simplified,
     estimate_distribution,
     expand_to_bits,
     hamming_distance,
@@ -19,8 +18,8 @@ from infodyn.measures import (
     normalized_information,
     rescale,
     self_organization,
-    self_organization_simplified,
     shannon_information,
+    simplified_measures,
     uncorrelated_homeostasis,
 )
 
@@ -69,6 +68,22 @@ class TestSymbolSequence:
     def test_equality(self):
         assert SymbolSequence([1, 2, 3], 2) == SymbolSequence([1, 2, 3], 2)
         assert SymbolSequence([1], 1) != SymbolSequence([1], 2)
+
+    def test_scale_limits(self):
+        SymbolSequence([0], 62)
+        for b in (0, 63):
+            with pytest.raises(ValueError, match="scale must be in 1..62"):
+                SymbolSequence([0], b)
+
+
+class TestCheckScale:
+    def test_accepts_1_to_62(self):
+        assert [check_scale(b) for b in (1, 8, 62)] == [1, 8, 62]
+
+    def test_rejects_outside(self):
+        for b in (-1, 0, 63, 64, 1000):
+            with pytest.raises(ValueError, match="scale must be in 1..62"):
+                check_scale(b)
 
 
 class TestDistribution:
@@ -146,6 +161,12 @@ class TestRescale:
         with pytest.raises(ValueError, match="sequence too short for scale"):
             rescale(SymbolSequence.from_bits("101"), 4)
 
+    def test_scale_out_of_range_errors(self):
+        bits = SymbolSequence.from_bits("01" * 64)
+        for b in (0, 63):
+            with pytest.raises(ValueError, match="scale must be in 1..62"):
+                rescale(bits, b)
+
     def test_requires_binary_input(self):
         with pytest.raises(ValueError):
             rescale(SymbolSequence([1, 2], 2), 2)
@@ -194,29 +215,29 @@ class TestMeasures:
         with pytest.raises(ValueError, match="undefined emergence"):
             emergence(0.0, 0.5)
 
-    def test_emergence_simplified(self):
-        assert emergence_simplified(SymbolSequence.from_bits("1" * 20)) == 0.0
-        assert emergence_simplified(ref_seq()) == pytest.approx(REF_INFO[1], abs=1e-6)
+    def test_simplified_emergence(self):
+        assert simplified_measures(SymbolSequence.from_bits("1" * 20)).emergence == 0.0
+        assert simplified_measures(ref_seq()).emergence == pytest.approx(REF_INFO[1], abs=1e-6)
 
     def test_self_organization_general(self):
         assert self_organization(1.0, 0.25) == 0.75
         assert self_organization(0.2, 0.9) == pytest.approx(-0.7)
 
-    def test_self_organization_simplified(self):
-        assert self_organization_simplified(ref_seq()) == pytest.approx(
+    def test_simplified_self_organization(self):
+        assert simplified_measures(ref_seq()).self_organization == pytest.approx(
             1.0 - REF_INFO[1], abs=1e-6
         )
         rng = np.random.default_rng(29)
         fair = SymbolSequence(rng.integers(0, 2, size=100_000), 1)
-        assert self_organization_simplified(fair) == pytest.approx(0.0, abs=1e-3)
+        assert simplified_measures(fair).self_organization == pytest.approx(0.0, abs=1e-3)
 
     def test_complexity_parabola(self):
         assert complexity(0.5, 0.5) == 0.25
         # two equiprobable symbols at scale 2 give I_b = 0.5, the peak
         half = SymbolSequence([0, 3] * 50, 2)
-        assert complexity_simplified(half) == 1.0
-        assert complexity_simplified(SymbolSequence.from_bits("1" * 100)) == 0.0
-        assert complexity_simplified(ref_seq()) == pytest.approx(0.3726145, abs=1e-5)
+        assert simplified_measures(half).complexity == 1.0
+        assert simplified_measures(SymbolSequence.from_bits("1" * 100)).complexity == 0.0
+        assert simplified_measures(ref_seq()).complexity == pytest.approx(0.3726145, abs=1e-5)
 
     def test_simplified_identities(self):
         rng = np.random.default_rng(31)
@@ -224,10 +245,11 @@ class TestMeasures:
             b = int(rng.integers(1, 9))
             n = int(rng.integers(b, 500))
             bits = SymbolSequence(rng.integers(0, 2, size=n), 1)
-            seq = rescale(bits, b)
-            e = emergence_simplified(seq)
-            assert abs(self_organization_simplified(seq) - (1.0 - e)) <= 1e-12
-            assert abs(complexity_simplified(seq) - 4.0 * e * (1.0 - e)) <= 1e-12
+            ms = simplified_measures(rescale(bits, b))
+            e = ms.emergence
+            assert e == normalized_information(rescale(bits, b))
+            assert abs(ms.self_organization - (1.0 - e)) <= 1e-12
+            assert abs(ms.complexity - 4.0 * e * (1.0 - e)) <= 1e-12
 
 
 class TestHammingAndHomeostasis:

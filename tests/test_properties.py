@@ -6,15 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 from infodyn.measures import (
     SymbolSequence,
     complexity,
-    complexity_simplified,
-    emergence_simplified,
     estimate_distribution,
     expand_to_bits,
     hamming_distance,
     normalized_information,
     rescale,
-    self_organization_simplified,
     shannon_information,
+    simplified_measures,
 )
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=400)
@@ -51,9 +49,11 @@ def test_information_bounded_by_scale(seq):
 @settings(deadline=None)
 @given(seq=symbol_sequences())
 def test_simplified_identity_chain(seq):
-    e = emergence_simplified(seq)
-    assert abs(self_organization_simplified(seq) - (1.0 - e)) <= 1e-12
-    assert abs(complexity_simplified(seq) - 4.0 * e * (1.0 - e)) <= 1e-12
+    ms = simplified_measures(seq)
+    e = ms.emergence
+    assert e == min(normalized_information(seq), 1.0)
+    assert abs(ms.self_organization - (1.0 - e)) <= 1e-12
+    assert abs(ms.complexity - 4.0 * e * (1.0 - e)) <= 1e-12
 
 
 @settings(deadline=None)

@@ -7,14 +7,13 @@ from infodyn.rbn import (
     RbnConfig,
     generate_rbn,
     network_measures,
-    node_series,
     parse_network,
     rbn_step,
     run_rbn,
     run_rbn_many,
     serialize_network,
 )
-from infodyn.trajectory import Trajectory
+from infodyn.trajectory import Trajectory, node_series
 
 
 def naive_step(net, state):

@@ -7,7 +7,6 @@ from infodyn.trajectory import (
     node_series,
     series_matrix_measures,
     trajectory_csv,
-    trajectory_measures,
     trajectory_pbm,
 )
 
@@ -66,24 +65,32 @@ def test_simplified_identities_hold_on_system_measures():
 
 def test_homeostasis_from_last_macro_states():
     states = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
-    ms = trajectory_measures(Trajectory(states), 1)
+    ms = series_matrix_measures(states.T, 1)
     # final two states differ in the first node only
     assert ms.homeostasis == pytest.approx(0.5)
 
 
 def test_average_h_spans_all_pairs():
     states = np.array([[0, 0], [1, 1], [1, 1]], dtype=np.uint8)
-    last_only = trajectory_measures(Trajectory(states), 1)
-    averaged = trajectory_measures(Trajectory(states), 1, average_h=True)
+    last_only = series_matrix_measures(states.T, 1)
+    averaged = series_matrix_measures(states.T, 1, average_h=True)
     assert last_only.homeostasis == 1.0
     assert averaged.homeostasis == pytest.approx(0.5)
 
 
 def test_window_too_short_for_scale():
-    traj = Trajectory(np.zeros((7, 2), dtype=np.uint8))
+    series = np.zeros((2, 7), dtype=np.uint8)
     with pytest.raises(ValueError, match="window too short"):
-        trajectory_measures(traj, 4)
-    trajectory_measures(traj, 3)  # 7 >= 2*3 is fine
+        series_matrix_measures(series, 4)
+    series_matrix_measures(series, 3)  # 7 >= 2*3 is fine
+
+
+def test_scale_out_of_range():
+    # 63-bit symbols would overflow the int64 packing and the count table
+    series = np.zeros((2, 256), dtype=np.uint8)
+    for scale in (0, 63):
+        with pytest.raises(ValueError, match="scale must be in 1..62"):
+            series_matrix_measures(series, scale)
 
 
 def test_csv_layout():

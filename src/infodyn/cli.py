@@ -10,7 +10,6 @@ compared byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -22,9 +21,11 @@ from .eca import ORIENTATIONS, EcaConfig, eca_measures, rule_table, run_eca
 from .experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
+    MEASURE_FIELDS,
     PROFILE_RULES,
     csv_text,
     eca_class_survey,
+    json_text,
     multiscale_profiles,
     rbn_sweep,
     write_sweep_files,
@@ -49,24 +50,15 @@ def _u64(text: str) -> int:
     return value
 
 
-def _parse_scales(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, check) -> tuple[int, ...]:
+    """A comma list of ints, each passed through its one validator."""
     try:
-        scales = tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise CliInputError(f"bad scales list: {text!r}") from exc
-    for b in scales:
-        check_scale(b)
-    return scales
-
-
-def _parse_rules(text: str) -> tuple[int, ...]:
-    try:
-        rules = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise CliInputError(f"bad rules list: {text!r}") from exc
-    for rule in rules:
-        rule_table(rule)
-    return rules
+        raise CliInputError(f"bad {what} list: {text!r}") from exc
+    for value in values:
+        check(value)
+    return values
 
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
@@ -135,10 +127,7 @@ def _read_input(source: str, fmt: str) -> SymbolSequence:
 
 
 def _emit_report(rows: list[dict], args) -> None:
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = csv_text(tuple(rows[0]), rows)
+    text = json_text(rows) if args.format == "json" else csv_text(tuple(rows[0]), rows)
     if args.output:
         write_text(args.output, text)
     else:
@@ -149,13 +138,7 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-_FIELDS = {
-    "I_b": "emergence",
-    "E": "emergence",
-    "S": "self_organization",
-    "C": "complexity",
-    "H": "homeostasis",
-}
+_FIELDS = {"I_b": "emergence", **MEASURE_FIELDS}
 
 
 def _measure_rows(scales, measure, columns, unit) -> list[dict]:
@@ -175,7 +158,7 @@ def _measure_rows(scales, measure, columns, unit) -> list[dict]:
 
 
 def cmd_measure(args) -> int:
-    scales = _parse_scales(args.scales)
+    scales = _parse_ints(args.scales, "scales", check_scale)
     seq = _read_input(args.input, args.input_format)
 
     def measure(b):
@@ -186,7 +169,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_rbn(args) -> int:
-    scales = _parse_scales(args.scales)
+    scales = _parse_ints(args.scales, "scales", check_scale)
     config = RbnConfig(
         n=args.n, k=args.k, transient=args.transient, window=args.window, seed=args.seed
     )
@@ -206,7 +189,7 @@ def cmd_rbn(args) -> int:
 
 
 def cmd_eca(args) -> int:
-    scales = _parse_scales(args.scales)
+    scales = _parse_ints(args.scales, "scales", check_scale)
     config = EcaConfig(
         rule=args.rule,
         n=args.n,
@@ -257,9 +240,9 @@ def cmd_sweep(args) -> int:
         if value is not None:
             params[name] = value
     if args.scales is not None:
-        params["scales"] = _parse_scales(args.scales)
+        params["scales"] = _parse_ints(args.scales, "scales", check_scale)
     if args.rules is not None and "rules" in params:
-        params["rules"] = _parse_rules(args.rules)
+        params["rules"] = _parse_ints(args.rules, "rules", rule_table)
     if args.k_grid is not None and "k_grid" in params:
         params["k_grid"] = _parse_k_grid(args.k_grid)
 

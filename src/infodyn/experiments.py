@@ -36,6 +36,7 @@ __all__ = [
     "instance_rows",
     "aggregate_rows",
     "csv_text",
+    "json_text",
     "write_text",
     "write_sweep_files",
 ]
@@ -47,7 +48,9 @@ PROFILE_RULES = (0, 1, 110, 30)
 DEFAULT_K_GRID = tuple(round(1.0 + 0.2 * i, 1) for i in range(21))
 
 STAT_NAMES = ("mean", "median", "q25", "q75", "whisker_lo", "whisker_hi")
-MEASURE_KEYS = ("E", "S", "C", "H")
+# column name -> MeasureSet attribute, in column order
+MEASURE_FIELDS = {"E": "emergence", "S": "self_organization", "C": "complexity",
+                  "H": "homeostasis"}
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,7 @@ class SeedSchedule:
 
 
 def _measure_values(measures: Sequence[MeasureSet], key: str) -> np.ndarray:
-    attr = {
-        "E": "emergence",
-        "S": "self_organization",
-        "C": "complexity",
-        "H": "homeostasis",
-    }[key]
-    values = [getattr(ms, attr) for ms in measures]
+    values = [getattr(ms, MEASURE_FIELDS[key]) for ms in measures]
     if any(v is None for v in values):
         raise ValueError(f"measure {key} missing from an instance")
     return np.asarray(values, dtype=float)
@@ -84,7 +81,7 @@ def aggregate(measures: Sequence[MeasureSet]) -> dict[str, dict[str, float]]:
     if not measures:
         raise ValueError("empty list")
     stats: dict[str, dict[str, float]] = {name: {} for name in STAT_NAMES}
-    for key in MEASURE_KEYS:
+    for key in MEASURE_FIELDS:
         values = _measure_values(measures, key)
         q25, median, q75 = np.percentile(values, [25, 50, 75], method="linear")
         iqr = q75 - q25
@@ -283,10 +280,7 @@ def aggregate_rows(results: Sequence[SweepResult]) -> list[dict]:
                     "rule_or_k": result.parameter,
                     "scale": result.scale,
                     "stat": stat,
-                    "E": entry["E"],
-                    "S": entry["S"],
-                    "C": entry["C"],
-                    "H": entry["H"],
+                    **{key: entry[key] for key in MEASURE_FIELDS},
                 }
             )
     return rows
@@ -309,6 +303,21 @@ def csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
     lines = [",".join(columns)]
     lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_text(rows: Sequence[dict]) -> str:
+    """The one JSON writer, an exact mirror of :func:`csv_text`: each float
+    carries the value its CSV field prints; ints, text and ``None`` are as is.
+
+    The layout is that of ``json.dumps(rows, indent=2)``; the text is built
+    one row at a time, so no encoder chunk list for the whole file is held."""
+    encode = json.JSONEncoder(indent=2).encode
+    items = ",\n".join(
+        "  " + encode({k: float(_fmt(v)) if isinstance(v, float) else v
+                      for k, v in row.items()}).replace("\n", "\n  ")
+        for row in rows
+    )
+    return f"[\n{items}\n]\n" if items else "[]\n"
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -343,8 +352,8 @@ def write_sweep_files(
     agg = aggregate_rows(results)
     emit(f"{experiment}_instances.csv", csv_text(INSTANCE_COLUMNS, inst))
     emit(f"{experiment}_aggregate.csv", csv_text(AGGREGATE_COLUMNS, agg))
-    emit(f"{experiment}_instances.json", json.dumps(inst, indent=2) + "\n")
-    emit(f"{experiment}_aggregate.json", json.dumps(agg, indent=2) + "\n")
+    emit(f"{experiment}_instances.json", json_text(inst))
+    emit(f"{experiment}_aggregate.json", json_text(agg))
     if h_baseline is not None:
         rows = [{"scale": b, "h_baseline": h} for b, h in sorted(h_baseline.items())]
         emit(f"{experiment}_h_baseline.csv", csv_text(("scale", "h_baseline"), rows))

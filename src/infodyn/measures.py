@@ -187,6 +187,8 @@ def rescale(bits: SymbolSequence, target_b: int) -> SymbolSequence:
 
 def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
     """Regroup rows of a (units x length) bit matrix into MSB-first symbols."""
+    if scale == 1:  # bits are their own 1-bit symbols: no matmul
+        return np.ascontiguousarray(series, dtype=np.int64)
     units, length = series.shape
     groups = length // scale
     weights = np.int64(1) << np.arange(scale - 1, -1, -1, dtype=np.int64)

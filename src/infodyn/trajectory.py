@@ -64,6 +64,16 @@ def node_series(traj: Trajectory, node: int) -> SymbolSequence:
     return SymbolSequence(traj.states[:, node].astype(np.int64), 1)
 
 
+def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, count)`` of each distinct symbol of each row, rows in order and
+    symbols ascending: run lengths of the sorted rows, with no alphabet table."""
+    ordered = np.sort(symbols, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.flatnonzero(starts)
+    return first // ordered.shape[1], np.diff(first, append=ordered.size)
+
+
 def series_matrix_measures(
     series: np.ndarray, scale: int, *, average_h: bool = False
 ) -> MeasureSet:
@@ -74,7 +84,8 @@ def series_matrix_measures(
     averaged into one system-level information, from which E, S, and C follow;
     H compares the final two macro-states, or, with ``average_h``, averages
     the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).
+    non-default estimate).  Symbols are counted by sorting each row, so
+    memory is O(units x groups) at any scale in 1..62.
     """
     series = np.asarray(series)
     if series.ndim != 2:
@@ -87,16 +98,10 @@ def series_matrix_measures(
     symbols = _group_symbols(series, scale)
     groups = symbols.shape[1]
 
-    # per-unit plug-in entropy over the 2**scale alphabet, via one bincount
-    alphabet = 1 << scale
-    offsets = (np.arange(units, dtype=np.int64) * alphabet)[:, None]
-    counts = np.bincount(
-        (symbols + offsets).ravel(), minlength=units * alphabet
-    ).reshape(units, alphabet)
+    # per-unit plug-in entropy over the symbols each unit actually shows
+    rows, counts = _row_counts(symbols)
     p = counts / groups
-    plogp = np.zeros_like(p)
-    np.log2(p, out=plogp, where=p > 0)
-    info = -(p * plogp).sum(axis=1) / scale
+    info = -np.bincount(rows, weights=p * np.log2(p), minlength=units) / scale
 
     e = float(np.clip(info, 0.0, 1.0).mean())
     c = NORM_CONSTANT * e * (1.0 - e)

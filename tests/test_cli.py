@@ -186,6 +186,19 @@ class TestEcaCommand:
         assert b"scale must be in 1..62" in proc.stderr
         assert b"internal error" not in proc.stderr
 
+    def test_wide_scales_sit_at_or_below_the_plug_in_ceiling(self, cli_env):
+        # 2**40 and 2**62 symbols over 102 and 66 groups: no alphabet-sized
+        # count table, and E can at most reach log2(groups) / b
+        proc = run_cli(["eca", "--rule", "30", "--n", "64", "--window", "4096",
+                        "--scales", "40,62", "--format", "json"], cli_env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        rows = json.loads(proc.stdout)
+        assert [row["scale"] for row in rows] == [40, 62]
+        for row in rows:
+            ceiling = np.log2(4096 // row["scale"]) / row["scale"]
+            # the report rounds to 9 digits, which keeps E <= ceiling
+            assert row["E"] <= float(format(ceiling, ".9g")) + 1e-12
+
     def test_bitmap_matches_hand_evolution(self, tmp_path, cli_env):
         dump = tmp_path / "traj.pbm"
         proc = run_cli(
@@ -282,6 +295,17 @@ class TestSweepCommand:
         )
         script = (out / "plot_eca_profiles.py").read_text()
         compile(script, "plot_eca_profiles.py", "exec")
+
+    def test_profile_at_wide_scale(self, tmp_path, cli_env):
+        out = tmp_path / "wide"
+        proc = run_cli(
+            ["sweep", "profile", "--rules", "30", "--instances", "2", "--window", "256",
+             "--transient", "16", "--n", "32", "--scales", "24", "--output-dir", str(out)],
+            cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        rows = (out / "eca_profiles_instances.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1].startswith("eca_profiles,30,24,")
 
     def test_legacy_baseline_flag(self, tmp_path, cli_env):
         out = tmp_path / "inv2b"

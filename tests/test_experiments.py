@@ -13,12 +13,21 @@ from infodyn.experiments import (
     aggregate_rows,
     eca_class_survey,
     instance_rows,
+    json_text,
     multiscale_profiles,
     rbn_sweep,
     write_sweep_files,
 )
 from infodyn.measures import MeasureSet
 from infodyn.rbn import RbnConfig, network_measures, run_rbn
+
+
+def printed(rows):
+    """Rows with every float replaced by the value its CSV field prints."""
+    return [
+        {k: float(format(v, ".9g")) if isinstance(v, float) else v for k, v in row.items()}
+        for row in rows
+    ]
 
 
 def ms(e, s=None, c=None, h=0.5, scale=1):
@@ -198,9 +207,20 @@ class TestOutputFiles:
         assert len(agg_lines) == 1 + 2 * 2 * 6  # rules x scales x stats
 
         mirrored = json.loads((tmp_path / "eca_survey_instances.json").read_text())
-        assert mirrored == instance_rows(results)
+        assert mirrored == printed(instance_rows(results))
         mirrored_agg = json.loads((tmp_path / "eca_survey_aggregate.json").read_text())
-        assert mirrored_agg == aggregate_rows(results)
+        assert mirrored_agg == printed(aggregate_rows(results))
+
+    def test_json_mirror_carries_the_csv_value(self):
+        rows = [
+            {"name": "a\nb", "k": 1.2, "n": 7, "E": 2.0 / 3.0, "H": None, "x": 1e-12},
+            {"name": "c", "k": 2.0, "n": 2**63, "E": 0.1 + 0.2, "H": -0.0, "x": 1.0},
+        ]
+        text = json_text(rows)
+        assert text == json.dumps(printed(rows), indent=2) + "\n"
+        assert json.loads(text)[0]["E"] == 0.666666667
+        assert json.loads(text)[1]["E"] == 0.3
+        assert json_text([]) == "[]\n"
 
     def test_aggregates_recomputable_from_instance_rows(self):
         results = rbn_sweep(

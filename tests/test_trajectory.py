@@ -1,14 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from infodyn.measures import SymbolSequence, simplified_measures
+from infodyn.measures import (
+    SymbolSequence,
+    _group_symbols,
+    normalized_information,
+    rescale,
+    simplified_measures,
+)
 from infodyn.trajectory import (
     Trajectory,
+    _row_counts,
     node_series,
     series_matrix_measures,
     trajectory_csv,
     trajectory_pbm,
 )
+
+
+@st.composite
+def bit_matrices(draw, max_b=12, max_units=6, max_len=300):
+    """(bits, b): a units x length bit matrix long enough for two b-bit groups."""
+    b = draw(st.integers(1, max_b))
+    units = draw(st.integers(1, max_units))
+    length = draw(st.integers(2 * b, max_len))
+    bits = draw(arrays(np.uint8, (units, length), elements=st.integers(0, 1)))
+    return bits, b
 
 
 def test_trajectory_validation():
@@ -35,12 +54,50 @@ def test_single_row_matches_sequence_measures():
     for scale in (1, 2, 4, 8):
         ms = series_matrix_measures(bits[None, :], scale)
         seq = SymbolSequence(bits.astype(np.int64), 1)
-        from infodyn.measures import rescale
-
         expected = simplified_measures(rescale(seq, scale))
         assert ms.emergence == pytest.approx(expected.emergence, abs=1e-12)
         assert ms.self_organization == pytest.approx(expected.self_organization, abs=1e-12)
         assert ms.complexity == pytest.approx(expected.complexity, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_sorted_counts_match_per_row_bincount(case):
+    bits, b = case
+    symbols = _group_symbols(bits, b)
+    rows, counts = _row_counts(symbols)
+    ref_rows, ref_counts = [], []
+    for unit, row in enumerate(symbols):
+        per_symbol = np.bincount(row)
+        present = per_symbol[per_symbol > 0]
+        ref_rows += [unit] * present.size
+        ref_counts += present.tolist()
+    assert rows.tolist() == ref_rows
+    assert counts.tolist() == ref_counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_emergence_is_mean_of_per_series_information(case):
+    bits, b = case
+    per_series = [
+        normalized_information(rescale(SymbolSequence(row.astype(np.int64), 1), b))
+        for row in bits
+    ]
+    ms = series_matrix_measures(bits, b)
+    assert abs(ms.emergence - float(np.mean(per_series))) <= 1e-12
+
+
+def test_wide_scales_stay_at_the_plug_in_ceiling():
+    # up to 2**62 symbols over 66..102 groups: counted with no alphabet-sized
+    # table; random bits never repeat a symbol, so E sits at log2(groups) / b
+    rng = np.random.default_rng(9)
+    series = rng.integers(0, 2, size=(8, 4096), dtype=np.uint8)
+    for scale in (40, 62):
+        groups = 4096 // scale
+        ms = series_matrix_measures(series, scale)
+        assert ms.emergence <= np.log2(groups) / scale + 1e-12
+        assert ms.emergence == pytest.approx(np.log2(groups) / scale)
 
 
 def test_measures_average_information_over_units():
@@ -86,7 +143,7 @@ def test_window_too_short_for_scale():
 
 
 def test_scale_out_of_range():
-    # 63-bit symbols would overflow the int64 packing and the count table
+    # 63-bit symbols would overflow the int64 packing
     series = np.zeros((2, 256), dtype=np.uint8)
     for scale in (0, 63):
         with pytest.raises(ValueError, match="scale must be in 1..62"):

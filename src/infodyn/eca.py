@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import MeasureSet
 from .rbn import BooleanNetwork
-from .trajectory import Trajectory, series_matrix_measures
+from .trajectory import Trajectory, _check_run, _record_runs, series_matrix_measures
 
 __all__ = [
     "EcaConfig",
@@ -31,6 +31,8 @@ __all__ = [
 
 ORIENTATIONS = ("vertical", "horizontal", "diagonal")
 INITS = ("random", "single_cell")
+
+_BATCH = 64  # instances stepped together; bounds memory, never a result
 
 
 def rule_table(number: int) -> np.ndarray:
@@ -62,12 +64,7 @@ class EcaConfig:
             raise ValueError("n must be >= 3")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
-        if self.transient < 0:
-            raise ValueError("transient must be >= 0")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_run(self.transient, self.window, self.seed)
 
 
 def _step_matrix(states: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -87,51 +84,29 @@ def eca_step(state: np.ndarray | Sequence[int], table: np.ndarray) -> np.ndarray
     return _step_matrix(state, np.asarray(table, dtype=np.uint8))
 
 
-def _initial_states(config: EcaConfig, seeds: Sequence[int]) -> np.ndarray:
-    rows = np.empty((len(seeds), config.n), dtype=np.uint8)
-    for j, seed in enumerate(seeds):
-        if config.init == "random":
-            rows[j] = np.random.default_rng(seed).integers(
-                0, 2, size=config.n, dtype=np.uint8
-            )
-        else:
-            rows[j] = 0
-            rows[j, config.n // 2] = 1  # single cell, centered
-    return rows
-
-
-def _run_matrix(states: np.ndarray, table: np.ndarray, transient: int, window: int) -> np.ndarray:
-    for _ in range(transient):
-        states = _step_matrix(states, table)
-    recorded = np.empty((window,) + states.shape, dtype=np.uint8)
-    for t in range(window):
-        recorded[t] = states
-        states = _step_matrix(states, table)
-    return recorded
-
-
 def run_eca(config: EcaConfig) -> Trajectory:
     """Record a window of states; the first recorded state is the one reached
     after ``transient`` steps (the initial state itself when transient=0)."""
     return run_eca_many(config, [config.seed])[0]
 
 
-def run_eca_many(
-    config: EcaConfig, seeds: Sequence[int], *, max_batch: int = 64
-) -> list[Trajectory]:
+def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one instance per seed (``config.seed`` is ignored), batching the
     rows through the update kernel; rows evolve independently, so a result
     does not depend on the batch it shares."""
-    seeds = list(seeds)
     table = rule_table(config.rule)
-    trajectories: list[Trajectory] = []
-    for start in range(0, len(seeds), max_batch):
-        chunk = seeds[start : start + max_batch]
-        states = _initial_states(config, chunk)
-        recorded = _run_matrix(states, table, config.transient, config.window)
-        for j in range(len(chunk)):
-            trajectories.append(Trajectory(recorded[:, j, :].copy(), config.transient))
-    return trajectories
+
+    def start(chunk):
+        if config.init == "random":
+            states = np.array([
+                np.random.default_rng(s).integers(0, 2, config.n, dtype=np.uint8) for s in chunk
+            ])
+        else:
+            states = np.zeros((len(chunk), config.n), dtype=np.uint8)
+            states[:, config.n // 2] = 1  # single cell, centered
+        return states, lambda rows: _step_matrix(rows, table)
+
+    return _record_runs(seeds, _BATCH, start, config.transient, config.window)
 
 
 def _oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:

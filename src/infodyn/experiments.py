@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eca import EcaConfig, eca_measures, rule_table, run_eca_many
+from .eca import EcaConfig, eca_measures, run_eca_many
 from .measures import MeasureSet, uncorrelated_homeostasis
 from .rbn import RbnConfig, network_measures, run_rbn_many
 
@@ -129,15 +129,19 @@ def _sweep(
     threads: int,
 ) -> list[SweepResult]:
     """The one cell runner: per parameter, seed and run ``instances`` systems,
-    then measure and aggregate them at every scale."""
+    then measure and aggregate them at every scale.
+
+    Every parameter's config is built, and so validated, before any cell runs.
+    """
     if instances < 1:
         raise ValueError("instances must be >= 1")
     schedule = SeedSchedule(master_seed)
+    configs = {parameter: make_config(parameter) for parameter in parameters}
 
     def cell(parameter: float | int) -> list[SweepResult]:
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        trajectories = run_many(make_config(parameter), seeds)
+        trajectories = run_many(configs[parameter], seeds)
         results = []
         for scale in scales:
             measured = [measure(t, scale) for t in trajectories]
@@ -182,9 +186,6 @@ def _rule_survey(
     master_seed: int,
     threads: int,
 ) -> list[SweepResult]:
-    for rule in rules:
-        rule_table(rule)
-
     def make_config(rule: int) -> EcaConfig:
         return EcaConfig(rule=rule, n=n, transient=transient, window=window)
 

@@ -148,7 +148,7 @@ def estimate_distribution(seq: SymbolSequence) -> dict[int, float]:
     Symbols absent from the sequence are omitted from the result.
     """
     _require_nonempty(seq)
-    values, counts = np.unique(seq.symbols, return_counts=True)
+    _, values, counts = _row_counts(seq.symbols[None, :])
     n = seq.symbols.size
     return {int(v): int(c) / n for v, c in zip(values, counts)}
 
@@ -160,9 +160,9 @@ def shannon_information(seq: SymbolSequence) -> float:
     the result lies in ``[0, bits_per_symbol]``.
     """
     _require_nonempty(seq)
-    _, counts = np.unique(seq.symbols, return_counts=True)
+    _, _, counts = _row_counts(seq.symbols[None, :])
     p = counts / seq.symbols.size
-    # counts from `unique` are always positive, so log2 is safe here
+    # counts of symbols that occur are always positive, so log2 is safe here
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
@@ -194,6 +194,21 @@ def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
     weights = np.int64(1) << np.arange(scale - 1, -1, -1, dtype=np.int64)
     blocks = series[:, : groups * scale].reshape(units, groups, scale)
     return blocks @ weights
+
+
+def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one symbol counter: ``(row, symbol, count)`` of each distinct symbol
+    of each row of a 2-D array, rows in order and symbols ascending.
+
+    These are the run lengths of the sorted rows, so memory grows with the
+    array, never with the alphabet.
+    """
+    ordered = np.sort(symbols, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=ordered.size)
+    return first // ordered.shape[1], ordered.ravel()[first], counts
 
 
 def expand_to_bits(seq: SymbolSequence) -> SymbolSequence:
@@ -258,12 +273,18 @@ def simplified_measures(seq: SymbolSequence) -> MeasureSet:
     at ``E = 0.5``.
     """
     e = min(max(normalized_information(seq), 0.0), 1.0)
+    return _measure_set(e, None, seq.bits_per_symbol)
+
+
+def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
+    """The one E/S/C builder: ``S = 1 - E`` and ``C = 4 E (1 - E)`` from a
+    clipped emergence ``e``, with homeostasis ``h`` (or ``None``)."""
     return MeasureSet(
         emergence=e,
         self_organization=1.0 - e,
         complexity=NORM_CONSTANT * e * (1.0 - e),
-        homeostasis=None,
-        scale=seq.bits_per_symbol,
+        homeostasis=h,
+        scale=scale,
     )
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .measures import MeasureSet
-from .trajectory import Trajectory, series_matrix_measures
+from .trajectory import Trajectory, _check_run, _record_runs, series_matrix_measures
 
 __all__ = [
     "RbnConfig",
@@ -29,6 +29,15 @@ __all__ = [
     "serialize_network",
     "parse_network",
 ]
+
+_BATCH = 128  # networks stepped together at most; never changes a result
+# bytes of lookup table a stack of networks may take; RbnConfig rejects a
+# network that alone needs more (n * 2^ceil(k) bytes)
+_TABLE_BUDGET = 1 << 28
+
+
+def _table_bytes(n: int, k: float) -> int:
+    return n << math.ceil(k)
 
 
 @dataclass(frozen=True)
@@ -50,12 +59,14 @@ class RbnConfig:
             raise ValueError("n must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.transient < 0:
-            raise ValueError("transient must be >= 0")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.k > self.n:
+            raise ValueError("k must not exceed n")
+        if _table_bytes(self.n, self.k) > _TABLE_BUDGET:
+            raise ValueError(
+                f"k={self.k} needs n * 2^ceil(k) = {_table_bytes(self.n, self.k):,} bytes"
+                f" of lookup tables per network, over the {_TABLE_BUDGET:,}-byte limit"
+            )
+        _check_run(self.transient, self.window, self.seed)
 
 
 @dataclass
@@ -96,8 +107,6 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     probability ``frac(k)``.  Inputs are drawn uniformly without replacement
     (self-inputs allowed, duplicates not); table entries are fair coins.
     """
-    if config.k > config.n:
-        raise ValueError("k must not exceed n")
     base = int(math.floor(config.k))
     frac = config.k - base
     degrees = base + (rng.random(config.n) < frac).astype(np.int64)
@@ -110,41 +119,34 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     return BooleanNetwork(config.n, inputs, tables, state)
 
 
-class _Group:
-    """All nodes of equal in-degree, stacked for one vectorized table lookup."""
+def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray]:
+    """The synchronous update of a stack of networks as one padded lookup.
 
-    __slots__ = ("nodes", "inputs", "weights", "tables", "base")
+    Every node reads the stack's largest in-degree ``width``: a node of
+    in-degree ``d`` reads its own inputs in the high ``d`` bits of its index
+    and dummy ones in the low ``width - d`` bits, which its table ignores
+    because each entry is repeated ``2^(width - d)`` times.
+    """
+    sizes = [net.n for net in nets]
+    degrees = np.fromiter((src.size for net in nets for src in net.inputs), dtype=np.int64)
+    width = int(degrees.max())
+    offsets = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    inputs = np.zeros((degrees.size, width), dtype=np.int64)
+    inputs[np.arange(width) < degrees[:, None]] = (
+        np.concatenate([src for net in nets for src in net.inputs])
+        + np.repeat(offsets, degrees)
+    )
+    tables = np.repeat(
+        np.concatenate([tab for net in nets for tab in net.tables]),
+        np.repeat(np.int64(1) << (width - degrees), np.int64(1) << degrees),
+    )
+    weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
+    base = np.arange(degrees.size, dtype=np.int64) << width
 
-    def __init__(self, nodes, inputs, degree, tables):
-        self.nodes = np.asarray(nodes, dtype=np.int64)
-        self.inputs = np.asarray(inputs, dtype=np.int64).reshape(len(nodes), degree)
-        self.weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
-        self.tables = np.concatenate(tables) if tables else np.empty(0, dtype=np.uint8)
-        self.base = np.arange(len(nodes), dtype=np.int64) << degree
+    def step(state: np.ndarray) -> np.ndarray:
+        return tables[base + state[inputs].astype(np.int64) @ weights]
 
-
-def _compile(nets: Sequence[BooleanNetwork]) -> list[_Group]:
-    by_degree: dict[int, tuple[list, list, list]] = {}
-    offset = 0
-    for net in nets:
-        for i in range(net.n):
-            src = net.inputs[i]
-            nodes, rows, tabs = by_degree.setdefault(src.size, ([], [], []))
-            nodes.append(offset + i)
-            rows.append(src + offset)
-            tabs.append(net.tables[i])
-        offset += net.n
-    return [
-        _Group(nodes, rows, degree, tabs)
-        for degree, (nodes, rows, tabs) in sorted(by_degree.items())
-    ]
-
-
-def _grouped_step(state: np.ndarray, groups: list[_Group], out: np.ndarray) -> np.ndarray:
-    for g in groups:
-        idx = state[g.inputs].astype(np.int64) @ g.weights if g.inputs.shape[1] else 0
-        out[g.nodes] = g.tables[g.base + idx]
-    return out
+    return step
 
 
 def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray:
@@ -156,21 +158,7 @@ def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray
     cur = np.asarray(net.state if state is None else state, dtype=np.uint8)
     if cur.size != net.n:
         raise ValueError("state length must equal n")
-    return _grouped_step(cur, _compile([net]), np.empty_like(cur))
-
-
-def _run_stacked(nets: Sequence[BooleanNetwork], transient: int, window: int) -> np.ndarray:
-    """Step a stack of independent networks as one block-diagonal system."""
-    groups = _compile(nets)
-    state = np.concatenate([net.state for net in nets])
-    scratch = np.empty_like(state)
-    for _ in range(transient):
-        state, scratch = _grouped_step(state, groups, scratch), state
-    recorded = np.empty((window, state.size), dtype=np.uint8)
-    for t in range(window):
-        recorded[t] = state
-        state, scratch = _grouped_step(state, groups, scratch), state
-    return recorded
+    return _lookup([net])(cur)
 
 
 def run_rbn(config: RbnConfig) -> Trajectory:
@@ -181,27 +169,21 @@ def run_rbn(config: RbnConfig) -> Trajectory:
     return run_rbn_many(config, [config.seed])[0]
 
 
-def run_rbn_many(
-    config: RbnConfig, seeds: Sequence[int], *, max_batch: int = 128
-) -> list[Trajectory]:
+def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one independent network per seed; ``config.seed`` is ignored.
 
-    Networks are stacked into batches of at most ``max_batch`` and stepped as
-    one block-diagonal system; a network's trajectory does not depend on the
-    batch it shares.
+    Networks are stacked as many at a time as fit the table budget and
+    stepped as one block-diagonal system; a network's trajectory does not
+    depend on the stack it shares.
     """
-    trajectories: list[Trajectory] = []
-    seeds = list(seeds)
-    for start in range(0, len(seeds), max_batch):
-        chunk = seeds[start : start + max_batch]
+
+    def start(chunk):
         nets = [generate_rbn(config, np.random.default_rng(s)) for s in chunk]
-        recorded = _run_stacked(nets, config.transient, config.window)
-        offset = 0
-        for net in nets:
-            block = recorded[:, offset : offset + net.n].copy()
-            trajectories.append(Trajectory(block, config.transient))
-            offset += net.n
-    return trajectories
+        return np.concatenate([net.state for net in nets]), _lookup(nets)
+
+    # RbnConfig has checked that one network fits the budget
+    batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k))
+    return _record_runs(seeds, batch, start, config.transient, config.window)
 
 
 def network_measures(

@@ -1,4 +1,5 @@
-"""Recorded state trajectories and the per-series measurement pipeline.
+"""Recorded state trajectories, the one record loop, and the per-series
+measurement pipeline.
 
 A :class:`Trajectory` is the observation window of a simulator run: a
 ``window x n`` binary matrix, rows in time order.  The measurement pipeline
@@ -11,10 +12,12 @@ per-series ``b``-bit symbols).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import NORM_CONSTANT, MeasureSet, SymbolSequence, _group_symbols, check_scale
+from .measures import MeasureSet, SymbolSequence, check_scale
+from .measures import _group_symbols, _measure_set, _row_counts
 
 __all__ = [
     "Trajectory",
@@ -64,14 +67,39 @@ def node_series(traj: Trajectory, node: int) -> SymbolSequence:
     return SymbolSequence(traj.states[:, node].astype(np.int64), 1)
 
 
-def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, count)`` of each distinct symbol of each row, rows in order and
-    symbols ascending: run lengths of the sorted rows, with no alphabet table."""
-    ordered = np.sort(symbols, axis=1)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    first = np.flatnonzero(starts)
-    return first // ordered.shape[1], np.diff(first, append=ordered.size)
+def _check_run(transient: int, window: int, seed: int) -> None:
+    """The one validator of the run parameters every simulator config has."""
+    if transient < 0:
+        raise ValueError("transient must be >= 0")
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+
+
+def _record_runs(
+    seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
+) -> list[Trajectory]:
+    """The one record loop of both simulators: one trajectory per seed.
+
+    ``start(chunk)`` returns the initial state of a stack of at most ``batch``
+    instances (their states side by side once flattened) and its update; the
+    stack runs ``transient`` steps, then ``window`` states are recorded.
+    """
+    seeds = list(seeds)
+    trajectories: list[Trajectory] = []
+    for first in range(0, len(seeds), batch):
+        chunk = seeds[first : first + batch]
+        state, step = start(chunk)
+        for _ in range(transient):
+            state = step(state)
+        recorded = np.empty((window,) + state.shape, dtype=np.uint8)
+        for t in range(window):
+            recorded[t] = state
+            state = step(state)
+        blocks = recorded.reshape(window, len(chunk), -1)
+        trajectories += [Trajectory(blocks[:, j].copy(), transient) for j in range(len(chunk))]
+    return trajectories
 
 
 def series_matrix_measures(
@@ -99,25 +127,15 @@ def series_matrix_measures(
     groups = symbols.shape[1]
 
     # per-unit plug-in entropy over the symbols each unit actually shows
-    rows, counts = _row_counts(symbols)
+    rows, _, counts = _row_counts(symbols)
     p = counts / groups
     info = -np.bincount(rows, weights=p * np.log2(p), minlength=units) / scale
-
-    e = float(np.clip(info, 0.0, 1.0).mean())
-    c = NORM_CONSTANT * e * (1.0 - e)
 
     if average_h:
         d = float(np.mean(symbols[:, 1:] != symbols[:, :-1]))
     else:
         d = float(np.mean(symbols[:, -1] != symbols[:, -2]))
-
-    return MeasureSet(
-        emergence=e,
-        self_organization=1.0 - e,
-        complexity=c,
-        homeostasis=1.0 - d,
-        scale=scale,
-    )
+    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), 1.0 - d, scale)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

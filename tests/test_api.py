@@ -1,5 +1,6 @@
-"""The public surface: every exported name exists, and the demos and the
-README quickstart import only names the package has.
+"""The public surface: every exported name exists, the demos and the
+README quickstart import only names the package has, and every module
+attribute the benchmark scripts read exists.
 
 Imports are read with ``ast`` so the demos (which take seconds to run) are
 never executed here.
@@ -63,6 +64,40 @@ def test_demo_imports_exist(path):
     names = _infodyn_imports(path.read_text())
     assert names, f"{path.name} imports nothing from infodyn"
     assert [n for n in names if not hasattr(infodyn, n)] == []
+
+
+def _module_attributes(source: str) -> list[tuple[str, str]]:
+    """``(module, attribute)`` for every attribute read off an infodyn module
+    bound by ``from infodyn import <module>``."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "infodyn"
+        for alias in node.names
+        if alias.name in MODULES
+    }
+    return [
+        (bound[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "perfbench").glob("*.py")), ids=lambda p: p.name
+)
+def test_benchmark_attributes_exist(path):
+    # the benchmark's checks and traced replica call the modules directly
+    used = _module_attributes(path.read_text())
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in used
+        if not hasattr(importlib.import_module(f"infodyn.{module}"), attr)
+    ]
+    assert missing == []
 
 
 def test_readme_quickstart_imports_exist():

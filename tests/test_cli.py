@@ -116,6 +116,12 @@ class TestRbnCommand:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_table_budget_exits_2(self, cli_env):
+        # 100 nodes with 2^35 table entries each: refused before any table exists
+        proc = run_cli(["rbn", "--k", "35"], cli_env)
+        assert proc.returncode == 2
+        assert b"= 3,435,973,836,800 bytes of lookup tables" in proc.stderr
+
     def test_zero_k_frozen(self, cli_env):
         proc = run_cli(
             ["rbn", "--n", "30", "--k", "0", "--transient", "4", "--window", "32",
@@ -345,6 +351,14 @@ class TestSweepCommand:
                         "--output-dir", str(out)], cli_env)
         assert proc.returncode == 2
         assert b"scale must be in 1..62" in proc.stderr
+        assert not out.exists()
+
+    def test_table_budget_exits_2(self, tmp_path, cli_env):
+        out = tmp_path / "none"
+        proc = run_cli(["sweep", "rbn", "--k-grid", "1,35", "--output-dir", str(out)],
+                       cli_env)
+        assert proc.returncode == 2
+        assert b"lookup tables per network" in proc.stderr
         assert not out.exists()
 
     def test_unwritable_output_dir_exits_2(self, cli_env):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from infodyn import eca
 from infodyn.eca import (
     EcaConfig,
     _oriented_series,
@@ -117,10 +118,12 @@ class TestRun:
                 eca_step(traj.states[t], rule_table(config.rule)), traj.states[t + 1]
             )
 
-    def test_run_many_equals_individual_runs(self):
+    def test_run_many_equals_individual_runs(self, monkeypatch):
+        # batches of two, so the seeds span three batches, the last one short
+        monkeypatch.setattr(eca, "_BATCH", 2)
         config = EcaConfig(rule=30, n=32, transient=8, window=16, seed=0)
         seeds = [5, 6, 7, 8, 9]
-        batched = run_eca_many(config, seeds, max_batch=2)
+        batched = run_eca_many(config, seeds)
         for seed, traj in zip(seeds, batched):
             single = run_eca(EcaConfig(rule=30, n=32, transient=8, window=16, seed=seed))
             assert np.array_equal(traj.states, single.states)

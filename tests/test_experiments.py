@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from infodyn import experiments
 from infodyn.eca import EcaConfig, eca_measures, run_eca
 from infodyn.experiments import (
     DEFAULT_K_GRID,
@@ -113,6 +114,14 @@ class TestRbnSweep:
         for r in results:
             assert len(r.instances) == 4
             assert len(r.seeds) == 4
+
+    def test_every_config_is_validated_before_any_cell_runs(self, monkeypatch):
+        def never(config, seeds):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_rbn_many", never)
+        with pytest.raises(ValueError, match="lookup tables"):
+            rbn_sweep(n=100, k_grid=[1.0, 35.0], instances=1, transient=1, window=8)
 
     def test_threads_do_not_change_results(self):
         kwargs = dict(

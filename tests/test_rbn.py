@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from infodyn import rbn
 from infodyn.measures import shannon_information
 from infodyn.rbn import (
     BooleanNetwork,
@@ -71,9 +74,16 @@ class TestGeneration:
                 assert np.unique(src).size == src.size
 
     def test_k_above_n_rejected(self):
-        config = RbnConfig(n=5, k=6, transient=1, window=2, seed=0)
         with pytest.raises(ValueError, match="k must not exceed n"):
-            generate_rbn(config, np.random.default_rng(0))
+            RbnConfig(n=5, k=6, transient=1, window=2, seed=0)
+
+    def test_table_budget_rejected_with_estimate(self):
+        # 100 nodes with 2^35 table entries each: refused before any table exists
+        with pytest.raises(ValueError, match=r"= 3,435,973,836,800 bytes"):
+            RbnConfig(n=100, k=35)
+        with pytest.raises(ValueError, match="lookup tables"):
+            RbnConfig(n=100, k=34.5)
+        RbnConfig(n=100, k=21)  # 210 MB fits the 256 MiB limit
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -154,15 +164,29 @@ class TestRun:
                 rbn_step(net, traj.states[t]), traj.states[t + 1]
             )
 
-    def test_run_many_equals_individual_runs(self):
+    def test_run_many_equals_individual_runs(self, monkeypatch):
+        # stacks of two, so the seeds span three stacks, the last one short
+        monkeypatch.setattr(rbn, "_BATCH", 2)
         config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
         seeds = [101, 202, 303, 404, 505]
-        batched = run_rbn_many(config, seeds, max_batch=2)
+        batched = run_rbn_many(config, seeds)
         for seed, traj in zip(seeds, batched):
             single = run_rbn(
                 RbnConfig(n=30, k=2.5, transient=20, window=40, seed=seed)
             )
             assert np.array_equal(traj.states, single.states)
+
+    def test_stacks_fit_the_table_budget(self, monkeypatch):
+        # 30 nodes * 2^3 entries = 240 bytes per network: two fit in 500
+        monkeypatch.setattr(rbn, "_TABLE_BUDGET", 500)
+        lookup, stacks = rbn._lookup, []
+        monkeypatch.setattr(rbn, "_lookup", lambda nets: stacks.append(len(nets)) or lookup(nets))
+        config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
+        seeds = [101, 202, 303, 404, 505]
+        batched = run_rbn_many(config, seeds)
+        assert stacks == [2, 2, 1]
+        for seed, traj in zip(seeds, batched):
+            assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
 
 class TestNodeSeries:

@@ -6,13 +6,15 @@ from hypothesis.extra.numpy import arrays
 from infodyn.measures import (
     SymbolSequence,
     _group_symbols,
+    _row_counts,
+    estimate_distribution,
     normalized_information,
     rescale,
+    shannon_information,
     simplified_measures,
 )
 from infodyn.trajectory import (
     Trajectory,
-    _row_counts,
     node_series,
     series_matrix_measures,
     trajectory_csv,
@@ -65,14 +67,23 @@ def test_single_row_matches_sequence_measures():
 def test_sorted_counts_match_per_row_bincount(case):
     bits, b = case
     symbols = _group_symbols(bits, b)
-    rows, counts = _row_counts(symbols)
-    ref_rows, ref_counts = [], []
+    rows, values, counts = _row_counts(symbols)
+    ref_rows, ref_values, ref_counts = [], [], []
     for unit, row in enumerate(symbols):
         per_symbol = np.bincount(row)
         present = per_symbol[per_symbol > 0]
         ref_rows += [unit] * present.size
+        ref_values += np.unique(row).tolist()
         ref_counts += present.tolist()
+        # the single-sequence measures read the same counter
+        seq = SymbolSequence(row, b)
+        p = present / row.size
+        assert shannon_information(seq) == pytest.approx(-(p * np.log2(p)).sum(), abs=1e-12)
+        assert estimate_distribution(seq) == dict(
+            zip(np.flatnonzero(per_symbol).tolist(), p.tolist())
+        )
     assert rows.tolist() == ref_rows
+    assert values.tolist() == ref_values
     assert counts.tolist() == ref_counts
 
 

@@ -148,11 +148,15 @@ def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray
         np.concatenate([tab for net in nets for tab in net.tables]),
         np.repeat(np.int64(1) << (width - degrees), np.int64(1) << degrees),
     )
-    weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    base = np.arange(degrees.size, dtype=np.int64) << width
+    # one contiguous index column per input position, first input = MSB
+    columns = [np.ascontiguousarray(inputs[:, c], dtype=np.intp) for c in range(width)]
+    base = np.arange(degrees.size, dtype=np.intp) << width
 
     def step(state: np.ndarray) -> np.ndarray:
-        return tables[base + state[inputs].astype(np.int64) @ weights]
+        idx = base.copy()
+        for c, column in enumerate(columns):
+            idx |= state.take(column).astype(np.intp) << (width - 1 - c)
+        return tables.take(idx)
 
     return step
 

@@ -193,6 +193,5 @@ def as_boolean_network(
     if n < 3:
         raise ValueError("n must be >= 3")
     idx = np.arange(n, dtype=np.int64)
-    inputs = [np.array([(i - 1) % n, i, (i + 1) % n], dtype=np.int64) for i in idx]
-    tables = [table.copy() for _ in idx]
-    return BooleanNetwork(n, inputs, tables, np.asarray(state, dtype=np.uint8))
+    inputs = np.stack([(idx - 1) % n, idx, (idx + 1) % n], axis=1).ravel()
+    return BooleanNetwork(np.full(n, 3), inputs, np.tile(table, n), state)

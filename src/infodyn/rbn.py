@@ -4,6 +4,17 @@ Each node reads an ordered list of input nodes (first input = most significant
 bit of the lookup index) and a private lookup table.  All nodes update
 simultaneously.  Everything is deterministic given an explicit RNG or seed;
 independent runs never share state, so they can execute concurrently.
+
+A :class:`BooleanNetwork` is flat: one array of in-degrees, every node's
+inputs concatenated in node order, and every node's table concatenated the
+same way, so validation, stacking and stepping are whole-array operations.
+:func:`generate_rbn` draws Kauffman's ensemble (*J. Theor. Biol.* 22, 1969)
+from one generator per network, without a per-node loop: the in-degrees from
+one uniform draw, the inputs by Floyd's sampling run across all nodes at once
+(one draw per input position, so memory is O(n * ceil(k))), then the tables
+from one block of fair bits and the state.  A stack of networks steps as one
+padded lookup whose index is a shift-or over one contiguous column per input
+position.
 """
 
 from __future__ import annotations
@@ -71,33 +82,51 @@ class RbnConfig:
 
 @dataclass
 class BooleanNetwork:
-    """Topology, lookup tables, and current state of one network."""
+    """Topology, lookup tables, and current state of one network.
 
-    n: int
-    inputs: list[np.ndarray]
-    tables: list[np.ndarray]
+    ``degrees[i]`` is node ``i``'s in-degree.  ``inputs`` holds every node's
+    input indices and ``tables`` every node's ``2^degrees[i]``-entry table,
+    each concatenated in node order.
+    """
+
+    degrees: np.ndarray
+    inputs: np.ndarray
+    tables: np.ndarray
     state: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        degrees = np.asarray(self.degrees, dtype=np.int64).ravel()
+        inputs = np.asarray(self.inputs, dtype=np.int64).ravel()
+        tables = np.asarray(self.tables, dtype=np.uint8).ravel()
+        n = degrees.size
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.inputs) != self.n or len(self.tables) != self.n:
-            raise ValueError("inputs and tables must have one entry per node")
-        self.inputs = [np.asarray(src, dtype=np.int64).ravel() for src in self.inputs]
-        self.tables = [np.asarray(tab, dtype=np.uint8).ravel() for tab in self.tables]
-        for i, (src, tab) in enumerate(zip(self.inputs, self.tables)):
-            if src.size and (src.min() < 0 or src.max() >= self.n):
-                raise ValueError(f"node {i}: input indices out of range")
-            if np.unique(src).size != src.size:
-                raise ValueError(f"node {i}: duplicate input")
-            if tab.size != (1 << src.size):
-                raise ValueError(f"node {i}: table must have 2^in-degree entries")
-            if tab.size and tab.max() > 1:
-                raise ValueError(f"node {i}: table entries must be bits")
+        if degrees.min() < 0:
+            raise ValueError("in-degrees must be >= 0")
+        if inputs.size != degrees.sum():
+            raise ValueError("inputs must hold one entry per input of every node")
+        owner = np.repeat(np.arange(n), degrees)
+        bad = (inputs < 0) | (inputs >= n)
+        if bad.any():
+            raise ValueError(f"node {owner[bad.argmax()]}: input indices out of range")
+        order = np.lexsort((inputs, owner))
+        same = (np.diff(owner[order]) == 0) & (np.diff(inputs[order]) == 0)
+        if same.any():
+            raise ValueError(f"node {owner[order][1:][same.argmax()]}: duplicate input")
+        # float sizes stay exact below 2^53 entries and never overflow
+        if np.ldexp(1.0, degrees).sum() != tables.size:
+            raise ValueError("tables must have 2^in-degree entries per node")
+        if tables.max() > 1:
+            node = np.repeat(np.arange(n), np.int64(1) << degrees)[tables.argmax()]
+            raise ValueError(f"node {node}: table entries must be bits")
         state = np.asarray(self.state, dtype=np.uint8).ravel()
-        if state.size != self.n or (state.size and state.max() > 1):
+        if state.size != n or state.max() > 1:
             raise ValueError("state must be an n-bit vector")
-        self.state = state
+        self.degrees, self.inputs, self.tables, self.state = degrees, inputs, tables, state
+
+    @property
+    def n(self) -> int:
+        return int(self.degrees.size)
 
 
 def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
@@ -107,16 +136,22 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     probability ``frac(k)``.  Inputs are drawn uniformly without replacement
     (self-inputs allowed, duplicates not); table entries are fair coins.
     """
-    base = int(math.floor(config.k))
-    frac = config.k - base
-    degrees = base + (rng.random(config.n) < frac).astype(np.int64)
-    inputs, tables = [], []
-    for i in range(config.n):
-        d = int(degrees[i])
-        inputs.append(rng.choice(config.n, size=d, replace=False).astype(np.int64))
-        tables.append(rng.integers(0, 2, size=1 << d, dtype=np.uint8))
-    state = rng.integers(0, 2, size=config.n, dtype=np.uint8)
-    return BooleanNetwork(config.n, inputs, tables, state)
+    n, top = config.n, math.ceil(config.k)
+    base = math.floor(config.k)
+    degrees = base + (rng.random(n) < config.k - base).astype(np.int64)
+    # Floyd's sampling for every node at once: position c of a degree-d node
+    # draws from 0..j with j = n - d + c and takes j if the draw repeats one
+    # of its earlier positions, which leaves a uniform d-subset of 0..n-1
+    chosen = np.empty((n, top), dtype=np.int64)
+    for c in range(top):
+        j = n - degrees + c
+        draw = rng.integers(0, j + 1)
+        chosen[:, c] = np.where((chosen[:, :c] == draw[:, None]).any(axis=1), j, draw)
+    inputs = chosen[np.arange(top) < degrees[:, None]]
+    block = rng.integers(0, 2, size=(n, 1 << top), dtype=np.uint8)
+    tables = block[np.arange(1 << top) < (np.int64(1) << degrees)[:, None]]
+    state = rng.integers(0, 2, size=n, dtype=np.uint8)
+    return BooleanNetwork(degrees, inputs, tables, state)
 
 
 def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray]:
@@ -129,8 +164,7 @@ def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray
     padded table (``nodes * 2^width`` bytes) exceeds the table budget is
     refused before anything is allocated.
     """
-    sizes = [net.n for net in nets]
-    degrees = np.fromiter((src.size for net in nets for src in net.inputs), dtype=np.int64)
+    degrees = np.concatenate([net.degrees for net in nets])
     width = int(degrees.max())
     if degrees.size << width > _TABLE_BUDGET:
         raise ValueError(
@@ -138,18 +172,17 @@ def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray
             f" nodes * 2^{width} = {degrees.size << width:,} bytes of tables,"
             f" over the {_TABLE_BUDGET:,}-byte limit"
         )
-    offsets = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    inputs = np.zeros((degrees.size, width), dtype=np.int64)
-    inputs[np.arange(width) < degrees[:, None]] = (
-        np.concatenate([src for net in nets for src in net.inputs])
-        + np.repeat(offsets, degrees)
+    sizes = [net.n for net in nets]
+    offsets = np.repeat(np.cumsum([0] + sizes[:-1]), [net.inputs.size for net in nets])
+    # row c holds every node's input at position c (first input = MSB)
+    columns = np.zeros((width, degrees.size), dtype=np.intp)
+    columns.T[np.arange(width) < degrees[:, None]] = (
+        np.concatenate([net.inputs for net in nets]) + offsets
     )
     tables = np.repeat(
-        np.concatenate([tab for net in nets for tab in net.tables]),
+        np.concatenate([net.tables for net in nets]),
         np.repeat(np.int64(1) << (width - degrees), np.int64(1) << degrees),
     )
-    # one contiguous index column per input position, first input = MSB
-    columns = [np.ascontiguousarray(inputs[:, c], dtype=np.intp) for c in range(width)]
     base = np.arange(degrees.size, dtype=np.intp) << width
 
     def step(state: np.ndarray) -> np.ndarray:
@@ -216,11 +249,14 @@ def serialize_network(net: BooleanNetwork) -> str:
 
     The current state is not part of the format.
     """
+    inputs = net.inputs.tolist()
+    bits = (net.tables + ord("0")).tobytes().decode()
+    at_input = np.concatenate([[0], np.cumsum(net.degrees)]).tolist()
+    at_table = np.concatenate([[0], np.cumsum(np.int64(1) << net.degrees)]).tolist()
     lines = [f"rbn n={net.n}"]
     for i in range(net.n):
-        srcs = ",".join(str(int(s)) for s in net.inputs[i])
-        table = "".join(str(int(b)) for b in net.tables[i])
-        lines.append(f"{i}: inputs={srcs} table={table}")
+        srcs = ",".join(map(str, inputs[at_input[i] : at_input[i + 1]]))
+        lines.append(f"{i}: inputs={srcs} table={bits[at_table[i] : at_table[i + 1]]}")
     return "\n".join(lines) + "\n"
 
 
@@ -233,25 +269,25 @@ def parse_network(text: str) -> BooleanNetwork:
     if not lines or not lines[0].startswith("rbn n="):
         raise ValueError("missing 'rbn n=<N>' header")
     n = int(lines[0].removeprefix("rbn n="))
-    inputs: dict[int, np.ndarray] = {}
-    tables: dict[int, np.ndarray] = {}
+    nodes: dict[int, tuple[list[int], str]] = {}
     for line in lines[1:]:
         m = _NODE_LINE.match(line)
         if not m:
             raise ValueError(f"malformed node line: {line!r}")
         i = int(m.group(1))
-        if i in inputs:
+        if i in nodes:
             raise ValueError(f"duplicate node line for node {i}")
-        srcs = m.group(2)
-        inputs[i] = np.array(
-            [int(s) for s in srcs.split(",")] if srcs else [], dtype=np.int64
-        )
-        tables[i] = np.array([int(b) for b in m.group(3)], dtype=np.uint8)
-    if sorted(inputs) != list(range(n)):
+        srcs = [int(s) for s in m.group(2).split(",")] if m.group(2) else []
+        if len(m.group(3)) != 1 << len(srcs):
+            raise ValueError(f"node {i}: table must have 2^in-degree entries")
+        nodes[i] = srcs, m.group(3)
+    if sorted(nodes) != list(range(n)):
         raise ValueError("node lines must cover 0..n-1 exactly once")
+    srcs = [nodes[i][0] for i in range(n)]
+    bits = "".join(nodes[i][1] for i in range(n))
     return BooleanNetwork(
-        n,
-        [inputs[i] for i in range(n)],
-        [tables[i] for i in range(n)],
-        np.zeros(n, dtype=np.uint8),
+        np.array([len(s) for s in srcs], dtype=np.int64),
+        np.array([x for s in srcs for x in s], dtype=np.int64),
+        np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"),
+        np.zeros(len(srcs), dtype=np.uint8),
     )

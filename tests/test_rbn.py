@@ -1,7 +1,11 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from infodyn import rbn
 from infodyn.measures import shannon_information
@@ -19,23 +23,39 @@ from infodyn.rbn import (
 from infodyn.trajectory import Trajectory, node_series
 
 
+def per_node(net):
+    """Each node's (inputs, table), split out of the flat arrays."""
+    inputs = np.split(net.inputs, np.cumsum(net.degrees)[:-1])
+    tables = np.split(net.tables, np.cumsum(1 << net.degrees)[:-1])
+    return list(zip(inputs, tables))
+
+
+def network(inputs, tables, state):
+    """A network from per-node input lists and tables."""
+    return BooleanNetwork(
+        [len(src) for src in inputs],
+        np.concatenate([np.asarray(src, dtype=np.int64) for src in inputs]),
+        np.concatenate([np.asarray(tab, dtype=np.uint8) for tab in tables]),
+        state,
+    )
+
+
 def naive_step(net, state):
     """Independent reference: per-node lookup, first input = MSB."""
     nxt = np.zeros(net.n, dtype=np.uint8)
-    for i in range(net.n):
+    for i, (srcs, table) in enumerate(per_node(net)):
         idx = 0
-        for src in net.inputs[i]:
+        for src in srcs:
             idx = (idx << 1) | int(state[src])
-        nxt[i] = net.tables[i][idx]
+        nxt[i] = table[idx]
     return nxt
 
 
 def swap_network():
     """Two nodes that copy each other's bit."""
-    return BooleanNetwork(
-        2,
-        inputs=[np.array([1]), np.array([0])],
-        tables=[np.array([0, 1], dtype=np.uint8)] * 2,
+    return network(
+        inputs=[[1], [0]],
+        tables=[[0, 1]] * 2,
         state=np.array([0, 1], dtype=np.uint8),
     )
 
@@ -46,15 +66,15 @@ class TestGeneration:
         a = generate_rbn(config, np.random.default_rng(7))
         b = generate_rbn(config, np.random.default_rng(7))
         assert np.array_equal(a.state, b.state)
-        for i in range(config.n):
-            assert np.array_equal(a.inputs[i], b.inputs[i])
-            assert np.array_equal(a.tables[i], b.tables[i])
+        assert np.array_equal(a.degrees, b.degrees)
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.tables, b.tables)
 
     def test_zero_k_gives_single_entry_tables(self):
         config = RbnConfig(n=10, k=0, transient=1, window=4, seed=1)
         net = generate_rbn(config, np.random.default_rng(1))
-        assert all(src.size == 0 for src in net.inputs)
-        assert all(tab.size == 1 for tab in net.tables)
+        assert not net.degrees.any() and net.inputs.size == 0
+        assert net.tables.size == 10
 
     def test_fractional_k_mean_in_degree(self):
         rng = np.random.default_rng(123)
@@ -62,16 +82,68 @@ class TestGeneration:
         degrees = []
         for _ in range(1000):
             net = generate_rbn(config, rng)
-            degrees.extend(src.size for src in net.inputs)
+            degrees.extend(src.size for src, _ in per_node(net))
         assert np.mean(degrees) == pytest.approx(2.5, abs=0.05)
+        assert set(degrees) == {2, 3}
 
     def test_no_duplicate_inputs(self):
         rng = np.random.default_rng(3)
-        config = RbnConfig(n=20, k=5, transient=1, window=2, seed=0)
-        for _ in range(50):
-            net = generate_rbn(config, rng)
-            for src in net.inputs:
-                assert np.unique(src).size == src.size
+        for n, k in ((20, 5), (5, 5), (6, 4.5), (1, 1)):
+            config = RbnConfig(n=n, k=k, transient=1, window=2, seed=0)
+            for _ in range(50):
+                for src, _ in per_node(generate_rbn(config, rng)):
+                    assert np.unique(src).size == src.size
+                    assert src.min(initial=0) >= 0 and src.max(initial=0) < n
+
+    def test_inputs_are_uniform_over_nodes(self):
+        # each of the n nodes is an input of the same expected number of nodes
+        rng = np.random.default_rng(8)
+        config = RbnConfig(n=10, k=2.6, transient=1, window=2, seed=0)
+        counts = np.zeros(10, dtype=np.int64)
+        for _ in range(2000):
+            counts += np.bincount(generate_rbn(config, rng).inputs, minlength=10)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_input_subsets_are_uniform(self):
+        # at n=4, k=2 each node's inputs are one of the C(4,2) = 6 subsets
+        rng = np.random.default_rng(9)
+        config = RbnConfig(n=4, k=2, transient=1, window=2, seed=0)
+        pairs = np.concatenate(
+            [generate_rbn(config, rng).inputs.reshape(4, 2) for _ in range(3000)]
+        )
+        pairs.sort(axis=1)
+        codes = pairs[:, 0] * 4 + pairs[:, 1]
+        counts = np.array([np.sum(codes == a * 4 + b) for a in range(4) for b in range(a + 1, 4)])
+        assert counts.sum() == codes.size
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_table_entries_are_fair(self):
+        rng = np.random.default_rng(10)
+        config = RbnConfig(n=50, k=3.5, transient=1, window=2, seed=0)
+        tables = np.concatenate([generate_rbn(config, rng).tables for _ in range(200)])
+        ones = int(tables.sum())
+        assert stats.binomtest(ones, tables.size).pvalue > 1e-3
+        # each position of a table is fair too, not only the total
+        table = np.concatenate(
+            [t for _ in range(200) for _, t in per_node(generate_rbn(config, rng))
+             if t.size == 16]
+        ).reshape(-1, 16)
+        assert stats.chisquare(table.sum(axis=0)).pvalue > 1e-3
+
+    def test_memory_grows_linearly_with_n(self):
+        # Floyd's sampling needs O(n * ceil(k)); a quadratic draw would give 16x
+        def peak(n):
+            config = RbnConfig(n=n, k=3, transient=1, window=2, seed=0)
+            tracemalloc.start()
+            try:
+                generate_rbn(config, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations are not the generator's
+        small, large = peak(1000), peak(4000)
+        assert large < 6 * small
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError, match="k must not exceed n"):
@@ -108,9 +180,8 @@ class TestStep:
             assert state[0] != state[1]
 
     def test_constant_zero_tables(self):
-        net = BooleanNetwork(
-            3,
-            inputs=[np.array([0, 1]), np.array([1, 2]), np.array([2, 0])],
+        net = network(
+            inputs=[[0, 1], [1, 2], [2, 0]],
             tables=[np.zeros(4, dtype=np.uint8)] * 3,
             state=np.array([1, 1, 0], dtype=np.uint8),
         )
@@ -140,6 +211,56 @@ class TestStep:
                 break
             seen.add(tuple(state))
         assert revisited
+
+
+@st.composite
+def hand_networks(draw):
+    """A hand-built network: in-degrees 0..8, self-inputs allowed, any table."""
+    n = draw(st.integers(1, 12))
+    inputs, tables = [], []
+    for _ in range(n):
+        d = draw(st.integers(0, min(n, 8)))
+        inputs.append(draw(st.permutations(range(n)))[:d])
+        bits = draw(st.integers(0, (1 << (1 << d)) - 1))
+        tables.append([(bits >> e) & 1 for e in range(1 << d)])
+    state = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return network(inputs, tables, np.array(state, dtype=np.uint8))
+
+
+class TestLookupOracle:
+    """The stacked lookup behind rbn_step and run_rbn_many against naive_step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nets=st.lists(hand_networks(), min_size=1, max_size=4), steps=st.integers(1, 6))
+    def test_stacked_lookup_equals_naive_step(self, nets, steps):
+        step = rbn._lookup(nets)
+        state = np.concatenate([net.state for net in nets])
+        states = [net.state for net in nets]
+        for _ in range(steps):
+            state = step(state)
+            states = [naive_step(net, s) for net, s in zip(nets, states)]
+            assert np.array_equal(state, np.concatenate(states))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        k=st.floats(0, 6),
+        count=st.integers(1, 8),
+        transient=st.integers(0, 3),
+    )
+    def test_run_many_across_stacks_equals_naive_steps(self, n, k, count, transient):
+        config = RbnConfig(n=n, k=min(k, n), transient=transient, window=4)
+        seeds = list(range(100, 100 + count))
+        with mock.patch.object(rbn, "_BATCH", 3):
+            trajs = run_rbn_many(config, seeds)
+        for seed, traj in zip(seeds, trajs):
+            net = generate_rbn(config, np.random.default_rng(seed))
+            state = net.state
+            for _ in range(transient):
+                state = naive_step(net, state)
+            for recorded in traj.states:
+                assert np.array_equal(recorded, state)
+                state = naive_step(net, state)
 
 
 class TestRun:
@@ -194,7 +315,7 @@ class TestRun:
         n = 5000
         inputs = [np.arange(20)] + [np.array([i]) for i in range(1, n)]
         tables = [np.zeros(1 << 20, dtype=np.uint8)] + [np.array([0, 1])] * (n - 1)
-        net = BooleanNetwork(n, inputs, tables, np.zeros(n, dtype=np.uint8))
+        net = network(inputs, tables, np.zeros(n, dtype=np.uint8))
         with pytest.raises(ValueError, match=r"nodes \* 2\^20 = 5,242,880,000 bytes"):
             rbn_step(net)
 
@@ -208,12 +329,7 @@ class TestNodeSeries:
 
     def test_oscillator_information_by_scale(self):
         # one node negating itself: period-2 series
-        net = BooleanNetwork(
-            1,
-            inputs=[np.array([0])],
-            tables=[np.array([1, 0], dtype=np.uint8)],
-            state=np.array([0], dtype=np.uint8),
-        )
+        net = network(inputs=[[0]], tables=[[1, 0]], state=np.array([0], dtype=np.uint8))
         state = net.state.copy()
         rows = []
         for _ in range(64):
@@ -296,23 +412,28 @@ class TestSerialization:
         text = serialize_network(net)
         parsed = parse_network(text)
         assert parsed.n == net.n
-        for i in range(net.n):
-            assert np.array_equal(parsed.inputs[i], net.inputs[i])
-            assert np.array_equal(parsed.tables[i], net.tables[i])
+        assert np.array_equal(parsed.degrees, net.degrees)
+        assert np.array_equal(parsed.inputs, net.inputs)
+        assert np.array_equal(parsed.tables, net.tables)
+        assert serialize_network(parsed) == text
         assert not parsed.state.any()  # state is not serialized
         # dynamics agree from a shared state
         probe = rng.integers(0, 2, size=net.n, dtype=np.uint8)
         assert np.array_equal(rbn_step(parsed, probe), rbn_step(net, probe))
 
     def test_format_shape(self):
-        net = BooleanNetwork(
-            2,
-            inputs=[np.array([1]), np.array([], dtype=np.int64)],
-            tables=[np.array([0, 1], dtype=np.uint8), np.array([1], dtype=np.uint8)],
-            state=np.zeros(2, dtype=np.uint8),
-        )
+        net = network(inputs=[[1], []], tables=[[0, 1], [1]], state=np.zeros(2, dtype=np.uint8))
         text = serialize_network(net)
         assert text.splitlines() == ["rbn n=2", "0: inputs=1 table=01", "1: inputs= table=1"]
+        wide = network(
+            inputs=[[], [11, 0, 3]] + [[i] for i in range(2, 12)],
+            tables=[[0], [1, 0, 0, 1, 1, 1, 0, 1]] + [[1, 0]] * 10,
+            state=np.zeros(12, dtype=np.uint8),
+        )
+        assert serialize_network(wide).splitlines()[:4] == [
+            "rbn n=12", "0: inputs= table=0", "1: inputs=11,0,3 table=10011101",
+            "2: inputs=2 table=10",
+        ]
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="header"):
@@ -321,23 +442,48 @@ class TestSerialization:
             parse_network("rbn n=1\n0: nope")
         with pytest.raises(ValueError, match="cover"):
             parse_network("rbn n=2\n0: inputs= table=1")
+        with pytest.raises(ValueError, match="node 1: table must have 2"):
+            parse_network("rbn n=2\n0: inputs= table=1\n1: inputs=0 table=1")
 
 
 class TestNetworkValidation:
     def test_duplicate_input_rejected(self):
-        with pytest.raises(ValueError, match="duplicate input"):
-            BooleanNetwork(
-                2,
-                inputs=[np.array([1, 1]), np.array([0])],
+        with pytest.raises(ValueError, match="node 0: duplicate input"):
+            network(
+                inputs=[[1, 1], [0]],
                 tables=[np.zeros(4, dtype=np.uint8), np.zeros(2, dtype=np.uint8)],
                 state=np.zeros(2, dtype=np.uint8),
+            )
+        # the duplicate of node 2 is not adjacent, and node 1 reads the same nodes
+        with pytest.raises(ValueError, match="node 2: duplicate input"):
+            network(
+                inputs=[[0], [2, 0], [0, 2, 0]],
+                tables=[[0, 1], [0] * 4, [0] * 8],
+                state=np.zeros(3, dtype=np.uint8),
             )
 
     def test_table_size_must_match_degree(self):
         with pytest.raises(ValueError, match="table"):
-            BooleanNetwork(
-                1,
-                inputs=[np.array([0])],
+            network(
+                inputs=[[0]],
                 tables=[np.zeros(3, dtype=np.uint8)],
                 state=np.zeros(1, dtype=np.uint8),
             )
+        # a degree no table could have is refused, not overflowed
+        with pytest.raises(ValueError, match="table"):
+            BooleanNetwork([64] + [0] * 63, np.arange(64), np.zeros(63), np.zeros(64))
+
+    def test_inputs_tables_and_state_are_checked(self):
+        zeros = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match="node 1: input indices out of range"):
+            network(inputs=[[0], [2]], tables=[[0, 1], [0, 1]], state=zeros)
+        with pytest.raises(ValueError, match="node 1: table entries must be bits"):
+            network(inputs=[[0], [1]], tables=[[0, 1], [0, 2]], state=zeros)
+        with pytest.raises(ValueError, match="state must be an n-bit vector"):
+            network(inputs=[[0], [1]], tables=[[0, 1], [0, 1]], state=[0, 2])
+        with pytest.raises(ValueError, match="one entry per input"):
+            BooleanNetwork([1, 1], [0], [0, 1, 0, 1], zeros)
+        with pytest.raises(ValueError, match="in-degrees must be >= 0"):
+            BooleanNetwork([-1, 1], [0], [0, 1, 0, 1], zeros)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            BooleanNetwork([], [], [], [])

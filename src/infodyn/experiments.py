@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -322,16 +324,43 @@ def json_text(rows: Sequence[dict]) -> str:
     return f"[\n{items}\n]\n" if items else "[]\n"
 
 
+# paths that name a descriptor this process already holds open
+_OPEN_FD = re.compile(r"/dev/std(out|err)|/dev/fd/(\d+)|/proc/(self|\d+)/fd/(\d+)")
+
+
+def _open_fd(path: Path) -> int | None:
+    """The descriptor ``path`` names in this process, if it names one."""
+    m = _OPEN_FD.fullmatch(str(path))
+    if m is None:
+        return None
+    if m[1]:
+        return 1 if m[1] == "out" else 2
+    if m[2]:
+        return int(m[2])
+    return int(m[4]) if m[3] == "self" or int(m[3]) == os.getpid() else None
+
+
 def write_text(path: str | Path, text: str) -> None:
     """The one text-file writer: Unix line endings on every platform.
 
-    A regular file is written to a temporary file in its directory, which
-    then replaces it in one step (through a symlink, the file it points to),
-    keeping its permission bits, so a failed write leaves the old file
-    intact and no partial file behind.  Anything else that exists at
-    ``path``, such as a device or a pipe, is written in place, never replaced.
+    ``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N`` and this process's
+    ``/proc/<pid>/fd/N`` are written through the descriptor already open, at
+    its current offset, so a shell's ``> log`` or ``>> log`` keeps what came
+    before and after.  A regular file is written to a temporary file in its
+    directory, which then replaces it in one step (through a symlink, the
+    file it points to), keeping its permission bits, so a failed write leaves
+    the old file intact and no partial file behind.  Anything else that
+    exists at ``path``, such as a device or a pipe, is written in place,
+    never replaced.
     """
     path = Path(path)
+    fd = _open_fd(path)
+    if fd is not None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with open(fd, "w", newline="\n", closefd=False) as fh:
+            fh.write(text)
+        return
     if path.exists() and not path.is_file():
         with open(path, "w", newline="\n") as fh:
             fh.write(text)

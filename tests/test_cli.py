@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -204,6 +205,24 @@ class TestEcaCommand:
             ceiling = np.log2(4096 // row["scale"]) / row["scale"]
             # the report rounds to 9 digits, which keeps E <= ceiling
             assert row["E"] <= float(format(ceiling, ".9g")) + 1e-12
+
+    @pytest.mark.parametrize("redirect", [">", ">>"])
+    @pytest.mark.parametrize("target", ["/dev/stdout", "/proc/self/fd/1"])
+    def test_output_to_the_shells_file_keeps_its_lines(
+        self, tmp_path, cli_env, redirect, target
+    ):
+        args = ["eca", "--rule", "30", "--n", "16", "--window", "8", "--transient", "0",
+                "--scales", "1"]
+        report = run_cli(args, cli_env).stdout.decode()
+        log = tmp_path / "log"
+        log.write_text("before\n")
+        command = shlex.join([sys.executable, "-m", "infodyn", *args, "--output", target])
+        script = f"(echo keep; {command}; echo after) {redirect} {shlex.quote(str(log))}"
+        proc = subprocess.run(["sh", "-c", script], env=cli_env, capture_output=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()
+        before = "before\n" if redirect == ">>" else ""
+        assert log.read_text() == before + "keep\n" + report + "after\n"
 
     def test_bitmap_matches_hand_evolution(self, tmp_path, cli_env):
         dump = tmp_path / "traj.pbm"

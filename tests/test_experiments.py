@@ -270,6 +270,17 @@ class TestOutputFiles:
         assert path.read_bytes() == b"scale\r\n2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+    def test_open_descriptor_is_written_at_its_offset(self, tmp_path):
+        path = tmp_path / "log"
+        with open(path, "w") as fh:
+            fh.write("keep\n")
+            fh.flush()
+            write_text(f"/proc/{os.getpid()}/fd/{fh.fileno()}", "report\n")
+            write_text(f"/dev/fd/{fh.fileno()}", "again\n")
+            fh.write("after\n")
+        assert path.read_text() == "keep\nreport\nagain\nafter\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log"]
+
     def test_missing_directory_error_names_the_target(self, tmp_path):
         path = tmp_path / "missing" / "report.csv"
         with pytest.raises(FileNotFoundError) as info:

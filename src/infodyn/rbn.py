@@ -110,9 +110,10 @@ class BooleanNetwork:
         if bad.any():
             raise ValueError(f"node {owner[bad.argmax()]}: input indices out of range")
         order = np.lexsort((inputs, owner))
-        same = (np.diff(owner[order]) == 0) & (np.diff(inputs[order]) == 0)
+        owners, srcs = owner[order], inputs[order]
+        same = (owners[1:] == owners[:-1]) & (srcs[1:] == srcs[:-1])
         if same.any():
-            raise ValueError(f"node {owner[order][1:][same.argmax()]}: duplicate input")
+            raise ValueError(f"node {owners[1:][same.argmax()]}: duplicate input")
         # float sizes stay exact below 2^53 entries and never overflow
         if np.ldexp(1.0, degrees).sum() != tables.size:
             raise ValueError("tables must have 2^in-degree entries per node")

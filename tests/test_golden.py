@@ -15,8 +15,6 @@ import sys
 import pytest
 
 SWEEPS = {
-    # the RBN pins (and "rbn_json" below) follow the whole-array generator's
-    # RNG stream, re-pinned once when it replaced the per-node draws
     "rbn": (
         ["sweep", "rbn", "--preset", "desk", "--seed", "42", "--instances", "4",
          "--window", "64", "--transient", "32", "--n", "16", "--k-grid", "1,3",

@@ -20,11 +20,12 @@ profile = multiscale_profiles(
     master_seed=0,
 )
 
+means = {(r.parameter, r.scale): r.aggregate["mean"] for r in profile.sweeps}
 for rule in (0, 1, 110, 30):
     print(f"\nrule {rule}:")
     print(f"{'b':>3}  {'E':>7}  {'S':>7}  {'C':>7}  {'H':>7}  {'H_uncorr':>8}")
     for scale in (1, 2, 4, 8):
-        m = profile.mean(rule, scale)
+        m = means[(rule, scale)]
         print(
             f"{scale:>3}  {m['E']:7.4f}  {m['S']:7.4f}  {m['C']:7.4f}"
             f"  {m['H']:7.4f}  {profile.h_baseline[scale]:8.4f}"

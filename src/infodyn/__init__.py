@@ -7,16 +7,12 @@ reproducible batch experiment harness.
 """
 
 from .measures import (
-    NORM_CONSTANT,
     MeasureSet,
     SymbolSequence,
     complexity,
     emergence,
     estimate_distribution,
-    expand_to_bits,
-    hamming_distance,
     homeostasis,
-    multiscale_profile,
     normalized_information,
     rescale,
     self_organization,
@@ -26,7 +22,6 @@ from .measures import (
 )
 from .trajectory import (
     Trajectory,
-    node_series,
     series_matrix_measures,
     trajectory_csv,
     trajectory_pbm,
@@ -44,7 +39,6 @@ from .rbn import (
 )
 from .eca import (
     EcaConfig,
-    as_boolean_network,
     eca_measures,
     eca_step,
     rule_table,
@@ -55,9 +49,7 @@ from .experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
     PROFILE_RULES,
-    ProfileResult,
     SeedSchedule,
-    SweepResult,
     aggregate,
     eca_class_survey,
     multiscale_profiles,

@@ -109,7 +109,7 @@ def _read_input(source: str, fmt: str) -> SymbolSequence:
     elif fmt == "raw":
         data = _read_bytes(source)
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))  # MSB first
-        seq = SymbolSequence(bits.astype(np.int64), 1)
+        seq = SymbolSequence(bits, 1)
     elif fmt == "csv":
         tokens = [t for t in re.split(r"[,\s]+", _read_text(source).strip()) if t]
         try:
@@ -118,7 +118,7 @@ def _read_input(source: str, fmt: str) -> SymbolSequence:
             raise CliInputError("symbol CSV must contain integers") from exc
         if any(v not in (0, 1) for v in values):
             raise CliInputError("symbol CSV must contain only bits (0 or 1)")
-        seq = SymbolSequence(np.array(values, dtype=np.int64), 1)
+        seq = SymbolSequence(np.array(values, dtype=np.uint8), 1)
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format: {fmt}")
     if len(seq) == 0:

@@ -220,13 +220,6 @@ class ProfileResult:
 
     sweeps: list[SweepResult]
     h_baseline: dict[int, float]
-    baseline_form: str
-
-    def mean(self, rule: int, scale: int) -> dict[str, float]:
-        for result in self.sweeps:
-            if result.parameter == rule and result.scale == scale:
-                return dict(result.aggregate["mean"])
-        raise KeyError((rule, scale))
 
 
 def multiscale_profiles(
@@ -246,7 +239,7 @@ def multiscale_profiles(
         "eca_profiles", rules, n, instances, transient, window, scales, master_seed, threads
     )
     baseline = {int(b): uncorrelated_homeostasis(int(b), form=baseline_form) for b in scales}
-    return ProfileResult(sweeps, baseline, baseline_form)
+    return ProfileResult(sweeps, baseline)
 
 
 INSTANCE_COLUMNS = ("experiment", "rule_or_k", "scale", "instance", "seed", "E", "S", "C", "H")

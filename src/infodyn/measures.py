@@ -12,7 +12,7 @@ string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,14 +25,11 @@ __all__ = [
     "normalized_information",
     "check_scale",
     "rescale",
-    "expand_to_bits",
     "emergence",
     "self_organization",
     "complexity",
-    "hamming_distance",
     "homeostasis",
     "simplified_measures",
-    "multiscale_profile",
     "uncorrelated_homeostasis",
 ]
 
@@ -40,7 +37,8 @@ __all__ = [
 # ``C = a E (1 - E)``; 4 maps normalized information onto [0, 1].
 NORM_CONSTANT = 4.0
 
-# Symbols are held as int64, so grouped scales cannot exceed 62 bits.
+# Grouped symbols and ``2**b`` must fit a signed 64-bit integer, so scales
+# cannot exceed 62 bits.
 _MAX_SCALE = 62
 
 _RANGE_TOL = 1e-9
@@ -61,7 +59,8 @@ class SymbolSequence:
     Parameters
     ----------
     symbols : array-like of int
-        The symbol values, in order.
+        The symbol values, in order; stored in the narrowest unsigned dtype
+        of at least 16 bits that holds ``b`` bits.
     bits_per_symbol : int
         The scale ``b``; the alphabet size is ``2**b``.
     """
@@ -70,13 +69,16 @@ class SymbolSequence:
     bits_per_symbol: int = 1
 
     def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
+        b = check_scale(self.bits_per_symbol)
+        symbols = np.asarray(self.symbols)
         if symbols.ndim != 1:
             raise ValueError("symbols must be one-dimensional")
-        b = check_scale(self.bits_per_symbol)
+        # checked in the input's own dtype: a cast would truncate or wrap
+        if symbols.size and symbols.dtype.kind not in "biu":
+            raise ValueError("symbols must be integers")
         if symbols.size and (symbols.min() < 0 or int(symbols.max()) >= (1 << b)):
             raise ValueError(f"symbols must lie in [0, 2^{b})")
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", symbols.astype(_symbol_dtype(b), copy=False))
         object.__setattr__(self, "bits_per_symbol", b)
 
     def __len__(self) -> int:
@@ -103,8 +105,8 @@ class SymbolSequence:
                 raise ValueError("bit string may only contain '0', '1', and whitespace")
             values = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
-            values = np.asarray(list(bits), dtype=np.int64)
-        return cls(values.astype(np.int64), 1)
+            values = list(bits)
+        return cls(values, 1)
 
     def to_bitstring(self) -> str:
         """Canonical '0'/'1' text form; only defined for ``b=1`` sequences."""
@@ -148,7 +150,7 @@ def estimate_distribution(seq: SymbolSequence) -> dict[int, float]:
     Symbols absent from the sequence are omitted from the result.
     """
     _require_nonempty(seq)
-    _, values, counts = _row_counts(_narrow_symbols(seq)[None, :])
+    _, values, counts = _row_counts(seq.symbols[None, :])
     n = seq.symbols.size
     return {int(v): int(c) / n for v, c in zip(values, counts)}
 
@@ -160,10 +162,8 @@ def shannon_information(seq: SymbolSequence) -> float:
     the result lies in ``[0, bits_per_symbol]``.
     """
     _require_nonempty(seq)
-    _, _, counts = _row_counts(_narrow_symbols(seq)[None, :])
-    p = counts / seq.symbols.size
-    # counts of symbols that occur are always positive, so log2 is safe here
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    # + 0.0 turns the -0.0 of a constant sequence into 0.0
+    return float(_row_information(seq.symbols[None, :])[0]) + 0.0
 
 
 def normalized_information(seq: SymbolSequence) -> float:
@@ -192,10 +192,6 @@ def _symbol_dtype(scale: int) -> np.dtype:
     """The narrowest unsigned dtype of at least 16 bits that holds ``scale``
     bits; numpy sorts 16-bit integers with SIMD, but not 8-bit ones."""
     return np.dtype(np.uint16 if scale <= 16 else np.uint32 if scale <= 32 else np.uint64)
-
-
-def _narrow_symbols(seq: SymbolSequence) -> np.ndarray:
-    return seq.symbols.astype(_symbol_dtype(seq.bits_per_symbol))
 
 
 def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
@@ -232,16 +228,13 @@ def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first // ordered.shape[1], ordered.ravel()[first], counts
 
 
-def expand_to_bits(seq: SymbolSequence) -> SymbolSequence:
-    """Unpack each symbol into its ``bits_per_symbol`` bits, MSB first.
-
-    Inverse of :func:`rescale` on the retained prefix.
-    """
-    _require_nonempty(seq)
-    b = seq.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    bits = (seq.symbols[:, None] >> shifts) & 1
-    return SymbolSequence(bits.ravel(), 1)
+def _row_information(symbols: np.ndarray) -> np.ndarray:
+    """The one entropy sum: the plug-in Shannon information, in bits, of each
+    row of a 2-D symbol array, over the symbols that row actually shows."""
+    rows, _, counts = _row_counts(symbols)
+    p = counts / symbols.shape[1]
+    # counts of symbols that occur are always positive, so log2 is safe here
+    return -np.bincount(rows, weights=p * np.log2(p), minlength=symbols.shape[0])
 
 
 def emergence(i_in: float, i_out: float) -> float:
@@ -264,26 +257,15 @@ def complexity(e: float, s: float) -> float:
     return e * s
 
 
-def _check_comparable(a: SymbolSequence, b: SymbolSequence) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    if a.bits_per_symbol != b.bits_per_symbol:
-        raise ValueError(
-            f"scale mismatch: {a.bits_per_symbol} != {b.bits_per_symbol}"
-        )
-    if len(a) == 0:
-        raise ValueError("empty sequence")
-
-
-def hamming_distance(a: SymbolSequence, b: SymbolSequence) -> float:
-    """Fraction of positions at which two equal-length sequences differ."""
-    _check_comparable(a, b)
-    return float(np.mean(a.symbols != b.symbols))
-
-
-def homeostasis(a: SymbolSequence, b: SymbolSequence) -> float:
-    """One minus the normalized Hamming distance: 1 means no change."""
-    return 1.0 - hamming_distance(a, b)
+def homeostasis(before: np.ndarray, after: np.ndarray) -> float:
+    """One minus the normalized Hamming distance between two symbol arrays of
+    equal shape, such as successive macro-states: 1 means no change."""
+    before, after = np.asarray(before), np.asarray(after)
+    if before.shape != after.shape:
+        raise ValueError(f"shape mismatch: {before.shape} != {after.shape}")
+    if before.ndim == 0 or before.size == 0:
+        raise ValueError("states must be non-empty arrays")
+    return 1.0 - float(np.mean(before != after))
 
 
 def simplified_measures(seq: SymbolSequence) -> MeasureSet:
@@ -307,22 +289,6 @@ def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
         homeostasis=h,
         scale=scale,
     )
-
-
-def multiscale_profile(bits: SymbolSequence, scales: Sequence[int]) -> dict[int, MeasureSet]:
-    """Simplified E, S, C of a binary sequence regrouped at each scale.
-
-    Raises for any scale larger than the sequence; H requires paired states
-    and is left to the simulator pipelines.
-    """
-    profile: dict[int, MeasureSet] = {}
-    for b in scales:
-        try:
-            seq_b = rescale(bits, b)
-        except ValueError as exc:
-            raise ValueError(f"scale {b}: {exc}") from exc
-        profile[int(b)] = simplified_measures(seq_b)
-    return profile
 
 
 def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:

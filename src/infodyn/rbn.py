@@ -201,10 +201,13 @@ def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray
     Every node reads the *current* bits of its inputs, first input as the most
     significant bit of its table index.
     """
-    cur = np.asarray(net.state if state is None else state, dtype=np.uint8)
+    cur = np.asarray(net.state if state is None else state)
     if cur.size != net.n:
         raise ValueError("state length must equal n")
-    return _lookup([net])(cur)
+    # checked before the cast, which would wrap -1 to 255
+    if not np.all((cur == 0) | (cur == 1)):
+        raise ValueError("state must be binary")
+    return _lookup([net])(cur.astype(np.uint8))
 
 
 def run_rbn(config: RbnConfig) -> Trajectory:

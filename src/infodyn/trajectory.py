@@ -22,12 +22,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSet, SymbolSequence, check_scale
-from .measures import _group_symbols, _measure_set, _row_counts
+from .measures import MeasureSet, check_scale, homeostasis
+from .measures import _group_symbols, _measure_set, _row_information
 
 __all__ = [
     "Trajectory",
-    "node_series",
     "series_matrix_measures",
     "trajectory_csv",
     "trajectory_pbm",
@@ -64,13 +63,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.window
-
-
-def node_series(traj: Trajectory, node: int) -> SymbolSequence:
-    """The binary time series of one node, in time order."""
-    if not 0 <= node < traj.n:
-        raise IndexError(f"node index out of range: {node}")
-    return SymbolSequence(traj.states[:, node].astype(np.int64), 1)
 
 
 def _check_run(transient: int, window: int, seed: int) -> None:
@@ -126,23 +118,16 @@ def series_matrix_measures(
     if series.ndim != 2:
         raise ValueError("series must be a 2-D (units x length) matrix")
     scale = check_scale(scale)
-    units, length = series.shape
-    if length < 2 * scale:
+    if series.shape[1] < 2 * scale:
         raise ValueError(f"window too short for scale {scale}")
 
     symbols = _group_symbols(series, scale)
-    groups = symbols.shape[1]
-
-    # per-unit plug-in entropy over the symbols each unit actually shows
-    rows, _, counts = _row_counts(symbols)
-    p = counts / groups
-    info = -np.bincount(rows, weights=p * np.log2(p), minlength=units) / scale
-
+    info = _row_information(symbols) / scale
     if average_h:
-        d = float(np.mean(symbols[:, 1:] != symbols[:, :-1]))
+        h = homeostasis(symbols[:, :-1], symbols[:, 1:])
     else:
-        d = float(np.mean(symbols[:, -1] != symbols[:, -2]))
-    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), 1.0 - d, scale)
+        h = homeostasis(symbols[:, -2], symbols[:, -1])
+    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, scale)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

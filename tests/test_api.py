@@ -106,3 +106,15 @@ def test_readme_quickstart_imports_exist():
     names = [n for block in blocks for n in _infodyn_imports(block)]
     assert names
     assert [n for n in names if not hasattr(infodyn, n)] == []
+
+
+def test_package_reexports_at_most_40_names():
+    # one name per job: the top-level surface may not grow back unnoticed
+    tree = ast.parse((ROOT / "src" / "infodyn" / "__init__.py").read_text())
+    reexported = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(reexported) <= 40

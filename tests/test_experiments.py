@@ -185,10 +185,10 @@ class TestProfiles:
             transient=8, window=64, master_seed=2,
         )
         assert profile.h_baseline == {1: 0.5, 2: 0.25, 4: 0.0625}
-        assert profile.mean(0, 1)["E"] == 0.0
-        assert profile.mean(0, 1)["S"] == 1.0
-        with pytest.raises(KeyError):
-            profile.mean(99, 1)
+        means = {(r.parameter, r.scale): r.aggregate["mean"] for r in profile.sweeps}
+        assert sorted(means) == [(0, 1), (0, 2), (0, 4), (30, 1), (30, 2), (30, 4)]
+        assert means[(0, 1)]["E"] == 0.0
+        assert means[(0, 1)]["S"] == 1.0
 
     def test_alternative_baseline(self):
         profile = multiscale_profiles(

@@ -1,9 +1,12 @@
+import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from infodyn.cli import main
 from infodyn.measures import (
     MeasureSet,
     SymbolSequence,
@@ -11,10 +14,7 @@ from infodyn.measures import (
     complexity,
     emergence,
     estimate_distribution,
-    expand_to_bits,
-    hamming_distance,
     homeostasis,
-    multiscale_profile,
     normalized_information,
     rescale,
     self_organization,
@@ -22,6 +22,7 @@ from infodyn.measures import (
     simplified_measures,
     uncorrelated_homeostasis,
 )
+from infodyn.measures import _symbol_dtype
 
 # A fixed 32-bit reference string (10 ones, 22 zeros) whose regrouped forms
 # and per-scale information values are frozen below.
@@ -46,6 +47,13 @@ def ref_seq():
     return SymbolSequence.from_bits(REF_BITS)
 
 
+def expand_to_bits(seq):
+    """Oracle inverse of ``rescale`` on the retained prefix: each symbol's
+    ``bits_per_symbol`` bits, MSB first."""
+    shifts = np.arange(seq.bits_per_symbol - 1, -1, -1)
+    return ((seq.symbols.astype(np.int64)[:, None] >> shifts) & 1).ravel()
+
+
 class TestSymbolSequence:
     def test_from_bits_ignores_whitespace(self):
         seq = SymbolSequence.from_bits("01 0\n1")
@@ -61,6 +69,33 @@ class TestSymbolSequence:
             SymbolSequence([0, 4], bits_per_symbol=2)
         with pytest.raises(ValueError):
             SymbolSequence([-1], bits_per_symbol=1)
+        # checked before the narrowing cast, which would wrap -1 to 65535
+        with pytest.raises(ValueError, match=r"\[0, 2\^16\)"):
+            SymbolSequence(np.array([0, -1]), bits_per_symbol=16)
+
+    def test_non_integer_symbols_raise(self):
+        # an integer cast would silently truncate these to [1, 0]
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            SymbolSequence([1.9, 0.2], 1)
+
+    def test_symbols_are_stored_narrow(self):
+        for b in (1, 16, 17, 32, 33, 62):
+            top = (1 << b) - 1
+            seq = SymbolSequence(np.array([0, top], dtype=np.int64), b)
+            assert seq.symbols.dtype == _symbol_dtype(b)
+            assert seq.symbols.tolist() == [0, top]
+
+    def test_unpacked_bytes_take_under_three_bytes_per_bit(self):
+        data = np.random.default_rng(3).integers(0, 256, size=1 << 20, dtype=np.uint8)
+        bits = np.unpackbits(data)
+        tracemalloc.start()
+        try:
+            seq = SymbolSequence(bits, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == bits.size
+        assert peak < 3 * bits.size
 
     def test_to_bitstring_round_trip(self):
         assert SymbolSequence.from_bits("0101").to_bitstring() == "0101"
@@ -178,7 +213,7 @@ class TestRescale:
             bits = SymbolSequence(rng.integers(0, 2, size=n), 1)
             recovered = expand_to_bits(rescale(bits, b))
             keep = (n // b) * b
-            assert np.array_equal(recovered.symbols, bits.symbols[:keep])
+            assert np.array_equal(recovered, bits.symbols[:keep])
 
 
 class TestNormalizedInformation:
@@ -253,56 +288,81 @@ class TestMeasures:
 
 
 class TestHammingAndHomeostasis:
+    """``homeostasis`` is the one H function; ``1 - homeostasis`` is the
+    normalized Hamming distance."""
+
     def test_identity(self):
-        a = SymbolSequence.from_bits("0110")
-        assert hamming_distance(a, a) == 0.0
+        a = np.array([0, 1, 1, 0])
         assert homeostasis(a, a) == 1.0
 
     def test_complement(self):
-        a = SymbolSequence.from_bits("0110")
-        b = SymbolSequence.from_bits("1001")
-        assert hamming_distance(a, b) == 1.0
-        assert homeostasis(a, b) == 0.0
+        assert homeostasis([0, 1, 1, 0], [1, 0, 0, 1]) == 0.0
 
     def test_half_different(self):
-        assert hamming_distance(
-            SymbolSequence.from_bits("0000"), SymbolSequence.from_bits("0101")
-        ) == 0.5
+        assert 1.0 - homeostasis([0, 0, 0, 0], [0, 1, 0, 1]) == 0.5
 
     def test_uncorrelated_states_near_half(self):
         rng = np.random.default_rng(37)
-        a = SymbolSequence(rng.integers(0, 2, size=10_000), 1)
-        b = SymbolSequence(rng.integers(0, 2, size=10_000), 1)
+        a = rng.integers(0, 2, size=10_000)
+        b = rng.integers(0, 2, size=10_000)
         assert homeostasis(a, b) == pytest.approx(0.5, abs=0.02)
 
     def test_mismatch_errors(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            hamming_distance(SymbolSequence.from_bits("01"), SymbolSequence.from_bits("011"))
-        with pytest.raises(ValueError, match="scale mismatch"):
-            hamming_distance(SymbolSequence([1, 0], 1), SymbolSequence([1, 0], 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            homeostasis([0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            homeostasis(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="non-empty arrays"):
+            homeostasis([], [])
+        with pytest.raises(ValueError, match="non-empty arrays"):
+            homeostasis(np.zeros((3, 0)), np.zeros((3, 0)))
+        # a sequence object is not an array of symbols: refused, not compared
+        seq = SymbolSequence.from_bits("0110")
+        with pytest.raises(ValueError, match="non-empty arrays"):
+            homeostasis(seq, seq)
+
+
+def measure_report(tmp_path, capsys, bits, scales):
+    """``infodyn measure`` on a bit string, through the CLI's one per-scale
+    loop: ``({scale: row}, stderr)``, a row being ``None`` for a too-short
+    scale."""
+    path = tmp_path / "bits.txt"
+    path.write_text(bits)
+    assert main(["measure", str(path), "--format", "json",
+                 "--scales", ",".join(map(str, scales))]) == 0
+    out, err = capsys.readouterr()
+    rows = json.loads(out)
+    return {row["scale"]: None if row["E"] is None else row for row in rows}, err
 
 
 class TestMultiscaleProfile:
-    def test_alternating_string(self):
-        profile = multiscale_profile(SymbolSequence.from_bits("10" * 16), [1, 2])
-        assert profile[1].emergence == 1.0
-        assert profile[2].emergence == 0.0
+    def test_alternating_string(self, tmp_path, capsys):
+        profile, _ = measure_report(tmp_path, capsys, "10" * 16, [1, 2])
+        assert profile[1]["E"] == 1.0
+        assert profile[2]["E"] == 0.0
 
-    def test_all_zero_string(self):
-        profile = multiscale_profile(SymbolSequence.from_bits("0" * 64), [1, 2, 4, 8])
-        for ms in profile.values():
-            assert (ms.emergence, ms.self_organization, ms.complexity) == (0.0, 1.0, 0.0)
-            assert ms.homeostasis is None
+    def test_all_zero_string(self, tmp_path, capsys):
+        profile, _ = measure_report(tmp_path, capsys, "0" * 64, [1, 2, 4, 8])
+        for row in profile.values():
+            assert (row["I_b"], row["E"], row["S"], row["C"]) == (0.0, 0.0, 1.0, 0.0)
+            assert "H" not in row
 
-    def test_reference_string_profile(self):
-        profile = multiscale_profile(ref_seq(), [1, 2, 4, 8])
+    def test_reference_string_profile(self, tmp_path, capsys):
+        profile, _ = measure_report(tmp_path, capsys, REF_BITS, [1, 2, 4, 8])
+        bits = ref_seq()
         for b, expected in REF_INFO.items():
-            assert profile[b].emergence == pytest.approx(expected, abs=1e-6)
-            assert profile[b].scale == b
+            assert profile[b]["E"] == pytest.approx(expected, abs=1e-6)
+            assert profile[b]["E"] == float(
+                format(simplified_measures(rescale(bits, b)).emergence, ".9g")
+            )
 
-    def test_scale_too_large_errors(self):
-        with pytest.raises(ValueError, match="scale 8"):
-            multiscale_profile(SymbolSequence.from_bits("0101"), [1, 8])
+    def test_scale_too_large_errors(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="sequence too short for scale"):
+            rescale(SymbolSequence.from_bits("0101"), 8)
+        # the report keeps the scale as a null row, with a warning
+        profile, err = measure_report(tmp_path, capsys, "0101", [1, 8])
+        assert profile[1] is not None and profile[8] is None
+        assert "scale 8" in err
 
 
 class TestMeasureSet:

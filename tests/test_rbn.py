@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from infodyn import rbn
-from infodyn.measures import shannon_information
+from infodyn.measures import SymbolSequence, rescale, shannon_information
 from infodyn.rbn import (
     BooleanNetwork,
     RbnConfig,
@@ -20,7 +20,7 @@ from infodyn.rbn import (
     run_rbn_many,
     serialize_network,
 )
-from infodyn.trajectory import Trajectory, node_series
+from infodyn.trajectory import Trajectory
 
 
 def per_node(net):
@@ -198,6 +198,13 @@ class TestStep:
             state = rng.integers(0, 2, size=n, dtype=np.uint8)
             assert np.array_equal(rbn_step(net, state), naive_step(net, state))
 
+    def test_non_binary_state_rejected(self):
+        # unchecked, a 2 or -1 either steps wrongly or indexes past the tables
+        net = generate_rbn(RbnConfig(n=6, k=2), np.random.default_rng(1))
+        for bad in ([2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 2], [0, 0, -1, 0, 0, 0]):
+            with pytest.raises(ValueError, match="state must be binary"):
+                rbn_step(net, np.array(bad))
+
     def test_state_space_revisit_by_pigeonhole(self):
         rng = np.random.default_rng(29)
         net = generate_rbn(RbnConfig(n=8, k=3, transient=1, window=2, seed=0), rng)
@@ -323,7 +330,7 @@ class TestRun:
 class TestNodeSeries:
     def test_frozen_node_constant(self):
         traj = run_rbn(RbnConfig(n=10, k=0, transient=1, window=32, seed=2))
-        series = node_series(traj, 3)
+        series = SymbolSequence(traj.states[:, 3], 1)
         assert len(series) == 32
         assert shannon_information(series) == 0.0
 
@@ -336,9 +343,7 @@ class TestNodeSeries:
             rows.append(state.copy())
             state = rbn_step(net, state)
         traj = Trajectory(np.array(rows))
-        series = node_series(traj, 0)
-        from infodyn.measures import rescale
-
+        series = SymbolSequence(traj.states[:, 0], 1)
         assert shannon_information(series) == 1.0
         assert shannon_information(rescale(series, 2)) == 0.0
 

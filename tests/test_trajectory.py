@@ -9,6 +9,7 @@ from infodyn.measures import (
     _group_symbols,
     _row_counts,
     estimate_distribution,
+    homeostasis,
     normalized_information,
     rescale,
     shannon_information,
@@ -16,7 +17,6 @@ from infodyn.measures import (
 )
 from infodyn.trajectory import (
     Trajectory,
-    node_series,
     series_matrix_measures,
     trajectory_csv,
     trajectory_pbm,
@@ -40,15 +40,6 @@ def test_trajectory_validation():
         Trajectory(np.full((2, 2), 3, dtype=np.uint8))  # not binary
     traj = Trajectory(np.zeros((5, 3), dtype=np.uint8), transient_length=7)
     assert traj.window == 5 and traj.n == 3 and len(traj) == 5
-
-
-def test_node_series_extracts_columns():
-    states = np.array([[0, 1], [1, 1], [0, 1]], dtype=np.uint8)
-    traj = Trajectory(states)
-    assert list(node_series(traj, 0).symbols) == [0, 1, 0]
-    assert list(node_series(traj, 1).symbols) == [1, 1, 1]
-    with pytest.raises(IndexError):
-        node_series(traj, 2)
 
 
 def test_single_row_matches_sequence_measures():
@@ -137,6 +128,16 @@ def test_homeostasis_from_last_macro_states():
     ms = series_matrix_measures(states.T, 1)
     # final two states differ in the first node only
     assert ms.homeostasis == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4, 8])
+def test_h_goes_through_homeostasis(scale):
+    series = np.random.default_rng(41).integers(0, 2, size=(9, 96), dtype=np.uint8)
+    symbols = _group_symbols(series, scale)
+    final_pair = series_matrix_measures(series, scale).homeostasis
+    assert final_pair == homeostasis(symbols[:, -1], symbols[:, -2])
+    averaged = series_matrix_measures(series, scale, average_h=True).homeostasis
+    assert averaged == homeostasis(symbols[:, 1:], symbols[:, :-1])
 
 
 def test_average_h_spans_all_pairs():

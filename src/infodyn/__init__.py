@@ -16,13 +16,13 @@ from .measures import (
     normalized_information,
     rescale,
     self_organization,
+    series_matrix_measures,
     shannon_information,
     simplified_measures,
     uncorrelated_homeostasis,
 )
 from .trajectory import (
     Trajectory,
-    series_matrix_measures,
     trajectory_csv,
     trajectory_pbm,
 )

@@ -134,10 +134,6 @@ def _emit_report(rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 _FIELDS = {"I_b": "emergence", **MEASURE_FIELDS}
 
 
@@ -148,7 +144,7 @@ def _measure_rows(scales, measure, columns, unit) -> list[dict]:
         try:
             ms = measure(b)
         except ValueError:
-            _warn(f"scale {b}: {unit} too short, reported as null")
+            print(f"warning: scale {b}: {unit} too short, reported as null", file=sys.stderr)
             ms = None
         row = {"scale": b}
         for c in columns:
@@ -207,7 +203,8 @@ def cmd_eca(args) -> int:
     def measure(b):
         return eca_measures(traj, b, args.orientation, average_h=args.average_h)
 
-    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), "window"), args)
+    unit = f"{config.n}-cell row" if args.orientation == "horizontal" else "window"
+    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), unit), args)
     return 0
 
 

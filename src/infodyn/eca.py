@@ -11,7 +11,9 @@ steps up to 64 instances at once by multi-spin coding (Jacobs & Rebbi,
 *J. Comput. Phys.* 41, 1981): cell ``i`` of the whole stack is one 64-bit
 word whose bit ``j`` is instance ``j``, and a step is the OR of the rule's
 set minterms over the left, center and right words and their complements.
-Only bitwise operations touch a word, so instances never mix.
+Only bitwise operations touch a word, so instances never mix.  Unstacking
+copies each byte column of 8 instances transposed, so a trajectory's
+``series`` holds the cells' series, which the vertical read-out uses as is.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSet
+from .measures import MeasureSet, series_matrix_measures
 from .rbn import BooleanNetwork
-from .trajectory import Trajectory, _check_run, _record_runs, series_matrix_measures
+from .trajectory import Trajectory, _check_run, _first_nonbit, _record_runs
 
 __all__ = [
     "EcaConfig",
@@ -77,11 +79,12 @@ class EcaConfig:
 
 def eca_step(state: np.ndarray | Sequence[int], table: np.ndarray) -> np.ndarray:
     """One synchronous update of an n-bit ring state under a :func:`rule_table`."""
-    state = np.asarray(state, dtype=np.uint8)
+    state = np.asarray(state)
     if state.ndim != 1 or state.size < 3:
         raise ValueError("state must be a ring of at least 3 bits")
-    if state.max(initial=0) > 1:
+    if _first_nonbit(state) is not None:
         raise ValueError("state must be binary")
+    state = state.astype(np.uint8, copy=False)
     left = np.roll(state, 1)
     right = np.roll(state, -1)
     return np.asarray(table, dtype=np.uint8)[(left << 2) | (state << 1) | right]
@@ -138,8 +141,8 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
         def unstack(recorded):
             planes = recorded.view(np.uint8).reshape(config.window, config.n, _WORD.itemsize)
             for j in range(len(chunk)):
-                if j % 8 == 0:  # one contiguous byte column per 8 instances
-                    byte = np.ascontiguousarray(planes[:, :, j >> 3])
+                if j % 8 == 0:  # one byte column per 8 instances, as n x window
+                    byte = np.ascontiguousarray(planes[:, :, j >> 3].T)
                 yield (byte >> (j & 7)) & 1
 
         return _pack(states), step, unstack
@@ -149,17 +152,15 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
 
 def _oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:
     """Units x length bit matrix for the requested read-out direction."""
-    states = traj.states
     if orientation == "vertical":
-        return states.T
+        return traj.series
     if orientation == "horizontal":
-        return states
+        return traj.states
     if orientation == "diagonal":
-        # element t of diagonal u is states[t, (u - t) mod n]: a pattern
+        # element t of diagonal u is series[(u - t) mod n, t]: a pattern
         # drifting one cell left per step reads as a constant series
         t = np.arange(traj.window)
-        cols = (np.arange(traj.n)[:, None] - t[None, :]) % traj.n
-        return states[t[None, :], cols]
+        return traj.series[(np.arange(traj.n)[:, None] - t) % traj.n, t]
     raise ValueError(f"orientation must be one of {ORIENTATIONS}")
 
 
@@ -170,12 +171,8 @@ def eca_measures(
     *,
     average_h: bool = False,
 ) -> MeasureSet:
-    """Automaton-level measures over series in the chosen orientation.
-
-    Same pipeline as RBN network measures: per-series normalized information
-    averaged into the system-level information behind E/S/C, H from the final
-    two macro-states along the series axis.
-    """
+    """Automaton-level measures: :func:`series_matrix_measures` of the series
+    in the chosen orientation, as for RBN networks."""
     return series_matrix_measures(
         _oriented_series(traj, orientation), scale, average_h=average_h
     )

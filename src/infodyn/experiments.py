@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eca import EcaConfig, eca_measures, run_eca_many
-from .measures import MeasureSet, uncorrelated_homeostasis
-from .rbn import RbnConfig, network_measures, run_rbn_many
+from .eca import EcaConfig, run_eca_many
+from .measures import MeasureSet, check_scale, series_matrix_measures, uncorrelated_homeostasis
+from .rbn import RbnConfig, run_rbn_many
 
 __all__ = [
     "DEFAULT_RULES",
@@ -122,38 +122,39 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 def _sweep(
     experiment: str,
     key: str,
-    parameters: Sequence[float | int],
-    make_config: Callable,
+    configs: Sequence[tuple[float | int, RbnConfig | EcaConfig]],
     run_many: Callable,
-    measure: Callable,
     instances: int,
     scales: Sequence[int],
     master_seed: int,
     threads: int,
 ) -> list[SweepResult]:
-    """The one cell runner: per parameter, seed and run ``instances`` systems,
-    then measure and aggregate them at every scale.
-
-    Every parameter's config is built, and so validated, before any cell runs.
-    """
+    """The one cell runner: per ``(parameter, config)``, seed and run
+    ``instances`` systems, then measure and aggregate their series at every
+    scale.  Configs are built, and so validated, and the window is checked
+    against the scales before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    scales = [check_scale(scale) for scale in scales]
+    top = max(scales, default=1)
+    if any(config.window < 2 * top for _, config in configs):
+        raise ValueError(f"window too short for scale {top}")
     schedule = SeedSchedule(master_seed)
-    configs = {parameter: make_config(parameter) for parameter in parameters}
 
-    def cell(parameter: float | int) -> list[SweepResult]:
+    def cell(item: tuple) -> list[SweepResult]:
+        parameter, config = item
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        trajectories = run_many(configs[parameter], seeds)
+        trajectories = run_many(config, seeds)
         results = []
         for scale in scales:
-            measured = [measure(t, scale) for t in trajectories]
+            measured = [series_matrix_measures(t.series, scale) for t in trajectories]
             results.append(
-                SweepResult(experiment, parameter, int(scale), seeds, measured, aggregate(measured))
+                SweepResult(experiment, parameter, scale, seeds, measured, aggregate(measured))
             )
         return results
 
-    nested = _ordered_map(cell, list(parameters), threads)
+    nested = _ordered_map(cell, list(configs), threads)
     return [result for cell_results in nested for result in cell_results]
 
 
@@ -168,34 +169,15 @@ def rbn_sweep(
     threads: int = 1,
 ) -> list[SweepResult]:
     """Connectivity sweep: `instances` independent networks per K value."""
-
-    def make_config(k: float) -> RbnConfig:
-        return RbnConfig(n=n, k=k, transient=transient, window=window)
-
-    return _sweep(
-        "rbn_sweep", "k", [float(k) for k in k_grid], make_config, run_rbn_many,
-        network_measures, instances, scales, master_seed, threads,
-    )
+    configs = [(k, RbnConfig(n=n, k=k, transient=transient, window=window))
+               for k in map(float, k_grid)]
+    return _sweep("rbn_sweep", "k", configs, run_rbn_many, instances, scales, master_seed, threads)
 
 
-def _rule_survey(
-    experiment: str,
-    rules: Sequence[int],
-    n: int,
-    instances: int,
-    transient: int,
-    window: int,
-    scales: Sequence[int],
-    master_seed: int,
-    threads: int,
-) -> list[SweepResult]:
-    def make_config(rule: int) -> EcaConfig:
-        return EcaConfig(rule=rule, n=n, transient=transient, window=window)
-
-    return _sweep(
-        experiment, "rule", [int(r) for r in rules], make_config, run_eca_many,
-        eca_measures, instances, scales, master_seed, threads,
-    )
+def _rule_survey(experiment, rules, n, instances, transient, window, scales, master_seed, threads):
+    configs = [(int(r), EcaConfig(rule=r, n=n, transient=transient, window=window)) for r in rules]
+    return _sweep(experiment, "rule", configs, run_eca_many, instances, scales, master_seed,
+                  threads)
 
 
 def eca_class_survey(

@@ -1,4 +1,4 @@
-"""Information measures on discrete symbol sequences.
+"""Information measures on discrete symbol sequences and series matrices.
 
 Everything here is a pure function of its arguments.  The central object is a
 :class:`SymbolSequence`: a finite string of symbols drawn from the alphabet
@@ -6,7 +6,9 @@ Everything here is a pure function of its arguments.  The central object is a
 sequences (``b=1``) can be regrouped to coarser scales with :func:`rescale`,
 and the four headline measures -- emergence, self-organization, complexity,
 homeostasis -- are derived from plug-in Shannon information on the regrouped
-string.
+string.  :func:`series_matrix_measures` measures each row of a simulator's
+``series`` matrix this way and averages them; no other module knows the
+symbol dtype or the grouping order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+from .trajectory import _bit_text
 
 __all__ = [
     "SymbolSequence",
@@ -30,6 +34,7 @@ __all__ = [
     "complexity",
     "homeostasis",
     "simplified_measures",
+    "series_matrix_measures",
     "uncorrelated_homeostasis",
 ]
 
@@ -112,7 +117,7 @@ class SymbolSequence:
         """Canonical '0'/'1' text form; only defined for ``b=1`` sequences."""
         if self.bits_per_symbol != 1:
             raise ValueError("to_bitstring requires a binary sequence")
-        return "".join("1" if s else "0" for s in self.symbols)
+        return _bit_text(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,8 @@ def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
     :func:`_symbol_dtype`, by shift-or over the ``scale`` bit planes.
 
     The bits are read as uint8 and the planes are combined in the input's own
-    memory order (a transposed trajectory stays a strided view); only the
-    finished symbols are laid out row by row.
+    memory order (a trajectory's ``series`` is read in place, a time-major
+    view stays strided); only the finished symbols are laid out row by row.
     """
     bits = np.asarray(series, dtype=np.uint8)
     units, length = bits.shape
@@ -289,6 +294,35 @@ def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
         homeostasis=h,
         scale=scale,
     )
+
+
+def series_matrix_measures(
+    series: np.ndarray, scale: int, *, average_h: bool = False
+) -> MeasureSet:
+    """Measure a stack of parallel binary series at one scale.
+
+    ``series`` has one row per unit (node, cell, row, or diagonal) and one
+    column per observation.  The per-unit normalized information values are
+    averaged into one system-level information, from which E, S, and C follow;
+    H compares the final two macro-states, or, with ``average_h``, averages
+    the comparison over all successive macro-state pairs (a smoother,
+    non-default estimate).  Symbols are counted by sorting each row, so
+    memory is O(units x groups) at any scale in 1..62.
+    """
+    series = np.asarray(series)
+    if series.ndim != 2:
+        raise ValueError("series must be a 2-D (units x length) matrix")
+    scale = check_scale(scale)
+    if series.shape[1] < 2 * scale:
+        raise ValueError(f"window too short for scale {scale}")
+
+    symbols = _group_symbols(series, scale)
+    info = _row_information(symbols) / scale
+    if average_h:
+        h = homeostasis(symbols[:, :-1], symbols[:, 1:])
+    else:
+        h = homeostasis(symbols[:, -2], symbols[:, -1])
+    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, scale)
 
 
 def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:

@@ -14,7 +14,7 @@ one uniform draw, the inputs by Floyd's sampling run across all nodes at once
 (one draw per input position, so memory is O(n * ceil(k))), then the tables
 from one block of fair bits and the state.  A stack of networks steps as one
 padded lookup whose index is a shift-or over one contiguous column per input
-position.
+position; its recorded block is transposed once, into each network's series.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSet
-from .trajectory import Trajectory, _check_run, _record_runs, series_matrix_measures
+from .measures import MeasureSet, series_matrix_measures
+from .trajectory import Trajectory, _bit_text, _check_run, _first_nonbit, _record_runs
 
 __all__ = [
     "RbnConfig",
@@ -97,7 +97,7 @@ class BooleanNetwork:
     def __post_init__(self):
         degrees = np.asarray(self.degrees, dtype=np.int64).ravel()
         inputs = np.asarray(self.inputs, dtype=np.int64).ravel()
-        tables = np.asarray(self.tables, dtype=np.uint8).ravel()
+        tables = np.asarray(self.tables).ravel()
         n = degrees.size
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -117,13 +117,15 @@ class BooleanNetwork:
         # float sizes stay exact below 2^53 entries and never overflow
         if np.ldexp(1.0, degrees).sum() != tables.size:
             raise ValueError("tables must have 2^in-degree entries per node")
-        if tables.max() > 1:
-            node = np.repeat(np.arange(n), np.int64(1) << degrees)[tables.argmax()]
+        bad = _first_nonbit(tables)
+        if bad is not None:
+            node = np.repeat(np.arange(n), np.int64(1) << degrees)[bad]
             raise ValueError(f"node {node}: table entries must be bits")
-        state = np.asarray(self.state, dtype=np.uint8).ravel()
-        if state.size != n or state.max() > 1:
+        state = np.asarray(self.state).ravel()
+        if state.size != n or _first_nonbit(state) is not None:
             raise ValueError("state must be an n-bit vector")
-        self.degrees, self.inputs, self.tables, self.state = degrees, inputs, tables, state
+        self.degrees, self.inputs, self.state = degrees, inputs, state.astype(np.uint8)
+        self.tables = tables.astype(np.uint8, copy=False)
 
     @property
     def n(self) -> int:
@@ -204,8 +206,7 @@ def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray
     cur = np.asarray(net.state if state is None else state)
     if cur.size != net.n:
         raise ValueError("state length must equal n")
-    # checked before the cast, which would wrap -1 to 255
-    if not np.all((cur == 0) | (cur == 1)):
+    if _first_nonbit(cur) is not None:
         raise ValueError("state must be binary")
     return _lookup([net])(cur.astype(np.uint8))
 
@@ -230,7 +231,8 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
         nets = [generate_rbn(config, np.random.default_rng(s)) for s in chunk]
 
         def unstack(recorded):
-            return recorded.reshape(config.window, len(chunk), config.n).transpose(1, 0, 2)
+            # one transpose per stack: row block j is network j's n x window series
+            return np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, config.window)
 
         return np.concatenate([net.state for net in nets]), _lookup(nets), unstack
 
@@ -242,10 +244,9 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 def network_measures(
     traj: Trajectory, scale: int, *, average_h: bool = False
 ) -> MeasureSet:
-    """Network-level measures: per-node normalized information averaged over
-    nodes gives the network information behind E/S/C; H comes from the final
-    two macro-states (vectors of per-node ``scale``-bit symbols)."""
-    return series_matrix_measures(traj.states.T, scale, average_h=average_h)
+    """Network-level measures: :func:`series_matrix_measures` of the node
+    series, read in place."""
+    return series_matrix_measures(traj.series, scale, average_h=average_h)
 
 
 def serialize_network(net: BooleanNetwork) -> str:
@@ -254,7 +255,7 @@ def serialize_network(net: BooleanNetwork) -> str:
     The current state is not part of the format.
     """
     inputs = net.inputs.tolist()
-    bits = (net.tables + ord("0")).tobytes().decode()
+    bits = _bit_text(net.tables)
     at_input = np.concatenate([[0], np.cumsum(net.degrees)]).tolist()
     at_table = np.concatenate([[0], np.cumsum(np.int64(1) << net.degrees)]).tolist()
     lines = [f"rbn n={net.n}"]

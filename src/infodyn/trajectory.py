@@ -1,65 +1,74 @@
-"""Recorded state trajectories, the one record loop, and the per-series
-measurement pipeline.
+"""Recorded state trajectories, the one record loop, and the dumps.
 
-A :class:`Trajectory` is the observation window of a simulator run: a
-``window x n`` binary matrix, rows in time order.  A simulator may step and
-record a stack of instances in its own layout (RBN networks side by side,
-ECA instances bit-sliced into 64-bit words); the record loop hands the
-recorded block back to the simulator to unstack into trajectories.
-
-The measurement pipeline regroups every series of the trajectory to a scale
-``b`` (shift-or over the bit planes into the narrowest unsigned type of at
-least 16 bits that holds ``b`` bits), counts each series' symbols by sorting
-those narrow rows, averages the per-series normalized information into one
-system-level value behind E, S, and C, and derives H from the last two
-macro-states (the vectors of per-series ``b``-bit symbols).
+A :class:`Trajectory` is stored series-major: row ``i`` of ``series`` is the
+time series of node/cell ``i``, the layout every measure reads, and
+``states`` is its time-major view.  A simulator may step and record a stack
+of instances in its own layout (RBN networks side by side, ECA instances
+bit-sliced into 64-bit words); the record loop hands the recorded block back
+to the simulator, which unstacks it into each instance's series.  The one
+binary-array check and the one bits-to-text encoder live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSet, check_scale, homeostasis
-from .measures import _group_symbols, _measure_set, _row_information
-
 __all__ = [
     "Trajectory",
-    "series_matrix_measures",
     "trajectory_csv",
     "trajectory_pbm",
 ]
 
 
+def _first_nonbit(values: np.ndarray) -> int | None:
+    """The one binary-array check: the flat index of the first entry of
+    ``values`` that is neither 0 nor 1, or None.  It runs in the input's own
+    dtype, since a uint8 cast would wrap 256 to 0 and truncate 0.5 to 0."""
+    # an unsigned or bool array, as every trajectory is, needs no temporary mask
+    if values.dtype.kind in "bu" and values.max(initial=0) <= 1:
+        return None
+    bad = (values != 0) & (values != 1)
+    return int(bad.argmax()) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered recorded states of a run; transient steps are not stored.
+    """Recorded states of a run; transient steps are not stored.
 
-    ``states[t, i]`` is the bit of node/cell ``i`` at observation step ``t``.
+    ``states[t, i]``, as passed in, is the bit of node/cell ``i`` at step
+    ``t``.  It is stored once, as the read-only contiguous ``n x window``
+    uint8 matrix ``series``, and ``states`` becomes the view ``series.T``.
     """
 
     states: np.ndarray
     transient_length: int = 0
+    series: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = np.ascontiguousarray(self.states, dtype=np.uint8)
+        states = np.asarray(self.states)
         if states.ndim != 2:
             raise ValueError("states must be a 2-D (time x nodes) matrix")
-        if states.size and states.max() > 1:
+        if _first_nonbit(states) is not None:
             raise ValueError("states must be binary")
         if self.transient_length < 0:
             raise ValueError("transient_length must be >= 0")
-        object.__setattr__(self, "states", states)
+        # no copy when ``states`` is already the transpose of a contiguous
+        # series; the read-only flag is set on a view, never on a caller's array
+        series = np.ascontiguousarray(states.T, dtype=np.uint8).view()
+        series.flags.writeable = False
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "states", series.T)
 
     @property
     def window(self) -> int:
-        return int(self.states.shape[0])
+        return int(self.series.shape[1])
 
     @property
     def n(self) -> int:
-        return int(self.states.shape[1])
+        return int(self.series.shape[0])
 
     def __len__(self) -> int:
         return self.window
@@ -82,9 +91,9 @@ def _record_runs(
 
     ``start(chunk)`` returns the initial state of a stack of at most ``batch``
     instances, its update, and ``unstack``, which maps the recorded
-    ``window x state`` block to each instance's ``window x n`` bit matrix in
-    chunk order; the stack runs ``transient`` steps, then ``window`` states
-    are recorded.
+    ``window x state`` block to each instance's contiguous ``n x window``
+    series in chunk order; the stack runs ``transient`` steps, then
+    ``window`` states are recorded.
     """
     seeds = list(seeds)
     trajectories: list[Trajectory] = []
@@ -97,47 +106,25 @@ def _record_runs(
         for t in range(window):
             recorded[t] = state
             state = step(state)
-        trajectories += [Trajectory(states, transient) for states in unstack(recorded)]
+        trajectories += [Trajectory(series.T, transient) for series in unstack(recorded)]
     return trajectories
 
 
-def series_matrix_measures(
-    series: np.ndarray, scale: int, *, average_h: bool = False
-) -> MeasureSet:
-    """Measure a stack of parallel binary series at one scale.
-
-    ``series`` has one row per unit (node, cell, row, or diagonal) and one
-    column per observation.  The per-unit normalized information values are
-    averaged into one system-level information, from which E, S, and C follow;
-    H compares the final two macro-states, or, with ``average_h``, averages
-    the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).  Symbols are counted by sorting each row, so
-    memory is O(units x groups) at any scale in 1..62.
-    """
-    series = np.asarray(series)
-    if series.ndim != 2:
-        raise ValueError("series must be a 2-D (units x length) matrix")
-    scale = check_scale(scale)
-    if series.shape[1] < 2 * scale:
-        raise ValueError(f"window too short for scale {scale}")
-
-    symbols = _group_symbols(series, scale)
-    info = _row_information(symbols) / scale
-    if average_h:
-        h = homeostasis(symbols[:, :-1], symbols[:, 1:])
-    else:
-        h = homeostasis(symbols[:, -2], symbols[:, -1])
-    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, scale)
+def _bit_text(bits: np.ndarray, sep: str = "") -> str:
+    """The one bits-to-text encoder, whole-array: '0' or '1' per entry; with a
+    one-character ``sep``, a 2-D array gives one line per row, joined by it."""
+    text = np.asarray(bits, dtype=np.uint8) + ord("0")
+    if sep:
+        text = np.stack([text, np.full_like(text, ord(sep))], axis=-1)
+        text[:, -1:, 1] = ord("\n")
+    return text.tobytes().decode()
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV rendering: one row per time step, one column per node."""
-    lines = [",".join(str(int(b)) for b in row) for row in traj.states]
-    return "\n".join(lines) + "\n"
+    return _bit_text(traj.states, ",")
 
 
 def trajectory_pbm(traj: Trajectory) -> str:
     """Plain PBM (P1) bitmap: rows are time steps, set bits are black."""
-    header = f"P1\n{traj.n} {traj.window}\n"
-    body = "\n".join(" ".join(str(int(b)) for b in row) for row in traj.states)
-    return header + body + "\n"
+    return f"P1\n{traj.n} {traj.window}\n" + _bit_text(traj.states, " ")

@@ -108,6 +108,24 @@ def test_readme_quickstart_imports_exist():
     assert [n for n in names if not hasattr(infodyn, n)] == []
 
 
+def test_only_measures_uses_the_symbol_format():
+    # the symbol dtype, grouping order and kernels stay behind measures.py
+    private = {"_group_symbols", "_row_counts", "_row_information", "_measure_set",
+               "_symbol_dtype"}
+    used = {
+        (path.name, name)
+        for path in (ROOT / "src" / "infodyn").glob("*.py")
+        if path.name != "measures.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute) else []
+        )
+        if name in private
+    }
+    assert used == set()
+
+
 def test_package_reexports_at_most_40_names():
     # one name per job: the top-level surface may not grow back unnoticed
     tree = ast.parse((ROOT / "src" / "infodyn" / "__init__.py").read_text())

@@ -193,6 +193,14 @@ class TestEcaCommand:
         assert b"scale must be in 1..62" in proc.stderr
         assert b"internal error" not in proc.stderr
 
+    def test_too_short_horizontal_warning_names_the_row(self, cli_env):
+        # a horizontal series is one n-cell time slice, whatever the window
+        proc = run_cli(["eca", "--rule", "30", "--n", "8", "--window", "100",
+                        "--orientation", "horizontal", "--scales", "8"], cli_env)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().splitlines()[1] == "8,,,,"
+        assert b"scale 8: 8-cell row too short" in proc.stderr
+
     def test_wide_scales_sit_at_or_below_the_plug_in_ceiling(self, cli_env):
         # 2**40 and 2**62 symbols over 102 and 66 groups: no alphabet-sized
         # count table, and E can at most reach log2(groups) / b
@@ -370,6 +378,14 @@ class TestSweepCommand:
                         "--output-dir", str(out)], cli_env)
         assert proc.returncode == 2
         assert b"scale must be in 1..62" in proc.stderr
+        assert not out.exists()
+
+    def test_window_too_short_for_a_scale_exits_2(self, tmp_path, cli_env):
+        out = tmp_path / "none"
+        proc = run_cli(["sweep", "rbn", "--window", "4", "--scales", "1,4",
+                        "--output-dir", str(out)], cli_env)
+        assert proc.returncode == 2
+        assert b"window too short for scale 4" in proc.stderr
         assert not out.exists()
 
     def test_table_budget_exits_2(self, tmp_path, cli_env):

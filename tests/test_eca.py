@@ -94,6 +94,13 @@ class TestStep:
                 assert np.array_equal(np.roll(a, r), b)
 
 
+    @pytest.mark.parametrize("bad", [256, 2, -1, 0.5])
+    def test_non_bit_state_rejected_before_the_uint8_cast(self, bad):
+        # a cast first would step 256 as 0 and 0.5 as 0
+        with pytest.raises(ValueError, match="state must be binary"):
+            eca_step(np.array([bad, 1, 0]), rule_table(30))
+
+
 class TestRun:
     def test_deterministic_in_seed(self):
         config = EcaConfig(rule=30, n=64, transient=16, window=32, seed=9)
@@ -177,6 +184,14 @@ class TestSeries:
         series = _oriented_series(traj, "vertical")
         assert series.shape == (16, 24)
         assert np.array_equal(series[5], traj.states[:, 5])
+
+    def test_vertical_series_is_the_recorded_series(self):
+        # unstacking emits each instance series-major, so the vertical
+        # read-out is the stored matrix itself, not a transposed copy
+        trajs = run_eca_many(EcaConfig(rule=110, n=9, transient=3, window=20), range(10))
+        for traj in trajs:
+            assert _oriented_series(traj, "vertical") is traj.series
+            assert traj.series.flags.c_contiguous
 
     def test_horizontal_series_is_a_row(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))

@@ -127,6 +127,28 @@ class TestRbnSweep:
         with pytest.raises(ValueError, match="lookup tables"):
             rbn_sweep(n=100, k_grid=[1.0, 35.0], instances=1, transient=1, window=8)
 
+    @pytest.mark.parametrize("sweep", [rbn_sweep, eca_class_survey])
+    def test_window_and_scales_are_checked_before_any_cell_runs(self, monkeypatch, sweep):
+        def never(config, seeds):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_rbn_many", never)
+        monkeypatch.setattr(experiments, "run_eca_many", never)
+        with pytest.raises(ValueError, match="window too short for scale 4"):
+            sweep(n=10, instances=1, transient=1, window=4, scales=(1, 4))
+        with pytest.raises(ValueError, match="scale must be in 1..62"):
+            sweep(n=10, instances=1, transient=1, window=4, scales=(1, 0))
+
+    def test_cells_measure_the_recorded_series(self, monkeypatch):
+        seen = []
+        measure = experiments.series_matrix_measures
+        monkeypatch.setattr(experiments, "series_matrix_measures",
+                            lambda s, b: seen.append(s) or measure(s, b))
+        rbn_sweep(n=6, k_grid=[2.0], instances=3, transient=2, window=8, scales=(1, 2))
+        assert len(seen) == 6
+        # only a Trajectory's stored series is contiguous and read-only
+        assert all(s.flags.c_contiguous and not s.flags.writeable for s in seen)
+
     def test_threads_do_not_change_results(self):
         kwargs = dict(
             n=15, k_grid=[1.0, 3.0, 5.0], instances=5, transient=8, window=64,

@@ -100,6 +100,11 @@ class TestSymbolSequence:
     def test_to_bitstring_round_trip(self):
         assert SymbolSequence.from_bits("0101").to_bitstring() == "0101"
 
+    def test_to_bitstring_matches_the_per_symbol_rendering(self):
+        bits = np.random.default_rng(2).integers(0, 2, size=1000)
+        expected = "".join("1" if b else "0" for b in bits)
+        assert SymbolSequence(bits, 1).to_bitstring() == expected
+
     def test_equality(self):
         assert SymbolSequence([1, 2, 3], 2) == SymbolSequence([1, 2, 3], 2)
         assert SymbolSequence([1], 1) != SymbolSequence([1], 2)

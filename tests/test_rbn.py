@@ -378,6 +378,15 @@ class TestNetworkMeasures:
         with pytest.raises(ValueError, match="window too short"):
             network_measures(traj, 8)
 
+    def test_measures_read_the_recorded_series_in_place(self, monkeypatch):
+        trajs = run_rbn_many(RbnConfig(n=8, k=2, transient=4, window=32), [1, 2, 3])
+        seen = []
+        monkeypatch.setattr(rbn, "series_matrix_measures", lambda s, b, **kw: seen.append(s))
+        for traj in trajs:
+            assert traj.series.flags.c_contiguous
+            network_measures(traj, 2)
+        assert all(s is traj.series for s, traj in zip(seen, trajs))
+
 
 class TestAttractors:
     def test_exhaustive_enumeration_agrees_with_trajectory(self):
@@ -477,6 +486,14 @@ class TestNetworkValidation:
         # a degree no table could have is refused, not overflowed
         with pytest.raises(ValueError, match="table"):
             BooleanNetwork([64] + [0] * 63, np.arange(64), np.zeros(63), np.zeros(64))
+
+    @pytest.mark.parametrize("bad", [256, 2, -1, 0.5])
+    def test_tables_and_state_checked_before_the_uint8_cast(self, bad):
+        # a cast first would store a 257 entry as 1 and a 256 bit as 0
+        with pytest.raises(ValueError, match="node 1: table entries must be bits"):
+            BooleanNetwork([1, 1, 1], [0, 1, 2], [0, 1, 0, bad, 1, 0], [0, 0, 1])
+        with pytest.raises(ValueError, match="state must be an n-bit vector"):
+            BooleanNetwork([1, 1, 1], [0, 1, 2], [0, 1, 0, 1, 1, 0], [bad, 0, 1])
 
     def test_inputs_tables_and_state_are_checked(self):
         zeros = np.zeros(2, dtype=np.uint8)

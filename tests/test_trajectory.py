@@ -12,12 +12,12 @@ from infodyn.measures import (
     homeostasis,
     normalized_information,
     rescale,
+    series_matrix_measures,
     shannon_information,
     simplified_measures,
 )
 from infodyn.trajectory import (
     Trajectory,
-    series_matrix_measures,
     trajectory_csv,
     trajectory_pbm,
 )
@@ -40,6 +40,28 @@ def test_trajectory_validation():
         Trajectory(np.full((2, 2), 3, dtype=np.uint8))  # not binary
     traj = Trajectory(np.zeros((5, 3), dtype=np.uint8), transient_length=7)
     assert traj.window == 5 and traj.n == 3 and len(traj) == 5
+
+
+@pytest.mark.parametrize("bad", [256, 2, -1, 0.5])
+def test_trajectory_checks_bits_before_the_uint8_cast(bad):
+    # a cast first would store 256 as 0 and 0.5 as 0
+    with pytest.raises(ValueError, match="states must be binary"):
+        Trajectory(np.array([[bad, 1], [0, 1]]))
+
+
+def test_series_is_the_stored_layout_and_states_its_view():
+    states = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    traj = Trajectory(states)
+    assert np.array_equal(traj.states, states)  # the constructor takes time x n
+    assert np.array_equal(traj.series, states.T)
+    assert traj.series.flags.c_contiguous
+    assert np.shares_memory(traj.states, traj.series)
+    assert not traj.series.flags.writeable and not traj.states.flags.writeable
+    # the transpose of a contiguous series is stored without a copy, and the
+    # caller's array stays writeable
+    series = np.ascontiguousarray(states.T)
+    assert np.shares_memory(Trajectory(series.T).series, series)
+    assert series.flags.writeable
 
 
 def test_single_row_matches_sequence_measures():
@@ -166,6 +188,14 @@ def test_scale_out_of_range():
 def test_csv_layout():
     states = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8)
     assert trajectory_csv(Trajectory(states)) == "0,1,0\n1,0,1\n"
+
+
+def test_dumps_match_the_per_element_rendering():
+    states = np.random.default_rng(3).integers(0, 2, size=(37, 11), dtype=np.uint8)
+    traj = Trajectory(states)
+    rows = [[str(int(b)) for b in row] for row in states]
+    assert trajectory_csv(traj) == "".join(",".join(r) + "\n" for r in rows)
+    assert trajectory_pbm(traj) == "P1\n11 37\n" + "".join(" ".join(r) + "\n" for r in rows)
 
 
 def test_pbm_layout():

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Commands: ``measure`` (multiscale report of a bit sequence), ``rbn`` and
+Commands: ``measure`` (multiscale report of a bit sequence, read in fixed
+blocks so memory does not grow with its length), ``rbn`` and
 ``eca`` (single simulator runs), ``sweep`` (batch experiments writing CSV/JSON
 result files).  Exit codes: 0 success, 1 internal failure, 2 usage or input
 error.  Numeric CSV output uses 9 significant digits so repeated runs can be
@@ -10,6 +11,8 @@ compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import os
 import re
 import sys
@@ -31,7 +34,7 @@ from .experiments import (
     write_sweep_files,
     write_text,
 )
-from .measures import SymbolSequence, check_scale, rescale, simplified_measures
+from .measures import SymbolSequence, check_scale, streamed_measures
 from .plots import plot_script
 from .rbn import RbnConfig, generate_rbn, network_measures, run_rbn, serialize_network
 from .trajectory import trajectory_csv, trajectory_pbm
@@ -86,44 +89,51 @@ def _resolve_threads(value: int | None) -> int:
     return 1
 
 
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text()
+# bytes (raw) or characters (ascii01, csv) read at a time: 2^20 raw bits
+_BLOCK = 1 << 17
 
 
-def _read_bytes(source: str) -> bytes:
-    if source == "-":
-        return sys.stdin.buffer.read()
-    return Path(source).read_bytes()
+def _chunks(fh):
+    while chunk := fh.read(_BLOCK):
+        yield chunk
 
 
-def _read_input(source: str, fmt: str) -> SymbolSequence:
-    """Parse a binary sequence from a file or stdin ('-')."""
-    if fmt == "ascii01":
-        text = _read_text(source)
+def _csv_blocks(fh):
+    """The bits of a CSV text, chunk by chunk.  Each chunk's last token may
+    go on in the next one, so it is carried over; a final separator flushes
+    it.  A non-integer token is an error at once, a non-bit integer only
+    after the last chunk, since a later non-integer token takes precedence."""
+    tail, nonbit = "", False
+    for chunk in itertools.chain(_chunks(fh), [","]):
+        *tokens, tail = re.split(r"[,\s]+", tail + chunk)
         try:
-            seq = SymbolSequence.from_bits(text)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-    elif fmt == "raw":
-        data = _read_bytes(source)
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))  # MSB first
-        seq = SymbolSequence(bits, 1)
-    elif fmt == "csv":
-        tokens = [t for t in re.split(r"[,\s]+", _read_text(source).strip()) if t]
-        try:
-            values = [int(t) for t in tokens]
+            values = [int(t) for t in tokens if t]
         except ValueError as exc:
             raise CliInputError("symbol CSV must contain integers") from exc
-        if any(v not in (0, 1) for v in values):
-            raise CliInputError("symbol CSV must contain only bits (0 or 1)")
-        seq = SymbolSequence(np.array(values, dtype=np.uint8), 1)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliInputError(f"unknown input format: {fmt}")
-    if len(seq) == 0:
+        nonbit = nonbit or any(v not in (0, 1) for v in values)
+        if not nonbit:
+            yield np.array(values, dtype=np.uint8)
+    if nonbit:
+        raise CliInputError("symbol CSV must contain only bits (0 or 1)")
+
+
+def _bit_blocks(fh, fmt: str):
+    """The bits of an open input, one block per read of ``_BLOCK`` bytes or
+    characters.  raw bytes unpack MSB first; ascii01 drops whitespace chunk
+    by chunk, which is exact because a text read never splits a character.
+    An empty input is an error once the last block has been read."""
+    if fmt == "raw":
+        blocks = (np.unpackbits(np.frombuffer(c, dtype=np.uint8)) for c in _chunks(fh))
+    elif fmt == "ascii01":
+        blocks = (SymbolSequence.from_bits(c).symbols for c in _chunks(fh))
+    else:
+        blocks = _csv_blocks(fh)
+    empty = True
+    for bits in blocks:
+        empty = empty and bits.size == 0
+        yield bits
+    if empty:
         raise CliInputError("empty input sequence")
-    return seq
 
 
 def _emit_report(rows: list[dict], args) -> None:
@@ -138,14 +148,16 @@ _FIELDS = {"I_b": "emergence", **MEASURE_FIELDS}
 
 
 def _measure_rows(scales, measure, columns, unit) -> list[dict]:
-    """One report row per scale; a scale the data is too short for is null."""
+    """One report row per scale; a scale the data is too short for (``measure``
+    raises ValueError or returns None) is null."""
     rows = []
     for b in scales:
         try:
             ms = measure(b)
         except ValueError:
-            print(f"warning: scale {b}: {unit} too short, reported as null", file=sys.stderr)
             ms = None
+        if ms is None:
+            print(f"warning: scale {b}: {unit} too short, reported as null", file=sys.stderr)
         row = {"scale": b}
         for c in columns:
             row[c] = None if ms is None else getattr(ms, _FIELDS[c])
@@ -155,12 +167,15 @@ def _measure_rows(scales, measure, columns, unit) -> list[dict]:
 
 def cmd_measure(args) -> int:
     scales = _parse_ints(args.scales, "scales", check_scale)
-    seq = _read_input(args.input, args.input_format)
-
-    def measure(b):
-        return simplified_measures(rescale(seq, b))
-
-    _emit_report(_measure_rows(scales, measure, ("I_b", "E", "S", "C"), "sequence"), args)
+    binary = args.input_format == "raw"
+    if args.input == "-":
+        source = contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
+    else:
+        source = open(args.input, "rb" if binary else "r")
+    with source as fh:
+        measured = streamed_measures(_bit_blocks(fh, args.input_format), scales)
+    rows = _measure_rows(scales, measured.__getitem__, ("I_b", "E", "S", "C"), "sequence")
+    _emit_report(rows, args)
     return 0
 
 

@@ -7,8 +7,9 @@ sequences (``b=1``) can be regrouped to coarser scales with :func:`rescale`,
 and the four headline measures -- emergence, self-organization, complexity,
 homeostasis -- are derived from plug-in Shannon information on the regrouped
 string.  :func:`series_matrix_measures` measures each row of a simulator's
-``series`` matrix this way and averages them; no other module knows the
-symbol dtype or the grouping order.
+``series`` matrix this way and averages them, and :func:`streamed_measures`
+measures one bit string read block by block, from its running symbol counts;
+no other module knows the symbol dtype or the grouping order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .trajectory import _bit_text
+from .trajectory import _bit_text, _first_nonbit
 
 __all__ = [
     "SymbolSequence",
@@ -35,6 +36,7 @@ __all__ = [
     "homeostasis",
     "simplified_measures",
     "series_matrix_measures",
+    "streamed_measures",
     "uncorrelated_homeostasis",
 ]
 
@@ -47,6 +49,12 @@ NORM_CONSTANT = 4.0
 _MAX_SCALE = 62
 
 _RANGE_TOL = 1e-9
+
+# a streamed run merges into the one before it while that one holds at most
+# this many times its symbols: a smaller ratio copies each symbol fewer times,
+# a larger one keeps the merge temporaries (proportional to the smaller run)
+# small
+_MERGE_RATIO = 16
 
 
 def check_scale(scale: int) -> int:
@@ -234,12 +242,53 @@ def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _row_information(symbols: np.ndarray) -> np.ndarray:
-    """The one entropy sum: the plug-in Shannon information, in bits, of each
-    row of a 2-D symbol array, over the symbols that row actually shows."""
+    """The plug-in Shannon information, in bits, of each row of a 2-D symbol
+    array, over the symbols that row actually shows."""
     rows, _, counts = _row_counts(symbols)
-    p = counts / symbols.shape[1]
+    return _count_information(rows, counts, symbols.shape)
+
+
+def _count_information(
+    rows: np.ndarray, counts: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """The one entropy sum: the plug-in Shannon information, in bits, of each
+    of ``shape[0]`` rows of ``shape[1]`` symbols, from the ``(row, count)``
+    pairs of the symbols that occur, in :func:`_row_counts` order."""
+    p = counts / shape[1]
     # counts of symbols that occur are always positive, so log2 is safe here
-    return -np.bincount(rows, weights=p * np.log2(p), minlength=symbols.shape[0])
+    return -np.bincount(rows, weights=p * np.log2(p), minlength=shape[0])
+
+
+def _merge_counts(
+    symbols: np.ndarray, counts: np.ndarray, new: np.ndarray, new_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge ascending ``(new, new_counts)`` pairs into ascending running
+    ``(symbols, counts)`` without sorting again: a symbol already present adds
+    its count in place, the others are inserted at their ``searchsorted``
+    positions, so one merge costs O(len(symbols) + len(new) log len(symbols))."""
+    at = np.searchsorted(symbols, new)
+    found = at < symbols.size
+    found[found] = symbols[at[found]] == new[found]
+    counts[at[found]] += new_counts[found]
+    fresh = ~found
+    if not fresh.any():
+        return symbols, counts
+    return (np.insert(symbols, at[fresh], new[fresh]),
+            np.insert(counts, at[fresh], new_counts[fresh]))
+
+
+def _merge_runs(runs: list, ratio: float) -> None:
+    """Merge the newest of a list of ascending ``(symbol, count)`` runs into
+    the one before it while that one holds at most ``ratio`` times as many
+    symbols (all of them, for an infinite ratio).
+
+    With few distinct symbols every block's run merges into one running
+    count at once.  When most symbols are distinct (large ``b``), run sizes
+    fall geometrically instead, so a symbol is copied O(log blocks) times,
+    not once per later block as a single running count would copy it.
+    """
+    while len(runs) > 1 and runs[-2][0].size <= ratio * runs[-1][0].size:
+        runs[-2:] = [_merge_counts(*runs[-2], *runs[-1])]
 
 
 def emergence(i_in: float, i_out: float) -> float:
@@ -280,8 +329,13 @@ def simplified_measures(seq: SymbolSequence) -> MeasureSet:
     ``S = 1 - E`` and ``C = 4 E (1 - E)``, which spans ``[0, 1]`` and peaks
     at ``E = 0.5``.
     """
-    e = min(max(normalized_information(seq), 0.0), 1.0)
-    return _measure_set(e, None, seq.bits_per_symbol)
+    return _simplified(shannon_information(seq), seq.bits_per_symbol)
+
+
+def _simplified(information: float, scale: int) -> MeasureSet:
+    """Simplified (E, S, C) at ``scale`` from a sequence's Shannon information
+    in bits, with E clipped to [0, 1]; H is None."""
+    return _measure_set(min(max(information / scale, 0.0), 1.0), None, scale)
 
 
 def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
@@ -312,6 +366,8 @@ def series_matrix_measures(
     series = np.asarray(series)
     if series.ndim != 2:
         raise ValueError("series must be a 2-D (units x length) matrix")
+    if _first_nonbit(series) is not None:
+        raise ValueError("series must be binary")
     scale = check_scale(scale)
     if series.shape[1] < 2 * scale:
         raise ValueError(f"window too short for scale {scale}")
@@ -323,6 +379,47 @@ def series_matrix_measures(
     else:
         h = homeostasis(symbols[:, -2], symbols[:, -1])
     return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, scale)
+
+
+def streamed_measures(
+    blocks: Iterable[np.ndarray], scales: Iterable[int]
+) -> dict[int, MeasureSet | None]:
+    """Simplified (E, S, C) of one bit string, read block by block, at each
+    scale; ``None`` for a scale longer than the string.  H is None.
+
+    The string is the concatenation of ``blocks``, 1-D arrays of bits.  At
+    each scale ``b``, a block is grouped with the fewer than ``b`` bits the
+    previous block left over in front, and its ascending ``(symbol, count)``
+    pairs are merged into that scale's running counts (see
+    :func:`_merge_runs`).  Memory is therefore O(block + distinct symbols)
+    per scale, not O(string), and each value is exactly
+    ``simplified_measures(rescale(SymbolSequence(bits, 1), b))``.
+    """
+    tails = {b: np.zeros(0, np.uint8) for b in map(check_scale, scales)}
+    runs = {b: [] for b in tails}
+    for block in blocks:
+        block = np.asarray(block)
+        # checked in the block's own dtype: a uint8 cast would wrap 256 to 0
+        if block.ndim != 1 or _first_nonbit(block) is not None:
+            raise ValueError("blocks must be 1-D arrays of bits")
+        block = block.astype(np.uint8, copy=False)
+        for b, tail in tails.items():
+            bits = np.concatenate((tail, block)) if tail.size else block
+            used = bits.size - bits.size % b
+            if used:
+                runs[b].append(_row_counts(_group_symbols(bits[None, :used], b))[1:])
+                _merge_runs(runs[b], _MERGE_RATIO)
+            tails[b] = bits[used:].copy()
+    measured = dict.fromkeys(tails)
+    for b, pending in runs.items():
+        if pending:  # at least one group of b bits
+            _merge_runs(pending, np.inf)
+            counts = pending[0][1]
+            rows = np.zeros(counts.size, dtype=np.intp)
+            # + 0.0 turns the -0.0 of a constant string into 0.0
+            info = float(_count_information(rows, counts, (1, int(counts.sum())))[0]) + 0.0
+            measured[b] = _simplified(info, b)
+    return measured
 
 
 def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:

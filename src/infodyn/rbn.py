@@ -95,8 +95,14 @@ class BooleanNetwork:
     state: np.ndarray
 
     def __post_init__(self):
-        degrees = np.asarray(self.degrees, dtype=np.int64).ravel()
-        inputs = np.asarray(self.inputs, dtype=np.int64).ravel()
+        degrees = np.asarray(self.degrees).ravel()
+        inputs = np.asarray(self.inputs).ravel()
+        # checked in the input's own dtype: an int64 cast would truncate 1.9 to 1
+        for name, values in (("in-degrees", degrees), ("input indices", inputs)):
+            if values.size and values.dtype.kind not in "biu":
+                raise ValueError(f"{name} must be integers")
+        degrees = degrees.astype(np.int64, copy=False)
+        inputs = inputs.astype(np.int64, copy=False)
         tables = np.asarray(self.tables).ravel()
         n = degrees.size
         if n < 1:

@@ -110,8 +110,8 @@ def test_readme_quickstart_imports_exist():
 
 def test_only_measures_uses_the_symbol_format():
     # the symbol dtype, grouping order and kernels stay behind measures.py
-    private = {"_group_symbols", "_row_counts", "_row_information", "_measure_set",
-               "_symbol_dtype"}
+    private = {"_group_symbols", "_row_counts", "_row_information", "_count_information",
+               "_merge_counts", "_merge_runs", "_measure_set", "_simplified", "_symbol_dtype"}
     used = {
         (path.name, name)
         for path in (ROOT / "src" / "infodyn").glob("*.py")

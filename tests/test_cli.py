@@ -1,13 +1,17 @@
+import io
 import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from infodyn import cli
 from infodyn.cli import main
 from infodyn.eca import eca_step, rule_table
+from infodyn.measures import SymbolSequence, rescale, simplified_measures
 
 REF_BITS = "00001000101000011100100011001000"
 
@@ -257,16 +261,146 @@ class TestEcaCommand:
 
 
 class TestAscii01RoundTrip:
-    def test_parse_then_serialize_is_canonical(self, tmp_path):
-        from infodyn.cli import _read_input
-        from infodyn.measures import SymbolSequence
-
+    def test_parse_then_serialize_is_canonical(self, tmp_path, monkeypatch):
         path = tmp_path / "scattered.txt"
         path.write_text(" 0 1\n0 1 ")
-        seq = _read_input(str(path), "ascii01")
+        # whitespace on both sides of every block boundary
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        with open(path) as fh:
+            seq = SymbolSequence(np.concatenate(list(cli._bit_blocks(fh, "ascii01"))), 1)
         assert seq.to_bitstring() == "0101"
         # canonical form parses back to the identical sequence
         assert SymbolSequence.from_bits(seq.to_bitstring()) == seq
+
+
+def markov_bits(size, seed):
+    """Bits that flip with probability 0.3, so every scale sees many symbols."""
+    flips = np.random.default_rng(seed).random(size) < 0.3
+    return (np.cumsum(flips) & 1).astype(np.uint8)
+
+
+def encode(bits, fmt, seed):
+    """``bits`` in an input format, with whitespace, separators and zero-padded
+    csv tokens drawn at random, so they fall across block boundaries."""
+    rng = np.random.default_rng(seed)
+    if fmt == "raw":
+        return np.packbits(bits).tobytes()
+    if fmt == "ascii01":
+        gaps = rng.choice(["", "", " ", "\n", "\t", "\r\n"], size=bits.size)
+        return "".join(f"{b}{g}" for b, g in zip(bits, gaps)).encode()
+    tokens = [str(rng.choice(["1", "01", "001"]) if b else rng.choice(["0", "00"]))
+              for b in bits]
+    seps = rng.choice([",", ", ", "\n", " ,\t", ",\n"], size=bits.size)
+    return (" " + "".join(f"{t}{s}" for t, s in zip(tokens, seps))).encode()
+
+
+def measure_in_process(monkeypatch, tmp_path, data, fmt, via, scales, extra=()):
+    """``infodyn measure`` run through ``main``: (exit code, report rows as
+    passed to the writer, or None when no report was written)."""
+    captured = []
+    monkeypatch.setattr(cli, "_emit_report", lambda rows, args: captured.append(rows))
+    if via == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        source = "-"
+    else:
+        source = tmp_path / "input"
+        source.write_bytes(data)
+    code = main(["measure", str(source), "--input-format", fmt,
+                 "--scales", ",".join(map(str, scales)), *extra])
+    return code, captured[0] if captured else None
+
+
+STREAM_SCALES = (1, 2, 4, 8, 12, 16)
+
+
+class TestStreamedInput:
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize("fmt", ["raw", "ascii01", "csv"])
+    def test_every_format_matches_the_in_memory_measure(
+        self, tmp_path, monkeypatch, fmt, via, block
+    ):
+        bits = markov_bits(296 if fmt == "raw" else 301, seed=block)
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        code, rows = measure_in_process(
+            monkeypatch, tmp_path, encode(bits, fmt, seed=block), fmt, via, STREAM_SCALES
+        )
+        assert code == 0
+        expected = []
+        for b in STREAM_SCALES:
+            ms = simplified_measures(rescale(SymbolSequence(bits, 1), b))
+            expected.append({"scale": b, "I_b": ms.emergence, "E": ms.emergence,
+                             "S": ms.self_organization, "C": ms.complexity})
+        assert rows == expected
+
+    def test_csv_token_split_across_chunks_is_not_a_bit(self, tmp_path, monkeypatch, capsys):
+        # "0,1" | "0,1": the carried "1" and the next "0" are one token, 10
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        code, rows = measure_in_process(monkeypatch, tmp_path, b"0,10,1", "csv", "file", [1])
+        assert (code, rows) == (2, None)
+        assert "symbol CSV must contain only bits (0 or 1)" in capsys.readouterr().err
+
+    def test_a_late_non_integer_csv_token_takes_precedence(self, tmp_path, monkeypatch, capsys):
+        # as over the whole text: a non-integer anywhere outranks a non-bit
+        monkeypatch.setattr(cli, "_BLOCK", 2)
+        code, _ = measure_in_process(monkeypatch, tmp_path, b"2,0,1,0,1,x", "csv", "file", [1])
+        assert code == 2
+        assert "symbol CSV must contain integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, data", [
+        ("ascii01", b"0101" * 50 + b"2"),
+        ("csv", b"0,1," * 50 + b"2"),
+        ("csv", b"0,1," * 50 + b"x"),
+    ], ids=["ascii01-non-bit", "csv-non-bit", "csv-non-integer"])
+    def test_an_error_in_a_late_block_writes_no_report(
+        self, tmp_path, monkeypatch, capsys, fmt, data
+    ):
+        path, out = tmp_path / "input", tmp_path / "report.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        for output in ([], ["--output", str(out)]):
+            assert main(["measure", str(path), "--input-format", fmt, *output]) == 2
+            assert capsys.readouterr().out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, data", [
+        ("ascii01", b" \n\t \r\n "), ("csv", b" ,\n, ,"), ("raw", b""),
+    ], ids=["ascii01", "csv", "raw"])
+    def test_empty_input_is_found_after_the_last_block(
+        self, tmp_path, monkeypatch, capsys, fmt, data
+    ):
+        monkeypatch.setattr(cli, "_BLOCK", 1)
+        code, rows = measure_in_process(monkeypatch, tmp_path, data, fmt, "stdin", [1])
+        assert (code, rows) == (2, None)
+        assert "empty input sequence" in capsys.readouterr().err
+
+    def test_a_scale_longer_than_the_input_is_null(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK", 1)
+        code, rows = measure_in_process(monkeypatch, tmp_path, b"01\n01", "ascii01", "file",
+                                        [1, 4, 8])
+        assert code == 0
+        assert [row["E"] is None for row in rows] == [False, False, True]
+        assert "warning: scale 8: sequence too short" in capsys.readouterr().err
+
+    def test_peak_memory_does_not_grow_with_input_length(self, tmp_path, capsys):
+        # uniform bytes show every 12- and 16-bit symbol at both lengths, so
+        # the running counts are as large as they get at these scales
+        rng = np.random.default_rng(5)
+        peaks = {}
+        for mib in (8, 32):
+            path = tmp_path / f"{mib}.bin"
+            path.write_bytes(rng.bytes(mib << 20))
+            tracemalloc.start()
+            try:
+                assert main(["measure", str(path), "--input-format", "raw",
+                             "--scales", ",".join(map(str, STREAM_SCALES))]) == 0
+                _, peaks[mib] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            path.unlink()
+            capsys.readouterr()
+        assert abs(peaks[32] - peaks[8]) <= max(0.1 * peaks[8], 1 << 20), peaks
+        assert max(peaks.values()) < 16 << 20, peaks
 
 
 class TestSweepCommand:

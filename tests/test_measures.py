@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infodyn.cli import main
 from infodyn.measures import (
@@ -20,6 +21,7 @@ from infodyn.measures import (
     self_organization,
     shannon_information,
     simplified_measures,
+    streamed_measures,
     uncorrelated_homeostasis,
 )
 from infodyn.measures import _symbol_dtype
@@ -368,6 +370,50 @@ class TestMultiscaleProfile:
         profile, err = measure_report(tmp_path, capsys, "0101", [1, 8])
         assert profile[1] is not None and profile[8] is None
         assert "scale 8" in err
+
+
+@st.composite
+def split_bit_strings(draw):
+    """(bits, blocks): a bit string and the same bits cut at random points,
+    empty blocks included."""
+    bits = np.array(draw(st.lists(st.integers(0, 1), max_size=400)), dtype=np.uint8)
+    cuts = sorted(draw(st.lists(st.integers(0, bits.size), max_size=12)))
+    return bits, np.split(bits, cuts)
+
+
+class TestStreamedMeasures:
+    @settings(max_examples=200, deadline=None)
+    @given(split_bit_strings())
+    def test_equals_the_in_memory_measure_at_every_cut(self, case):
+        bits, blocks = case
+        scales = (1, 2, 3, 4, 8, 12, 16, 17, 33)
+        measured = streamed_measures(blocks, scales)
+        assert list(measured) == list(scales)
+        for b in scales:
+            if bits.size < b:
+                assert measured[b] is None
+            else:
+                # exact: the same counts, in the same order, through one sum
+                assert measured[b] == simplified_measures(rescale(SymbolSequence(bits, 1), b))
+
+    def test_mostly_distinct_symbols_merge_in_order(self):
+        # at b=40 nearly every group is a new symbol, so each block inserts
+        # into the running counts rather than adding to them
+        bits = np.random.default_rng(11).integers(0, 2, size=40 * 3001, dtype=np.uint8)
+        measured = streamed_measures(np.array_split(bits, 37), [5, 40])
+        for b in (5, 40):
+            assert measured[b] == simplified_measures(rescale(SymbolSequence(bits, 1), b))
+
+    @pytest.mark.parametrize("block", [np.array([0, 2]), np.array([256, 1]),
+                                       np.array([0.5, 1.0]), np.zeros((2, 2), dtype=np.uint8)],
+                             ids=["2", "256", "0.5", "2-D"])
+    def test_blocks_must_be_1d_bits(self, block):
+        with pytest.raises(ValueError, match="blocks must be 1-D arrays of bits"):
+            streamed_measures([np.array([0, 1]), block], [1])
+
+    def test_scales_are_checked(self):
+        with pytest.raises(ValueError, match="scale must be in 1..62"):
+            streamed_measures([np.array([0, 1])], [63])
 
 
 class TestMeasureSet:

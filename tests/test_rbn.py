@@ -495,6 +495,13 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="state must be an n-bit vector"):
             BooleanNetwork([1, 1, 1], [0, 1, 2], [0, 1, 0, 1, 1, 0], [bad, 0, 1])
 
+    def test_fractional_degrees_and_inputs_checked_before_the_int64_cast(self):
+        # a cast first would store degrees [1 1 1] and inputs [0 1 2]
+        with pytest.raises(ValueError, match="in-degrees must be integers"):
+            BooleanNetwork([1.9, 1, 1], [0.7, 1, 2], [0, 1, 0, 1, 1, 0], [0, 0, 1])
+        with pytest.raises(ValueError, match="input indices must be integers"):
+            BooleanNetwork([1, 1, 1], [0.7, 1, 2], [0, 1, 0, 1, 1, 0], [0, 0, 1])
+
     def test_inputs_tables_and_state_are_checked(self):
         zeros = np.zeros(2, dtype=np.uint8)
         with pytest.raises(ValueError, match="node 1: input indices out of range"):

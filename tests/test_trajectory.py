@@ -101,6 +101,16 @@ def test_sorted_counts_match_per_row_bincount(case):
     assert counts.tolist() == ref_counts
 
 
+@pytest.mark.parametrize("series, scale", [
+    (np.full((2, 8), 2), 1),
+    (np.array([[0, 3] * 4]), 2),
+], ids=["twos", "threes"])
+def test_series_must_be_bits(series, scale):
+    # a uint8 cast of a non-bit series used to measure as E=0, H=1
+    with pytest.raises(ValueError, match="series must be binary"):
+        series_matrix_measures(series, scale)
+
+
 @settings(max_examples=200, deadline=None)
 @given(bit_matrices())
 def test_emergence_is_mean_of_per_series_information(case):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import math
 import os
 import re
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eca import ORIENTATIONS, EcaConfig, eca_measures, rule_table, run_eca
+from .eca import ORIENTATIONS, EcaConfig, oriented_series, rule_table, run_eca
 from .experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
@@ -34,9 +35,9 @@ from .experiments import (
     write_sweep_files,
     write_text,
 )
-from .measures import SymbolSequence, check_scale, streamed_measures
+from .measures import SymbolSequence, check_scale, series_matrix_measures, streamed_measures
 from .plots import plot_script
-from .rbn import RbnConfig, generate_rbn, network_measures, run_rbn, serialize_network
+from .rbn import RbnConfig, generate_rbn, run_rbn, serialize_network
 from .trajectory import trajectory_csv, trajectory_pbm
 
 __all__ = ["main"]
@@ -70,10 +71,11 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(part) for part in text.split(":"))
             if step <= 0 or stop < start:
                 raise ValueError
-            count = int(round((stop - start) / step)) + 1
+            # the tolerance keeps an exact grid's last value despite float error
+            count = math.floor((stop - start) / step + 1e-9) + 1
             return tuple(round(start + i * step, 10) for i in range(count))
         return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliInputError(f"bad K grid {text!r} (use 'a,b,c' or 'start:stop:step')") from exc
 
 
@@ -147,15 +149,12 @@ def _emit_report(rows: list[dict], args) -> None:
 _FIELDS = {"I_b": "emergence", **MEASURE_FIELDS}
 
 
-def _measure_rows(scales, measure, columns, unit) -> list[dict]:
-    """One report row per scale; a scale the data is too short for (``measure``
-    raises ValueError or returns None) is null."""
+def _measure_rows(scales, measured, columns, unit) -> list[dict]:
+    """One report row per scale, from a ``{scale: MeasureSet | None}`` dict;
+    a scale the data is too short for (``None``) is null."""
     rows = []
     for b in scales:
-        try:
-            ms = measure(b)
-        except ValueError:
-            ms = None
+        ms = measured[b]
         if ms is None:
             print(f"warning: scale {b}: {unit} too short, reported as null", file=sys.stderr)
         row = {"scale": b}
@@ -174,7 +173,7 @@ def cmd_measure(args) -> int:
         source = open(args.input, "rb" if binary else "r")
     with source as fh:
         measured = streamed_measures(_bit_blocks(fh, args.input_format), scales)
-    rows = _measure_rows(scales, measured.__getitem__, ("I_b", "E", "S", "C"), "sequence")
+    rows = _measure_rows(scales, measured, ("I_b", "E", "S", "C"), "sequence")
     _emit_report(rows, args)
     return 0
 
@@ -191,11 +190,8 @@ def cmd_rbn(args) -> int:
         write_text(args.dump_network, serialize_network(net))
     if args.dump_trajectory:
         write_text(args.dump_trajectory, trajectory_csv(traj))
-
-    def measure(b):
-        return network_measures(traj, b, average_h=args.average_h)
-
-    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), "window"), args)
+    measured = series_matrix_measures(traj.series, scales, average_h=args.average_h)
+    _emit_report(_measure_rows(scales, measured, ("E", "S", "C", "H"), "window"), args)
     return 0
 
 
@@ -214,12 +210,10 @@ def cmd_eca(args) -> int:
         write_text(args.dump_bitmap, trajectory_pbm(traj))
     if args.dump_trajectory:
         write_text(args.dump_trajectory, trajectory_csv(traj))
-
-    def measure(b):
-        return eca_measures(traj, b, args.orientation, average_h=args.average_h)
-
+    series = oriented_series(traj, args.orientation)
+    measured = series_matrix_measures(series, scales, average_h=args.average_h)
     unit = f"{config.n}-cell row" if args.orientation == "horizontal" else "window"
-    _emit_report(_measure_rows(scales, measure, ("E", "S", "C", "H"), unit), args)
+    _emit_report(_measure_rows(scales, measured, ("E", "S", "C", "H"), unit), args)
     return 0
 
 
@@ -253,10 +247,16 @@ def cmd_sweep(args) -> int:
             params[name] = value
     if args.scales is not None:
         params["scales"] = _parse_ints(args.scales, "scales", check_scale)
-    if args.rules is not None and "rules" in params:
+    if args.rules is not None:
+        if "rules" not in params:
+            raise CliInputError("--rules applies only to sweep eca and sweep profile")
         params["rules"] = _parse_ints(args.rules, "rules", rule_table)
-    if args.k_grid is not None and "k_grid" in params:
+    if args.k_grid is not None:
+        if "k_grid" not in params:
+            raise CliInputError("--k-grid applies only to sweep rbn")
         params["k_grid"] = _parse_k_grid(args.k_grid)
+    if args.h_baseline is not None and args.what != "profile":
+        raise CliInputError("--h-baseline applies only to sweep profile")
 
     threads = _resolve_threads(args.threads)
     outdir = Path(args.output_dir)
@@ -271,7 +271,7 @@ def cmd_sweep(args) -> int:
         profile = multiscale_profiles(
             master_seed=args.seed,
             threads=threads,
-            baseline_form=args.h_baseline,
+            baseline_form=args.h_baseline or "exact",
             **params,
         )
         results, baseline = profile.sweeps, profile.h_baseline
@@ -361,8 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None, help="comma list of rules (eca/profile)")
     p.add_argument("--k-grid", default=None,
                    help="K values: 'a,b,c' or 'start:stop:step' (rbn)")
-    p.add_argument("--h-baseline", choices=("exact", "inv2b"), default="exact",
-                   help="uncorrelated-H reference: 2^-b (exact) or 1/(2b) (inv2b)")
+    p.add_argument("--h-baseline", choices=("exact", "inv2b"), default=None,
+                   help="uncorrelated-H reference (profile): 2^-b (exact, the default) "
+                        "or 1/(2b) (inv2b)")
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a matplotlib script next to the data")
     p.set_defaults(func=cmd_sweep)

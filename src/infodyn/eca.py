@@ -34,6 +34,7 @@ __all__ = [
     "run_eca",
     "run_eca_many",
     "eca_measures",
+    "oriented_series",
     "as_boolean_network",
     "ORIENTATIONS",
 ]
@@ -150,7 +151,7 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     return _record_runs(seeds, _BATCH, start, config.transient, config.window)
 
 
-def _oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:
+def oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:
     """Units x length bit matrix for the requested read-out direction."""
     if orientation == "vertical":
         return traj.series
@@ -171,11 +172,13 @@ def eca_measures(
     *,
     average_h: bool = False,
 ) -> MeasureSet:
-    """Automaton-level measures: :func:`series_matrix_measures` of the series
-    in the chosen orientation, as for RBN networks."""
-    return series_matrix_measures(
-        _oriented_series(traj, orientation), scale, average_h=average_h
-    )
+    """Automaton-level measures at one scale: :func:`series_matrix_measures`
+    of the series in the chosen orientation; too short a series raises."""
+    series = oriented_series(traj, orientation)
+    (measured,) = series_matrix_measures(series, [scale], average_h=average_h).values()
+    if measured is None:
+        raise ValueError(f"window too short for scale {scale}")
+    return measured
 
 
 def as_boolean_network(

@@ -130,9 +130,9 @@ def _sweep(
     threads: int,
 ) -> list[SweepResult]:
     """The one cell runner: per ``(parameter, config)``, seed and run
-    ``instances`` systems, then measure and aggregate their series at every
-    scale.  Configs are built, and so validated, and the window is checked
-    against the scales before any cell runs."""
+    ``instances`` systems, measure each one's series at every scale in one
+    call, then aggregate each scale.  Configs are built, and so validated, and
+    the window is checked against the scales before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
     scales = [check_scale(scale) for scale in scales]
@@ -145,14 +145,10 @@ def _sweep(
         parameter, config = item
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        trajectories = run_many(config, seeds)
-        results = []
-        for scale in scales:
-            measured = [series_matrix_measures(t.series, scale) for t in trajectories]
-            results.append(
-                SweepResult(experiment, parameter, scale, seeds, measured, aggregate(measured))
-            )
-        return results
+        measured = [series_matrix_measures(t.series, scales) for t in run_many(config, seeds)]
+        per_scale = {b: [by_scale[b] for by_scale in measured] for b in scales}
+        return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
+                for b in scales]
 
     nested = _ordered_map(cell, list(configs), threads)
     return [result for cell_results in nested for result in cell_results]
@@ -239,10 +235,7 @@ def instance_rows(results: Sequence[SweepResult]) -> list[dict]:
                     "scale": result.scale,
                     "instance": index,
                     "seed": seed,
-                    "E": ms.emergence,
-                    "S": ms.self_organization,
-                    "C": ms.complexity,
-                    "H": ms.homeostasis,
+                    **{key: getattr(ms, field) for key, field in MEASURE_FIELDS.items()},
                 }
             )
     return rows

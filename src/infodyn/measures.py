@@ -7,9 +7,10 @@ sequences (``b=1``) can be regrouped to coarser scales with :func:`rescale`,
 and the four headline measures -- emergence, self-organization, complexity,
 homeostasis -- are derived from plug-in Shannon information on the regrouped
 string.  :func:`series_matrix_measures` measures each row of a simulator's
-``series`` matrix this way and averages them, and :func:`streamed_measures`
-measures one bit string read block by block, from its running symbol counts;
-no other module knows the symbol dtype or the grouping order.
+``series`` matrix this way, at every scale in one call, and averages them;
+:func:`streamed_measures` measures one bit string read block by block, from
+its running symbol counts.  No other module knows the symbol dtype or the
+grouping order.
 """
 
 from __future__ import annotations
@@ -207,23 +208,19 @@ def _symbol_dtype(scale: int) -> np.dtype:
     return np.dtype(np.uint16 if scale <= 16 else np.uint32 if scale <= 32 else np.uint64)
 
 
-def _group_symbols(series: np.ndarray, scale: int) -> np.ndarray:
-    """Regroup rows of a (units x length) bit matrix into MSB-first symbols of
-    :func:`_symbol_dtype`, by shift-or over the ``scale`` bit planes.
-
-    The bits are read as uint8 and the planes are combined in the input's own
-    memory order (a trajectory's ``series`` is read in place, a time-major
-    view stays strided); only the finished symbols are laid out row by row.
-    """
-    bits = np.asarray(series, dtype=np.uint8)
-    units, length = bits.shape
-    groups = length // scale
-    planes = bits[:, : groups * scale].reshape(units, groups, scale)
-    symbols = planes[:, :, 0].astype(_symbol_dtype(scale))
-    for k in range(1, scale):
-        symbols <<= 1
-        symbols |= planes[:, :, k]
-    return np.ascontiguousarray(symbols)
+def _group_symbols(symbols: np.ndarray, count: int, width: int = 1) -> np.ndarray:
+    """Regroup rows of a (units x length) matrix of ``width``-bit symbols (bits
+    are ``width=1``) into MSB-first ``count * width``-bit symbols of
+    :func:`_symbol_dtype`, by shift-or over ``count`` planes read in the
+    input's own memory order; only the result is laid out row by row."""
+    units, length = symbols.shape
+    groups = length // count
+    planes = symbols[:, : groups * count].reshape(units, groups, count)
+    grouped = planes[:, :, 0].astype(_symbol_dtype(count * width))
+    for k in range(1, count):
+        grouped <<= width
+        grouped |= planes[:, :, k]
+    return np.ascontiguousarray(grouped)
 
 
 def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,34 +348,36 @@ def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
 
 
 def series_matrix_measures(
-    series: np.ndarray, scale: int, *, average_h: bool = False
-) -> MeasureSet:
-    """Measure a stack of parallel binary series at one scale.
+    series: np.ndarray, scales: Iterable[int], *, average_h: bool = False
+) -> dict[int, MeasureSet | None]:
+    """Measure a stack of parallel binary series at each scale; ``None`` for
+    a scale ``b`` the series are too short for (fewer than ``2 b`` columns).
 
     ``series`` has one row per unit (node, cell, row, or diagonal) and one
     column per observation.  The per-unit normalized information values are
     averaged into one system-level information, from which E, S, and C follow;
     H compares the final two macro-states, or, with ``average_h``, averages
     the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).  Symbols are counted by sorting each row, so
-    memory is O(units x groups) at any scale in 1..62.
+    non-default estimate).  Scale ``b`` is grouped from the symbols of its
+    largest listed divisor ``d``, which is exact because
+    ``floor(floor(L / d) / (b / d)) = floor(L / b)``.  Symbols are counted by
+    sorting each row, so memory is O(units x groups) at any scale in 1..62.
     """
     series = np.asarray(series)
     if series.ndim != 2:
         raise ValueError("series must be a 2-D (units x length) matrix")
     if _first_nonbit(series) is not None:
         raise ValueError("series must be binary")
-    scale = check_scale(scale)
-    if series.shape[1] < 2 * scale:
-        raise ValueError(f"window too short for scale {scale}")
-
-    symbols = _group_symbols(series, scale)
-    info = _row_information(symbols) / scale
-    if average_h:
-        h = homeostasis(symbols[:, :-1], symbols[:, 1:])
-    else:
-        h = homeostasis(symbols[:, -2], symbols[:, -1])
-    return _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, scale)
+    measured = dict.fromkeys(map(check_scale, scales))
+    grouped = {1: series.astype(np.uint8, copy=False)}
+    for b in sorted(b for b in measured if 2 * b <= series.shape[1]):
+        d = max(d for d in grouped if b % d == 0)
+        symbols = grouped[b] = _group_symbols(grouped[d], b // d, d)
+        info = _row_information(symbols) / b
+        first = 0 if average_h else -2  # all successive pairs, or the final one
+        h = homeostasis(symbols[:, first:-1], symbols[:, first + 1 :])
+        measured[b] = _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, b)
+    return measured
 
 
 def streamed_measures(

@@ -68,8 +68,8 @@ class RbnConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        if not self.k >= 0:  # also false for nan
+            raise ValueError(f"k must be >= 0 (got {self.k})")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
         if _table_bytes(self.n, self.k) > _TABLE_BUDGET:
@@ -250,9 +250,12 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 def network_measures(
     traj: Trajectory, scale: int, *, average_h: bool = False
 ) -> MeasureSet:
-    """Network-level measures: :func:`series_matrix_measures` of the node
-    series, read in place."""
-    return series_matrix_measures(traj.series, scale, average_h=average_h)
+    """Network-level measures at one scale: :func:`series_matrix_measures` of
+    the node series, read in place; a too-short window raises ValueError."""
+    (measured,) = series_matrix_measures(traj.series, [scale], average_h=average_h).values()
+    if measured is None:
+        raise ValueError(f"window too short for scale {scale}")
+    return measured
 
 
 def serialize_network(net: BooleanNetwork) -> str:

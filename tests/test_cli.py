@@ -11,6 +11,7 @@ import pytest
 from infodyn import cli
 from infodyn.cli import main
 from infodyn.eca import eca_step, rule_table
+from infodyn.experiments import DEFAULT_K_GRID
 from infodyn.measures import SymbolSequence, rescale, simplified_measures
 
 REF_BITS = "00001000101000011100100011001000"
@@ -126,6 +127,12 @@ class TestRbnCommand:
         proc = run_cli(["rbn", "--k", "35"], cli_env)
         assert proc.returncode == 2
         assert b"= 3,435,973,836,800 bytes of lookup tables" in proc.stderr
+
+    def test_nan_k_exits_2_with_the_value(self, capsys):
+        # nan passes every comparison-based check, so it used to reach the
+        # table estimate's math.ceil
+        assert main(["rbn", "--k", "nan"]) == 2
+        assert "error: k must be >= 0 (got nan)" in capsys.readouterr().err
 
     def test_zero_k_frozen(self, cli_env):
         proc = run_cli(
@@ -505,6 +512,32 @@ class TestSweepCommand:
             )
             assert render.returncode == 0, render.stderr.decode()
             assert list(out.glob("*.png")), f"no images rendered for {what}"
+
+    def test_k_grid_range_never_passes_its_stop(self, tmp_path, capsys):
+        assert cli._parse_k_grid("1:2:0.6") == (1.0, 1.6)
+        exact = cli._parse_k_grid("1:5:0.2")
+        assert len(exact) == 21 and exact[-1] == 5.0 and exact == DEFAULT_K_GRID
+        with pytest.raises(cli.CliInputError, match="bad K grid"):
+            cli._parse_k_grid("1:inf:1")  # used to exit 1 on an OverflowError
+        out = tmp_path / "grid"
+        assert main(["sweep", "rbn", "--k-grid", "1:2:0.6", "--n", "6", "--instances", "1",
+                     "--transient", "1", "--window", "4", "--scales", "1",
+                     "--output-dir", str(out)]) == 0
+        rows = (out / "rbn_sweep_instances.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1", "1.6"]
+
+    @pytest.mark.parametrize("what, flag, value, sweeps", [
+        ("rbn", "--rules", "5", "sweep eca and sweep profile"),
+        ("eca", "--k-grid", "1,2", "sweep rbn"),
+        ("profile", "--k-grid", "1,2", "sweep rbn"),
+        ("rbn", "--h-baseline", "inv2b", "sweep profile"),
+        ("eca", "--h-baseline", "exact", "sweep profile"),
+    ])
+    def test_a_flag_of_another_sweep_exits_2(self, tmp_path, capsys, what, flag, value, sweeps):
+        out = tmp_path / "none"
+        assert main(["sweep", what, flag, value, "--output-dir", str(out)]) == 2
+        assert f"error: {flag} applies only to {sweeps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scale_out_of_range_exits_2(self, tmp_path, cli_env):
         out = tmp_path / "none"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from infodyn import eca
 from infodyn.eca import (
     EcaConfig,
-    _oriented_series,
+    oriented_series,
     as_boolean_network,
     eca_measures,
     eca_step,
@@ -181,7 +181,7 @@ class TestRun:
 class TestSeries:
     def test_vertical_series_length(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))
-        series = _oriented_series(traj, "vertical")
+        series = oriented_series(traj, "vertical")
         assert series.shape == (16, 24)
         assert np.array_equal(series[5], traj.states[:, 5])
 
@@ -190,12 +190,12 @@ class TestSeries:
         # read-out is the stored matrix itself, not a transposed copy
         trajs = run_eca_many(EcaConfig(rule=110, n=9, transient=3, window=20), range(10))
         for traj in trajs:
-            assert _oriented_series(traj, "vertical") is traj.series
+            assert oriented_series(traj, "vertical") is traj.series
             assert traj.series.flags.c_contiguous
 
     def test_horizontal_series_is_a_row(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))
-        series = _oriented_series(traj, "horizontal")
+        series = oriented_series(traj, "horizontal")
         assert series.shape == (24, 16)
         assert np.array_equal(series[3], traj.states[3, :])
 
@@ -206,9 +206,9 @@ class TestSeries:
         )
         traj = run_eca(config)
         center = 21 // 2
-        diagonal = _oriented_series(traj, "diagonal")[center]
+        diagonal = oriented_series(traj, "diagonal")[center]
         assert diagonal.all()  # constant 1 along the drift
-        vertical = _oriented_series(traj, "vertical")[center]
+        vertical = oriented_series(traj, "vertical")[center]
         assert not vertical.all()
 
 

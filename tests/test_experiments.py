@@ -143,9 +143,9 @@ class TestRbnSweep:
         seen = []
         measure = experiments.series_matrix_measures
         monkeypatch.setattr(experiments, "series_matrix_measures",
-                            lambda s, b: seen.append(s) or measure(s, b))
+                            lambda s, scales: seen.append(s) or measure(s, scales))
         rbn_sweep(n=6, k_grid=[2.0], instances=3, transient=2, window=8, scales=(1, 2))
-        assert len(seen) == 6
+        assert len(seen) == 3  # one call per trajectory, for both scales
         # only a Trajectory's stored series is contiguous and read-only
         assert all(s.flags.c_contiguous and not s.flags.writeable for s in seen)
 

@@ -149,6 +149,10 @@ class TestGeneration:
         with pytest.raises(ValueError, match="k must not exceed n"):
             RbnConfig(n=5, k=6, transient=1, window=2, seed=0)
 
+    def test_nan_k_rejected_before_the_table_estimate(self):
+        with pytest.raises(ValueError, match=r"k must be >= 0 \(got nan\)"):
+            RbnConfig(n=5, k=float("nan"))
+
     def test_table_budget_rejected_with_estimate(self):
         # 100 nodes with 2^35 table entries each: refused before any table exists
         with pytest.raises(ValueError, match=r"= 3,435,973,836,800 bytes"):
@@ -381,7 +385,9 @@ class TestNetworkMeasures:
     def test_measures_read_the_recorded_series_in_place(self, monkeypatch):
         trajs = run_rbn_many(RbnConfig(n=8, k=2, transient=4, window=32), [1, 2, 3])
         seen = []
-        monkeypatch.setattr(rbn, "series_matrix_measures", lambda s, b, **kw: seen.append(s))
+        measure = rbn.series_matrix_measures
+        monkeypatch.setattr(rbn, "series_matrix_measures",
+                            lambda s, scales, **kw: seen.append(s) or measure(s, scales, **kw))
         for traj in trajs:
             assert traj.series.flags.c_contiguous
             network_measures(traj, 2)

@@ -8,6 +8,7 @@ from infodyn.measures import (
     SymbolSequence,
     _group_symbols,
     _row_counts,
+    _row_information,
     estimate_distribution,
     homeostasis,
     normalized_information,
@@ -67,8 +68,8 @@ def test_series_is_the_stored_layout_and_states_its_view():
 def test_single_row_matches_sequence_measures():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=256, dtype=np.uint8)
-    for scale in (1, 2, 4, 8):
-        ms = series_matrix_measures(bits[None, :], scale)
+    measured = series_matrix_measures(bits[None, :], (1, 2, 4, 8))
+    for scale, ms in measured.items():
         seq = SymbolSequence(bits.astype(np.int64), 1)
         expected = simplified_measures(rescale(seq, scale))
         assert ms.emergence == pytest.approx(expected.emergence, abs=1e-12)
@@ -108,7 +109,7 @@ def test_sorted_counts_match_per_row_bincount(case):
 def test_series_must_be_bits(series, scale):
     # a uint8 cast of a non-bit series used to measure as E=0, H=1
     with pytest.raises(ValueError, match="series must be binary"):
-        series_matrix_measures(series, scale)
+        series_matrix_measures(series, [scale])
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +120,7 @@ def test_emergence_is_mean_of_per_series_information(case):
         normalized_information(rescale(SymbolSequence(row.astype(np.int64), 1), b))
         for row in bits
     ]
-    ms = series_matrix_measures(bits, b)
+    ms = series_matrix_measures(bits, [b])[b]
     assert abs(ms.emergence - float(np.mean(per_series))) <= 1e-12
 
 
@@ -128,9 +129,8 @@ def test_wide_scales_stay_at_the_plug_in_ceiling():
     # table; random bits never repeat a symbol, so E sits at log2(groups) / b
     rng = np.random.default_rng(9)
     series = rng.integers(0, 2, size=(8, 4096), dtype=np.uint8)
-    for scale in (40, 62):
+    for scale, ms in series_matrix_measures(series, (40, 62)).items():
         groups = 4096 // scale
-        ms = series_matrix_measures(series, scale)
         assert ms.emergence <= np.log2(groups) / scale + 1e-12
         assert ms.emergence == pytest.approx(np.log2(groups) / scale)
 
@@ -140,7 +140,7 @@ def test_measures_average_information_over_units():
     # is their mean, and complexity follows the system-level parabola
     frozen = np.zeros(64, dtype=np.uint8)
     blinker = np.tile([0, 1], 32).astype(np.uint8)
-    ms = series_matrix_measures(np.vstack([frozen, blinker]), 1)
+    ms = series_matrix_measures(np.vstack([frozen, blinker]), [1])[1]
     assert ms.emergence == pytest.approx(0.5)
     assert ms.self_organization == pytest.approx(0.5)
     assert ms.complexity == pytest.approx(1.0)
@@ -149,15 +149,14 @@ def test_measures_average_information_over_units():
 def test_simplified_identities_hold_on_system_measures():
     rng = np.random.default_rng(23)
     series = rng.integers(0, 2, size=(17, 128), dtype=np.uint8)
-    for scale in (1, 2, 4):
-        ms = series_matrix_measures(series, scale)
+    for ms in series_matrix_measures(series, (1, 2, 4)).values():
         assert abs(ms.emergence + ms.self_organization - 1.0) <= 1e-12
         assert abs(ms.complexity - 4.0 * ms.emergence * ms.self_organization) <= 1e-12
 
 
 def test_homeostasis_from_last_macro_states():
     states = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
-    ms = series_matrix_measures(states.T, 1)
+    ms = series_matrix_measures(states.T, [1])[1]
     # final two states differ in the first node only
     assert ms.homeostasis == pytest.approx(0.5)
 
@@ -166,25 +165,61 @@ def test_homeostasis_from_last_macro_states():
 def test_h_goes_through_homeostasis(scale):
     series = np.random.default_rng(41).integers(0, 2, size=(9, 96), dtype=np.uint8)
     symbols = _group_symbols(series, scale)
-    final_pair = series_matrix_measures(series, scale).homeostasis
+    final_pair = series_matrix_measures(series, [scale])[scale].homeostasis
     assert final_pair == homeostasis(symbols[:, -1], symbols[:, -2])
-    averaged = series_matrix_measures(series, scale, average_h=True).homeostasis
+    averaged = series_matrix_measures(series, [scale], average_h=True)[scale].homeostasis
     assert averaged == homeostasis(symbols[:, 1:], symbols[:, :-1])
 
 
 def test_average_h_spans_all_pairs():
     states = np.array([[0, 0], [1, 1], [1, 1]], dtype=np.uint8)
-    last_only = series_matrix_measures(states.T, 1)
-    averaged = series_matrix_measures(states.T, 1, average_h=True)
+    (last_only,) = series_matrix_measures(states.T, [1]).values()
+    (averaged,) = series_matrix_measures(states.T, [1], average_h=True).values()
     assert last_only.homeostasis == 1.0
     assert averaged.homeostasis == pytest.approx(0.5)
 
 
 def test_window_too_short_for_scale():
     series = np.zeros((2, 7), dtype=np.uint8)
-    with pytest.raises(ValueError, match="window too short"):
-        series_matrix_measures(series, 4)
-    series_matrix_measures(series, 3)  # 7 >= 2*3 is fine
+    measured = series_matrix_measures(series, [4, 3])
+    assert measured[4] is None
+    assert measured[3] is not None  # 7 >= 2*3 is fine
+
+
+def per_scale_reference(bits, scale, average_h):
+    """One scale measured from the bits directly: int64 symbols by an integer
+    matmul, then the kernel's own entropy sum and H function; None when the
+    series are shorter than two groups."""
+    units, length = bits.shape
+    if length < 2 * scale:
+        return None
+    groups = length // scale
+    weights = np.int64(1) << np.arange(scale - 1, -1, -1, dtype=np.int64)
+    symbols = bits[:, : groups * scale].reshape(units, groups, scale).astype(np.int64) @ weights
+    info = _row_information(symbols) / scale
+    if average_h:
+        h = homeostasis(symbols[:, :-1], symbols[:, 1:])
+    else:
+        h = homeostasis(symbols[:, -2], symbols[:, -1])
+    e = float(np.clip(info, 0.0, 1.0).mean())
+    return MeasureSet(e, 1.0 - e, 4.0 * e * (1.0 - e), h, scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=arrays(np.uint8, st.tuples(st.integers(1, 5), st.integers(1, 160)),
+                elements=st.integers(0, 1)),
+    scales=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 62]) | st.integers(1, 62),
+                    min_size=1, max_size=8),
+    average_h=st.booleans(),
+)
+def test_every_scale_matches_its_own_regrouping(bits, scales, average_h):
+    # unsorted, duplicated and non-divisor scales, some longer than half the
+    # series: each is grouped from its largest listed divisor, exactly
+    measured = series_matrix_measures(bits, scales, average_h=average_h)
+    assert list(measured) == list(dict.fromkeys(scales))
+    for scale, ms in measured.items():
+        assert ms == per_scale_reference(bits, scale, average_h)
 
 
 def test_scale_out_of_range():
@@ -192,7 +227,7 @@ def test_scale_out_of_range():
     series = np.zeros((2, 256), dtype=np.uint8)
     for scale in (0, 63):
         with pytest.raises(ValueError, match="scale must be in 1..62"):
-            series_matrix_measures(series, scale)
+            series_matrix_measures(series, [scale])
 
 
 def test_csv_layout():
@@ -251,7 +286,7 @@ def test_symbol_dtype_boundaries_match_int64_reference(scale, kind, average_h):
         series = np.ones(shape, dtype=np.uint8)
     else:
         series = np.broadcast_to(np.arange(shape[1]) % 2, shape).astype(np.uint8)
-    measured = series_matrix_measures(series, scale, average_h=average_h)
+    measured = series_matrix_measures(series, [scale], average_h=average_h)[scale]
     assert measured == int64_reference_measures(series, scale, average_h)
     symbols = _group_symbols(series, scale)
     assert symbols.dtype.itemsize * 8 == (16 if scale <= 16 else 32 if scale <= 32 else 64)

@@ -23,10 +23,9 @@ import numpy as np
 
 from .eca import ORIENTATIONS, EcaConfig, oriented_series, rule_table, run_eca
 from .experiments import (
-    DEFAULT_K_GRID,
-    DEFAULT_RULES,
     MEASURE_FIELDS,
-    PROFILE_RULES,
+    ProfileResult,
+    _check_rows,
     csv_text,
     eca_class_survey,
     json_text,
@@ -47,13 +46,6 @@ class CliInputError(Exception):
     """Bad user input: reported with exit code 2."""
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
-
-
 def _parse_ints(text: str, what: str, check) -> tuple[int, ...]:
     """A comma list of ints, each passed through its one validator."""
     try:
@@ -67,28 +59,26 @@ def _parse_ints(text: str, what: str, check) -> tuple[int, ...]:
 
 def _parse_k_grid(text: str) -> tuple[float, ...]:
     try:
-        if ":" in text:
-            start, stop, step = (float(part) for part in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError
-            # the tolerance keeps an exact grid's last value despite float error
-            count = math.floor((stop - start) / step + 1e-9) + 1
-            return tuple(round(start + i * step, 10) for i in range(count))
-        return tuple(float(part) for part in text.split(","))
+        if ":" not in text:
+            return tuple(float(part) for part in text.split(","))
+        start, stop, step = (float(part) for part in text.split(":"))
+        if step <= 0 or stop < start:
+            raise ValueError
+        # the tolerance keeps an exact grid's last value despite float error
+        count = math.floor((stop - start) / step + 1e-9) + 1
     except (ValueError, OverflowError) as exc:
         raise CliInputError(f"bad K grid {text!r} (use 'a,b,c' or 'start:stop:step')") from exc
+    _check_rows(count, f"at least one per value of the K grid {text!r}")
+    return tuple(round(start + i * step, 10) for i in range(count))
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("INFODYN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CliInputError(f"bad INFODYN_THREADS value: {env!r}") from exc
-    return 1
+    """``--threads``, else ``$INFODYN_THREADS``, else 1; below 2 runs serially."""
+    env = os.environ.get("INFODYN_THREADS") or "1"
+    try:
+        return value if value is not None else int(env)
+    except ValueError as exc:
+        raise CliInputError(f"bad INFODYN_THREADS value: {env!r}") from exc
 
 
 # bytes (raw) or characters (ascii01, csv) read at a time: 2^20 raw bits
@@ -217,30 +207,18 @@ def cmd_eca(args) -> int:
     return 0
 
 
-SWEEP_PRESETS = {
-    "rbn": {
-        "paper": dict(n=100, instances=1000, transient=1000, window=1000,
-                      scales=(1, 2, 4, 8), k_grid=DEFAULT_K_GRID),
-        "desk": dict(n=100, instances=100, transient=512, window=512,
-                     scales=(1, 2, 4, 8), k_grid=DEFAULT_K_GRID),
-    },
-    "eca": {
-        "paper": dict(n=256, instances=50, transient=4096, window=4096,
-                      scales=(1, 2, 4, 8), rules=DEFAULT_RULES),
-        "desk": dict(n=256, instances=50, transient=1024, window=1024,
-                     scales=(1, 2, 4, 8), rules=DEFAULT_RULES),
-    },
-    "profile": {
-        "paper": dict(n=256, instances=50, transient=4096, window=4096,
-                      scales=(1, 2, 4, 8), rules=PROFILE_RULES),
-        "desk": dict(n=256, instances=50, transient=1024, window=1024,
-                     scales=(1, 2, 4, 8), rules=PROFILE_RULES),
-    },
+# sweep -> (library sweep, experiment name, desk sizes): the paper preset is
+# the library's defaults, and the desk preset overrides only these of them
+SWEEPS = {
+    "rbn": (rbn_sweep, "rbn_sweep", dict(instances=100, transient=512, window=512)),
+    "eca": (eca_class_survey, "eca_survey", dict(transient=1024, window=1024)),
+    "profile": (multiscale_profiles, "eca_profiles", dict(transient=1024, window=1024)),
 }
 
 
 def cmd_sweep(args) -> int:
-    params = dict(SWEEP_PRESETS[args.what][args.preset])
+    sweep, experiment, desk = SWEEPS[args.what]
+    params = dict(desk) if args.preset == "desk" else {}
     for name in ("n", "instances", "transient", "window"):
         value = getattr(args, name)
         if value is not None:
@@ -248,38 +226,25 @@ def cmd_sweep(args) -> int:
     if args.scales is not None:
         params["scales"] = _parse_ints(args.scales, "scales", check_scale)
     if args.rules is not None:
-        if "rules" not in params:
+        if args.what == "rbn":
             raise CliInputError("--rules applies only to sweep eca and sweep profile")
         params["rules"] = _parse_ints(args.rules, "rules", rule_table)
     if args.k_grid is not None:
-        if "k_grid" not in params:
+        if args.what != "rbn":
             raise CliInputError("--k-grid applies only to sweep rbn")
         params["k_grid"] = _parse_k_grid(args.k_grid)
-    if args.h_baseline is not None and args.what != "profile":
-        raise CliInputError("--h-baseline applies only to sweep profile")
+    if args.h_baseline is not None:
+        if args.what != "profile":
+            raise CliInputError("--h-baseline applies only to sweep profile")
+        params["baseline_form"] = args.h_baseline
 
-    threads = _resolve_threads(args.threads)
-    outdir = Path(args.output_dir)
-
-    if args.what == "rbn":
-        results = rbn_sweep(master_seed=args.seed, threads=threads, **params)
-        experiment, baseline = "rbn_sweep", None
-    elif args.what == "eca":
-        results = eca_class_survey(master_seed=args.seed, threads=threads, **params)
-        experiment, baseline = "eca_survey", None
-    else:
-        profile = multiscale_profiles(
-            master_seed=args.seed,
-            threads=threads,
-            baseline_form=args.h_baseline or "exact",
-            **params,
-        )
-        results, baseline = profile.sweeps, profile.h_baseline
-        experiment = "eca_profiles"
-
+    results = sweep(master_seed=args.seed, threads=_resolve_threads(args.threads), **params)
+    baseline = None
+    if isinstance(results, ProfileResult):
+        results, baseline = results.sweeps, results.h_baseline
     script = plot_script(experiment) if args.plot_script else None
     written = write_sweep_files(
-        results, outdir, experiment, h_baseline=baseline, plot_script=script
+        results, Path(args.output_dir), experiment, h_baseline=baseline, plot_script=script
     )
     for path in written:
         print(path)
@@ -294,17 +259,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--seed", type=_u64, default=0,
+    run_flags.add_argument("--seed", type=int, default=0,
                            help="RNG seed (master seed for sweeps)")
     run_flags.add_argument("--threads", type=int, default=None,
                            help="worker threads (default: $INFODYN_THREADS or 1); "
-                                "affects wall-clock only, never results")
+                                "never change results, and do not shorten a sweep yet, "
+                                "since its cells hold the interpreter lock between numpy calls")
 
     report_flags = argparse.ArgumentParser(add_help=False)
     report_flags.add_argument("--format", choices=("csv", "json"), default="csv",
                               help="report format (default csv)")
     report_flags.add_argument("--output", metavar="PATH",
                               help="write the report to a file instead of stdout")
+    report_flags.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
 
     p = sub.add_parser("measure", parents=[run_flags, report_flags],
                        help="multiscale information report of a bit sequence")
@@ -314,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="ascii01",
                    help="ascii01: '0'/'1' text; raw: bytes, MSB first; "
                         "csv: comma/whitespace separated bits")
-    p.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("rbn", parents=[run_flags, report_flags],
@@ -323,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=2.0, help="mean in-degree (may be fractional)")
     p.add_argument("--transient", type=int, default=1000, help="steps discarded before recording")
     p.add_argument("--window", type=int, default=1000, help="recorded steps")
-    p.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
     p.add_argument("--average-h", action="store_true",
                    help="average H over all successive macro-state pairs "
                         "(noise-reduced alternative to the final-pair definition)")
@@ -338,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("random", "single_cell"), default="random")
     p.add_argument("--transient", type=int, default=1024)
     p.add_argument("--window", type=int, default=1024)
-    p.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
     p.add_argument("--orientation", choices=ORIENTATIONS,
                    default="vertical", help="series read-out direction")
     p.add_argument("--average-h", action="store_true",

@@ -75,7 +75,8 @@ class EcaConfig:
             raise ValueError("n must be >= 3")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
-        _check_run(self.transient, self.window, self.seed)
+        # a stack records one word per cell per step, whatever its instances
+        _check_run(self.transient, self.window, self.seed, _WORD.itemsize * self.n)
 
 
 def eca_step(state: np.ndarray | Sequence[int], table: np.ndarray) -> np.ndarray:

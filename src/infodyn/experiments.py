@@ -24,6 +24,7 @@ import numpy as np
 from .eca import EcaConfig, run_eca_many
 from .measures import MeasureSet, check_scale, series_matrix_measures, uncorrelated_homeostasis
 from .rbn import RbnConfig, run_rbn_many
+from .trajectory import _check_seed
 
 __all__ = [
     "DEFAULT_RULES",
@@ -54,6 +55,10 @@ STAT_NAMES = ("mean", "median", "q25", "q75", "whisker_lo", "whisker_hi")
 # column name -> MeasureSet attribute, in column order
 MEASURE_FIELDS = {"E": "emergence", "S": "self_organization", "C": "complexity",
                   "H": "homeostasis"}
+# instance rows one sweep may hold until it writes them: a desk sweep and its
+# write peak at about 1,536 bytes per row in tracemalloc, so a sweep at the
+# limit fits in about 1 GiB
+_ROW_LIMIT = (1 << 30) // 1536
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,9 @@ class SeedSchedule:
     """Derives per-instance seeds from (master seed, experiment id, index)."""
 
     master_seed: int
+
+    def __post_init__(self):
+        _check_seed(self.master_seed)
 
     def seed_for(self, experiment_id: str, index: int) -> int:
         key = f"{self.master_seed}|{experiment_id}|{index}".encode()
@@ -119,30 +127,34 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _check_rows(rows: int, detail: str) -> None:
+    """The one bound on a sweep's size, checked before its grid or seeds exist."""
+    if rows > _ROW_LIMIT:
+        raise ValueError(f"{rows:,} instance rows ({detail}), over the {_ROW_LIMIT:,}-row limit")
+
+
 def _sweep(
-    experiment: str,
-    key: str,
-    configs: Sequence[tuple[float | int, RbnConfig | EcaConfig]],
-    run_many: Callable,
-    instances: int,
-    scales: Sequence[int],
-    master_seed: int,
-    threads: int,
+    experiment: str, key: str, grid: Sequence, make_config: Callable, run_many: Callable,
+    instances: int, scales: Sequence[int], master_seed: int, threads: int,
 ) -> list[SweepResult]:
-    """The one cell runner: per ``(parameter, config)``, seed and run
-    ``instances`` systems, measure each one's series at every scale in one
-    call, then aggregate each scale.  Configs are built, and so validated, and
-    the window is checked against the scales before any cell runs."""
+    """The one cell runner: per grid value, build its config (whose ``key``
+    attribute is the cell's parameter), seed and run ``instances`` systems,
+    measure each one's series at every scale in one call, then aggregate each
+    scale.  The sweep's size, the master seed and every config are checked,
+    and the window against the scales, before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
     scales = [check_scale(scale) for scale in scales]
-    top = max(scales, default=1)
-    if any(config.window < 2 * top for _, config in configs):
-        raise ValueError(f"window too short for scale {top}")
+    _check_rows(len(grid) * len(scales) * instances,
+                f"{len(grid):,} cells x {len(scales)} scales x {instances:,} instances")
     schedule = SeedSchedule(master_seed)
+    configs = [make_config(value) for value in grid]
+    top = max(scales, default=1)
+    if any(config.window < 2 * top for config in configs):
+        raise ValueError(f"window too short for scale {top}")
 
-    def cell(item: tuple) -> list[SweepResult]:
-        parameter, config = item
+    def cell(config: RbnConfig | EcaConfig) -> list[SweepResult]:
+        parameter = getattr(config, key)
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
         measured = [series_matrix_measures(t.series, scales) for t in run_many(config, seeds)]
@@ -150,7 +162,7 @@ def _sweep(
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]
 
-    nested = _ordered_map(cell, list(configs), threads)
+    nested = _ordered_map(cell, configs, threads)
     return [result for cell_results in nested for result in cell_results]
 
 
@@ -165,15 +177,15 @@ def rbn_sweep(
     threads: int = 1,
 ) -> list[SweepResult]:
     """Connectivity sweep: `instances` independent networks per K value."""
-    configs = [(k, RbnConfig(n=n, k=k, transient=transient, window=window))
-               for k in map(float, k_grid)]
-    return _sweep("rbn_sweep", "k", configs, run_rbn_many, instances, scales, master_seed, threads)
+    return _sweep("rbn_sweep", "k", k_grid,
+                  lambda k: RbnConfig(n=n, k=float(k), transient=transient, window=window),
+                  run_rbn_many, instances, scales, master_seed, threads)
 
 
 def _rule_survey(experiment, rules, n, instances, transient, window, scales, master_seed, threads):
-    configs = [(int(r), EcaConfig(rule=r, n=n, transient=transient, window=window)) for r in rules]
-    return _sweep(experiment, "rule", configs, run_eca_many, instances, scales, master_seed,
-                  threads)
+    return _sweep(experiment, "rule", rules,
+                  lambda rule: EcaConfig(rule=rule, n=n, transient=transient, window=window),
+                  run_eca_many, instances, scales, master_seed, threads)
 
 
 def eca_class_survey(

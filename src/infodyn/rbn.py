@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import MeasureSet, series_matrix_measures
-from .trajectory import Trajectory, _bit_text, _check_run, _first_nonbit, _record_runs
+from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_run, _first_nonbit
+from .trajectory import _record_runs
 
 __all__ = [
     "RbnConfig",
@@ -77,7 +78,7 @@ class RbnConfig:
                 f"k={self.k} needs n * 2^ceil(k) = {_table_bytes(self.n, self.k):,} bytes"
                 f" of lookup tables per network, over the {_TABLE_BUDGET:,}-byte limit"
             )
-        _check_run(self.transient, self.window, self.seed)
+        _check_run(self.transient, self.window, self.seed, self.n)
 
 
 @dataclass
@@ -228,9 +229,9 @@ def run_rbn(config: RbnConfig) -> Trajectory:
 def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one independent network per seed; ``config.seed`` is ignored.
 
-    Networks are stacked as many at a time as fit the table budget and
-    stepped as one block-diagonal system; a network's trajectory does not
-    depend on the stack it shares.
+    Networks are stacked as many at a time as fit the table and record
+    budgets and stepped as one block-diagonal system; a network's
+    trajectory does not depend on the stack it shares.
     """
 
     def start(chunk):
@@ -242,8 +243,9 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 
         return np.concatenate([net.state for net in nets]), _lookup(nets), unstack
 
-    # RbnConfig has checked that one network fits the budget
-    batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k))
+    # RbnConfig has checked that one network fits both budgets
+    batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k),
+                _RECORD_BUDGET // (config.n * config.window))
     return _record_runs(seeds, batch, start, config.transient, config.window)
 
 

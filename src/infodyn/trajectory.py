@@ -11,6 +11,7 @@ binary-array check and the one bits-to-text encoder live here too.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,14 +75,30 @@ class Trajectory:
         return self.window
 
 
-def _check_run(transient: int, window: int, seed: int) -> None:
-    """The one validator of the run parameters every simulator config has."""
+# bytes one stack may record (its window x state block); a run whose block
+# alone is larger is refused.  Measuring one RBN run peaks at about 6.7 times
+# its block in RSS, so about 1.8 GB at this limit (7 GB at 2^30).
+_RECORD_BUDGET = 1 << 28
+
+
+def _check_seed(seed: int) -> int:
+    """The one seed validator, in the seed's own type: 2.5 is refused, not truncated."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return int(seed)
+
+
+def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
+    """The one validator of the run parameters every simulator config has;
+    ``step_bytes`` is what one stack records per step."""
     if transient < 0:
         raise ValueError("transient must be >= 0")
     if window < 2:
         raise ValueError("window must be >= 2")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    _check_seed(seed)
+    if step_bytes * window > _RECORD_BUDGET:
+        raise ValueError(f"recording {window:,} steps of {step_bytes:,} bytes needs"
+                         f" {step_bytes * window:,} bytes, over the {_RECORD_BUDGET:,}-byte limit")
 
 
 def _record_runs(
@@ -93,9 +110,9 @@ def _record_runs(
     instances, its update, and ``unstack``, which maps the recorded
     ``window x state`` block to each instance's contiguous ``n x window``
     series in chunk order; the stack runs ``transient`` steps, then
-    ``window`` states are recorded.
+    ``window`` states are recorded.  Every seed is checked before any runs.
     """
-    seeds = list(seeds)
+    seeds = [_check_seed(seed) for seed in seeds]
     trajectories: list[Trajectory] = []
     for first in range(0, len(seeds), batch):
         chunk = seeds[first : first + batch]

@@ -126,6 +126,23 @@ def test_only_measures_uses_the_symbol_format():
     assert used == set()
 
 
+def test_only_trajectory_spells_the_seed_bound():
+    # one seed validator: no other module writes its own 2**64 (or 1 << 64) check
+    def is_bound(node):
+        return (isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Pow, ast.LShift))
+                and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+                and (node.left.value, node.right.value) in ((2, 64), (1, 64)))
+
+    spelled = {
+        path.name
+        for path in (ROOT / "src" / "infodyn").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if is_bound(node)
+    }
+    assert spelled == {"trajectory.py"}
+
+
 def test_package_reexports_at_most_40_names():
     # one name per job: the top-level surface may not grow back unnoticed
     tree = ast.parse((ROOT / "src" / "infodyn" / "__init__.py").read_text())

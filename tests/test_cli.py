@@ -1,9 +1,13 @@
+import importlib.util
+import inspect
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,25 @@ from infodyn.experiments import DEFAULT_K_GRID
 from infodyn.measures import SymbolSequence, rescale, simplified_measures
 
 REF_BITS = "00001000101000011100100011001000"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def exit_code(argv):
+    """``main``'s exit code, also when argparse exits on a bad flag value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def stub_sweep(monkeypatch, what):
+    """Replace the library sweep behind ``sweep <what>``; returns the keyword
+    arguments of each call, and the real sweep."""
+    calls = []
+    sweep, experiment, desk = cli.SWEEPS[what]
+    monkeypatch.setitem(cli.SWEEPS, what, (lambda **kw: calls.append(kw) or [], experiment, desk))
+    monkeypatch.delenv("INFODYN_THREADS", raising=False)
+    return calls, sweep
 
 
 def run_cli(args, cli_env, input_bytes=None):
@@ -539,6 +562,50 @@ class TestSweepCommand:
         assert f"error: {flag} applies only to {sweeps}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("what", ["rbn", "eca", "profile"])
+    def test_the_paper_preset_passes_no_size(self, tmp_path, monkeypatch, what):
+        calls, _ = stub_sweep(monkeypatch, what)
+        argv = ["sweep", what, "--preset", "paper", "--seed", "3", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == [{"master_seed": 3, "threads": 1}]
+
+    @pytest.mark.parametrize("workload", ["rbn_desk", "eca_desk"])
+    def test_the_desk_preset_is_the_benchmark_size(self, tmp_path, monkeypatch, workload):
+        # the benchmark spells its sweep sizes out as flags and says they are
+        # the desk preset's: resolve the preset against the library defaults
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        job = workloads.WORKLOADS[workload].job
+        calls, sweep = stub_sweep(monkeypatch, job.what)
+        assert main(["sweep", job.what, "--preset", "desk", "--output-dir", str(tmp_path)]) == 0
+        defaults = {name: p.default for name, p in inspect.signature(sweep).parameters.items()}
+        sizes = {**defaults, **calls[0]}
+        grid = sizes["k_grid" if job.what == "rbn" else "rules"]
+        assert (sizes["n"], sizes["instances"], sizes["transient"], sizes["window"]) == (
+            job.n, job.instances, job.transient, job.window)
+        assert (tuple(sizes["scales"]), tuple(grid)) == (job.scales, job.grid)
+        assert cli.SWEEPS[job.what][1] == job.experiment
+
+    def test_h_baseline_reaches_the_profile_only_when_given(self, tmp_path, monkeypatch):
+        calls, _ = stub_sweep(monkeypatch, "profile")
+        for extra in ([], ["--h-baseline", "inv2b"]):
+            assert main(["sweep", "profile", "--output-dir", str(tmp_path), *extra]) == 0
+        assert [call.get("baseline_form") for call in calls] == [None, "inv2b"]
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "eca", "--rules", "0", "--instances", "1000000000000000"],
+        ["sweep", "rbn", "--k-grid", "0:1e15:1"],
+    ])
+    def test_an_oversized_sweep_exits_2_before_its_grid_or_seeds(self, tmp_path, capsys, command):
+        out = tmp_path / "none"
+        assert main([*command, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: [\d,]+ instance rows \(.+\), over the [\d,]+-row limit", err)
+        assert not out.exists()
+
     def test_scale_out_of_range_exits_2(self, tmp_path, cli_env):
         out = tmp_path / "none"
         proc = run_cli(["sweep", "eca", "--rules", "0", "--scales", "1,63",
@@ -571,6 +638,36 @@ class TestSweepCommand:
             cli_env,
         )
         assert proc.returncode == 2
+
+
+class TestSeedsAndRunSizes:
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "error: seed must be a 64-bit unsigned integer"),
+        ("18446744073709551616", "error: seed must be a 64-bit unsigned integer"),
+        ("2.5", "argument --seed: invalid int value: '2.5'"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["rbn", "--n", "8", "--transient", "0", "--window", "4", "--scales", "1", "--output"],
+        ["eca", "--rule", "30", "--n", "8", "--transient", "0", "--window", "4", "--scales", "1",
+         "--output"],
+        ["sweep", "eca", "--rules", "30", "--n", "8", "--instances", "1", "--transient", "0",
+         "--window", "4", "--scales", "1", "--output-dir"],
+    ], ids=["rbn", "eca", "sweep"])
+    def test_a_seed_outside_64_bits_exits_2(self, tmp_path, capsys, command, seed, message):
+        out = tmp_path / "none"
+        assert exit_code([*command, str(out), "--seed", seed]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["rbn", "--window", "1000000000000000"],
+        ["eca", "--rule", "30", "--n", "1000000000000"],
+        ["eca", "--rule", "30", "--window", "3000000000", "--transient", "0"],
+    ])
+    def test_an_oversized_run_exits_2_with_its_estimate(self, capsys, command):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: recording .+ needs [\d,]+ bytes, over the [\d,]+-byte limit", err)
 
 
 class TestMainEntry:

@@ -177,6 +177,14 @@ class TestRun:
             EcaConfig(rule=300)
         assert EcaConfig(rule=np.uint8(30)).rule == 30
 
+    def test_record_budget_rejected_with_estimate(self):
+        # a stack records one 64-bit word per cell per step, whatever its instances
+        with pytest.raises(ValueError, match=r"needs 8,192,000,000,000,000 bytes, over the"):
+            EcaConfig(rule=30, n=10**12)
+        with pytest.raises(ValueError, match=r"3,000,000,000 steps of 2,048 bytes"):
+            EcaConfig(rule=30, transient=0, window=3 * 10**9)
+        EcaConfig(rule=30, window=(1 << 28) // 2048)  # 256 cells fit the 256 MiB limit
+
 
 class TestSeries:
     def test_vertical_series_length(self):

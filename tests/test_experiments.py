@@ -139,6 +139,42 @@ class TestRbnSweep:
         with pytest.raises(ValueError, match="scale must be in 1..62"):
             sweep(n=10, instances=1, transient=1, window=4, scales=(1, 0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5])
+    @pytest.mark.parametrize("sweep", [rbn_sweep, eca_class_survey, multiscale_profiles])
+    def test_a_bad_master_seed_is_refused_before_any_cell_runs(self, monkeypatch, sweep, seed):
+        def never(config, seeds):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_rbn_many", never)
+        monkeypatch.setattr(experiments, "run_eca_many", never)
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            sweep(n=10, instances=1, transient=1, window=4, scales=(1,), master_seed=seed)
+
+    def test_a_sweep_over_the_row_limit_is_refused_before_its_grid_is_built(self, monkeypatch):
+        def never(config, seeds):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_rbn_many", never)
+        monkeypatch.setattr(experiments, "run_eca_many", never)
+        # a range grid of 10^15 K values is never turned into configs
+        with pytest.raises(ValueError, match=r"^4,000,000,000,000,000 instance rows .*-row limit"):
+            rbn_sweep(k_grid=range(10**15), instances=1)
+        with pytest.raises(ValueError, match=r"\(1 cells x 4 scales x 1,000,000,000,000,000 inst"):
+            eca_class_survey(rules=[0], instances=10**15)
+
+    def test_the_paper_rbn_sweep_fits_the_row_limit(self, monkeypatch):
+        class CellRan(Exception):
+            pass
+
+        def first_cell(config, seeds):
+            assert (config.n, config.window, len(seeds)) == (100, 1000, 1000)
+            raise CellRan
+
+        monkeypatch.setattr(experiments, "run_rbn_many", first_cell)
+        assert 21 * 4 * 1000 <= experiments._ROW_LIMIT
+        with pytest.raises(CellRan):
+            rbn_sweep()  # the library defaults are the paper's sizes
+
     def test_cells_measure_the_recorded_series(self, monkeypatch):
         seen = []
         measure = experiments.series_matrix_measures

@@ -161,6 +161,12 @@ class TestGeneration:
             RbnConfig(n=100, k=34.5)
         RbnConfig(n=100, k=21)  # 210 MB fits the 256 MiB limit
 
+    def test_record_budget_rejected_with_estimate(self):
+        # n * window bytes recorded per network: refused before anything runs
+        with pytest.raises(ValueError, match=r"needs 100,000,000,000,000,000 bytes, over the"):
+            RbnConfig(n=100, k=2, window=10**15)
+        RbnConfig(n=100, k=2, window=(1 << 28) // 100)  # one network fits the 256 MiB limit
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RbnConfig(n=0, k=1)
@@ -320,6 +326,25 @@ class TestRun:
         for seed, traj in zip(seeds, batched):
             assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
+
+    @pytest.mark.parametrize("window, stacks", [(512, [128, 2]), (1000, [128, 2])])
+    def test_desk_and_paper_networks_stack_128(self, monkeypatch, window, stacks):
+        lookup, seen = rbn._lookup, []
+        monkeypatch.setattr(rbn, "_lookup", lambda nets: seen.append(len(nets)) or lookup(nets))
+        run_rbn_many(RbnConfig(n=100, k=2.6, transient=0, window=window), range(130))
+        assert seen == stacks
+
+    def test_stacks_fit_the_record_budget(self, monkeypatch):
+        # 30 nodes * 40 steps = 1,200 bytes recorded per network: two fit in 2,500
+        monkeypatch.setattr(rbn, "_RECORD_BUDGET", 2500)
+        lookup, stacks = rbn._lookup, []
+        monkeypatch.setattr(rbn, "_lookup", lambda nets: stacks.append(len(nets)) or lookup(nets))
+        config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
+        seeds = [101, 202, 303, 404, 505]
+        batched = run_rbn_many(config, seeds)
+        assert stacks == [2, 2, 1]
+        for seed, traj in zip(seeds, batched):
+            assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
     def test_padded_lookup_over_budget_is_refused(self):
         # one degree-20 node pads all 5,000 nodes to 2^20 entries (5.2 GB)

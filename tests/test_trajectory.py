@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from infodyn.measures import (
     shannon_information,
     simplified_measures,
 )
+from infodyn.eca import EcaConfig, run_eca_many
+from infodyn.rbn import RbnConfig, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
     trajectory_csv,
@@ -228,6 +232,20 @@ def test_scale_out_of_range():
     for scale in (0, 63):
         with pytest.raises(ValueError, match="scale must be in 1..62"):
             series_matrix_measures(series, [scale])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5])
+@pytest.mark.parametrize("config, run_many", [
+    (RbnConfig(n=8, k=2, transient=1, window=4), run_rbn_many),
+    (EcaConfig(rule=30, n=8, transient=1, window=4), run_eca_many),
+])
+def test_every_seed_of_a_run_is_checked(config, run_many, seed):
+    # in its own type: 2.5 is refused, not truncated to 2
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        run_many(config, [0, seed])
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        replace(config, seed=seed)
+    assert len(run_many(config, [0, 2**64 - 1])) == 2
 
 
 def test_csv_layout():

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .eca import ORIENTATIONS, EcaConfig, oriented_series, rule_table, run_eca
+from .eca import INITS, ORIENTATIONS, EcaConfig, oriented_series, rule_table, run_eca
 from .experiments import (
     MEASURE_FIELDS,
     ProfileResult,
@@ -90,21 +90,39 @@ def _chunks(fh):
         yield chunk
 
 
+# the characters that end a CSV token: a comma and whatever str.isspace() accepts
+_ASCII_SEPARATORS = np.array([c == "," or c.isspace() for c in map(chr, range(128))])
+
+
 def _csv_blocks(fh):
-    """The bits of a CSV text, chunk by chunk.  Each chunk's last token may
-    go on in the next one, so it is carried over; a final separator flushes
-    it.  A non-integer token is an error at once, a non-bit integer only
-    after the last chunk, since a later non-integer token takes precedence."""
+    """The bits of a CSV text, chunk by chunk.  Each chunk's last token may go
+    on in the next one, so it is carried over; a final separator flushes it.
+    Tokens other than ``0`` and ``1`` go through ``int()``: a non-integer is an
+    error at once, a non-bit only after the last chunk, as a later non-integer
+    outranks it."""
     tail, nonbit = "", False
     for chunk in itertools.chain(_chunks(fh), [","]):
-        *tokens, tail = re.split(r"[,\s]+", tail + chunk)
+        text = tail + chunk
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        sep = _ASCII_SEPARATORS[np.minimum(codes, 127)]
+        wide = np.flatnonzero(codes > 127)
+        sep[wide] = [text[i].isspace() for i in wide.tolist()]
+        # a token starts and ends where the separator mask changes
+        starts, ends = np.flatnonzero(np.diff(sep, prepend=True, append=True)).reshape(-1, 2).T
+        tail = ""
+        if ends.size and ends[-1] == len(text):
+            tail, starts, ends = text[starts[-1]:], starts[:-1], ends[:-1]
+        first = codes[starts]
+        slow = np.flatnonzero((ends - starts != 1) | ((first != ord("0")) & (first != ord("1"))))
         try:
-            values = [int(t) for t in tokens if t]
+            values = [int(text[a:b]) for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
         except ValueError as exc:
             raise CliInputError("symbol CSV must contain integers") from exc
         nonbit = nonbit or any(v not in (0, 1) for v in values)
         if not nonbit:
-            yield np.array(values, dtype=np.uint8)
+            bits = (first == ord("1")).astype(np.uint8)
+            bits[slow] = values
+            yield bits
     if nonbit:
         raise CliInputError("symbol CSV must contain only bits (0 or 1)")
 
@@ -163,48 +181,44 @@ def cmd_measure(args) -> int:
         source = open(args.input, "rb" if binary else "r")
     with source as fh:
         measured = streamed_measures(_bit_blocks(fh, args.input_format), scales)
-    rows = _measure_rows(scales, measured, ("I_b", "E", "S", "C"), "sequence")
-    _emit_report(rows, args)
+    _emit_report(_measure_rows(scales, measured, ("I_b", "E", "S", "C"), "sequence"), args)
+    return 0
+
+
+def _config(cls, args):
+    """A run config from the flags that were given; the config defaults the rest."""
+    fields = (f.name for f in dataclasses.fields(cls))
+    return cls(**{name: getattr(args, name) for name in fields if getattr(args, name) is not None})
+
+
+def _report_run(args, scales, traj, series, unit: str) -> int:
+    """The tail of a single run: dump its trajectory, then measure ``series``."""
+    if args.dump_trajectory:
+        write_text(args.dump_trajectory, trajectory_csv(traj))
+    measured = series_matrix_measures(series, scales, average_h=args.average_h)
+    _emit_report(_measure_rows(scales, measured, ("E", "S", "C", "H"), unit), args)
     return 0
 
 
 def cmd_rbn(args) -> int:
     scales = _parse_ints(args.scales, "scales", check_scale)
-    config = RbnConfig(
-        n=args.n, k=args.k, transient=args.transient, window=args.window, seed=args.seed
-    )
+    config = _config(RbnConfig, args)
     traj = run_rbn(config)
     if args.dump_network:
         # regenerate from the same seed: identical to the simulated network
         net = generate_rbn(config, np.random.default_rng(config.seed))
         write_text(args.dump_network, serialize_network(net))
-    if args.dump_trajectory:
-        write_text(args.dump_trajectory, trajectory_csv(traj))
-    measured = series_matrix_measures(traj.series, scales, average_h=args.average_h)
-    _emit_report(_measure_rows(scales, measured, ("E", "S", "C", "H"), "window"), args)
-    return 0
+    return _report_run(args, scales, traj, traj.series, "window")
 
 
 def cmd_eca(args) -> int:
     scales = _parse_ints(args.scales, "scales", check_scale)
-    config = EcaConfig(
-        rule=args.rule,
-        n=args.n,
-        init=args.init,
-        transient=args.transient,
-        window=args.window,
-        seed=args.seed,
-    )
+    config = _config(EcaConfig, args)
     traj = run_eca(config)
     if args.dump_bitmap:
         write_text(args.dump_bitmap, trajectory_pbm(traj))
-    if args.dump_trajectory:
-        write_text(args.dump_trajectory, trajectory_csv(traj))
-    series = oriented_series(traj, args.orientation)
-    measured = series_matrix_measures(series, scales, average_h=args.average_h)
     unit = f"{config.n}-cell row" if args.orientation == "horizontal" else "window"
-    _emit_report(_measure_rows(scales, measured, ("E", "S", "C", "H"), unit), args)
-    return 0
+    return _report_run(args, scales, traj, oriented_series(traj, args.orientation), unit)
 
 
 # sweep -> (library sweep, experiment name, desk sizes): the paper preset is
@@ -219,10 +233,9 @@ SWEEPS = {
 def cmd_sweep(args) -> int:
     sweep, experiment, desk = SWEEPS[args.what]
     params = dict(desk) if args.preset == "desk" else {}
-    for name in ("n", "instances", "transient", "window"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    given = dict(n=args.n, instances=args.instances, transient=args.transient,
+                 window=args.window, master_seed=args.seed)
+    params.update((name, value) for name, value in given.items() if value is not None)
     if args.scales is not None:
         params["scales"] = _parse_ints(args.scales, "scales", check_scale)
     if args.rules is not None:
@@ -238,7 +251,7 @@ def cmd_sweep(args) -> int:
             raise CliInputError("--h-baseline applies only to sweep profile")
         params["baseline_form"] = args.h_baseline
 
-    results = sweep(master_seed=args.seed, threads=_resolve_threads(args.threads), **params)
+    results = sweep(threads=_resolve_threads(args.threads), **params)
     baseline = None
     if isinstance(results, ProfileResult):
         results, baseline = results.sweeps, results.h_baseline
@@ -258,13 +271,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # a size or seed flag that is not given keeps the library's default
     run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--seed", type=int, default=0,
-                           help="RNG seed (master seed for sweeps)")
-    run_flags.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: $INFODYN_THREADS or 1); "
-                                "never change results, and do not shorten a sweep yet, "
-                                "since its cells hold the interpreter lock between numpy calls")
+    run_flags.add_argument("--seed", type=int, help="RNG seed (a sweep's master seed); default 0")
+    run_flags.add_argument("--n", type=int, help="node or cell count")
+    run_flags.add_argument("--transient", type=int, help="steps discarded before recording")
+    run_flags.add_argument("--window", type=int, help="recorded steps")
+
+    thread_flags = argparse.ArgumentParser(add_help=False)
+    thread_flags.add_argument("--threads", type=int,
+                              help="sweep worker threads (default: $INFODYN_THREADS or 1); "
+                                   "never change results, and do not shorten a sweep yet")
 
     report_flags = argparse.ArgumentParser(add_help=False)
     report_flags.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -273,59 +290,48 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="write the report to a file instead of stdout")
     report_flags.add_argument("--scales", default="1,2,4,8", help="comma list of scales")
 
-    p = sub.add_parser("measure", parents=[run_flags, report_flags],
+    single_flags = argparse.ArgumentParser(add_help=False)
+    single_flags.add_argument("--average-h", action="store_true",
+                              help="average H over all successive macro-state pairs "
+                                   "(noise-reduced alternative to the final-pair definition)")
+    single_flags.add_argument("--dump-trajectory", metavar="PATH",
+                              help="write the trajectory as CSV")
+
+    p = sub.add_parser("measure", parents=[thread_flags, report_flags],
                        help="multiscale information report of a bit sequence")
     p.add_argument("input", nargs="?", default="-",
                    help="input file, or '-' for stdin (default)")
-    p.add_argument("--input-format", choices=("ascii01", "raw", "csv"),
-                   default="ascii01",
+    p.add_argument("--input-format", choices=("ascii01", "raw", "csv"), default="ascii01",
                    help="ascii01: '0'/'1' text; raw: bytes, MSB first; "
                         "csv: comma/whitespace separated bits")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("rbn", parents=[run_flags, report_flags],
+    p = sub.add_parser("rbn", parents=[run_flags, report_flags, single_flags],
                        help="run one random Boolean network and measure it")
-    p.add_argument("--n", type=int, default=100, help="node count")
-    p.add_argument("--k", type=float, default=2.0, help="mean in-degree (may be fractional)")
-    p.add_argument("--transient", type=int, default=1000, help="steps discarded before recording")
-    p.add_argument("--window", type=int, default=1000, help="recorded steps")
-    p.add_argument("--average-h", action="store_true",
-                   help="average H over all successive macro-state pairs "
-                        "(noise-reduced alternative to the final-pair definition)")
+    p.add_argument("--k", type=float, help="mean in-degree (may be fractional)")
     p.add_argument("--dump-network", metavar="PATH", help="write the generated network")
-    p.add_argument("--dump-trajectory", metavar="PATH", help="write the trajectory as CSV")
     p.set_defaults(func=cmd_rbn)
 
-    p = sub.add_parser("eca", parents=[run_flags, report_flags],
+    p = sub.add_parser("eca", parents=[run_flags, report_flags, single_flags],
                        help="run one elementary cellular automaton and measure it")
     p.add_argument("--rule", type=int, required=True, help="rule number 0..255")
-    p.add_argument("--n", type=int, default=256, help="cell count")
-    p.add_argument("--init", choices=("random", "single_cell"), default="random")
-    p.add_argument("--transient", type=int, default=1024)
-    p.add_argument("--window", type=int, default=1024)
+    p.add_argument("--init", choices=INITS)
     p.add_argument("--orientation", choices=ORIENTATIONS,
                    default="vertical", help="series read-out direction")
-    p.add_argument("--average-h", action="store_true",
-                   help="average H over all successive macro-state pairs")
     p.add_argument("--dump-bitmap", metavar="PATH", help="write the trajectory as a PBM bitmap")
-    p.add_argument("--dump-trajectory", metavar="PATH", help="write the trajectory as CSV")
     p.set_defaults(func=cmd_eca)
 
-    p = sub.add_parser("sweep", parents=[run_flags],
+    p = sub.add_parser("sweep", parents=[run_flags, thread_flags],
                        help="batch experiments writing CSV/JSON result files")
-    p.add_argument("what", choices=("rbn", "eca", "profile"))
+    p.add_argument("what", choices=tuple(SWEEPS))
     p.add_argument("--preset", choices=("paper", "desk"), default="desk",
                    help="paper: full-scale runs; desk: reduced scale (default)")
     p.add_argument("--output-dir", default="infodyn_results", metavar="DIR")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--transient", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--scales", default=None, help="comma list of scales")
-    p.add_argument("--rules", default=None, help="comma list of rules (eca/profile)")
-    p.add_argument("--k-grid", default=None,
-                   help="K values: 'a,b,c' or 'start:stop:step' (rbn)")
-    p.add_argument("--h-baseline", choices=("exact", "inv2b"), default=None,
+    p.add_argument("--instances", type=int)
+    p.add_argument("--scales", help="comma list of scales")
+    p.add_argument("--rules", help="comma list of rules (eca/profile)")
+    p.add_argument("--k-grid", help="K values: 'a,b,c' or 'start:stop:step' (rbn)")
+    p.add_argument("--h-baseline", choices=("exact", "inv2b"),
                    help="uncorrelated-H reference (profile): 2^-b (exact, the default) "
                         "or 1/(2b) (inv2b)")
     p.add_argument("--plot-script", action="store_true",

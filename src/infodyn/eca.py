@@ -8,12 +8,13 @@ down-left diagonals (tracking patterns that drift one cell per step).
 
 :func:`eca_step` is the plain per-cell table lookup.  :func:`run_eca_many`
 steps up to 64 instances at once by multi-spin coding (Jacobs & Rebbi,
-*J. Comput. Phys.* 41, 1981): cell ``i`` of the whole stack is one 64-bit
-word whose bit ``j`` is instance ``j``, and a step is the OR of the rule's
-set minterms over the left, center and right words and their complements.
-Only bitwise operations touch a word, so instances never mix.  Unstacking
-copies each byte column of 8 instances transposed, so a trajectory's
-``series`` holds the cells' series, which the vertical read-out uses as is.
+*J. Comput. Phys.* 41, 1981): cell ``i`` of the whole stack is one word of
+the narrowest 8-, 16-, 32- or 64-bit dtype that holds the stack, bit ``j``
+being instance ``j``, and a step is the OR of the rule's set minterms over
+the left, center and right words and their complements.  Only bitwise
+operations touch a word, so instances never mix.  Unstacking copies each
+byte of the words, 8 instances, transposed, so a trajectory's ``series``
+holds the cells' series, which the vertical read-out uses as is.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .measures import MeasureSet, series_matrix_measures
 from .rbn import BooleanNetwork
-from .trajectory import Trajectory, _check_run, _first_nonbit, _record_runs
+from .trajectory import _RECORD_BUDGET, Trajectory, _check_run, _first_nonbit, _record_runs
 
 __all__ = [
     "EcaConfig",
@@ -43,7 +44,6 @@ ORIENTATIONS = ("vertical", "horizontal", "diagonal")
 INITS = ("random", "single_cell")
 
 _BATCH = 64  # instances stepped together, one bit of a word each; never a result
-_WORD = np.dtype("<u8")  # bit j of a little-endian word is in byte j // 8
 
 
 def rule_table(number: int) -> np.ndarray:
@@ -75,8 +75,8 @@ class EcaConfig:
             raise ValueError("n must be >= 3")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
-        # a stack records one word per cell per step, whatever its instances
-        _check_run(self.transient, self.window, self.seed, _WORD.itemsize * self.n)
+        # a stack of up to 8 instances records one byte per cell per step
+        _check_run(self.transient, self.window, self.seed, self.n)
 
 
 def eca_step(state: np.ndarray | Sequence[int], table: np.ndarray) -> np.ndarray:
@@ -99,23 +99,25 @@ def run_eca(config: EcaConfig) -> Trajectory:
 
 
 def _pack(states: np.ndarray) -> np.ndarray:
-    """Bit-slice an (instances x n) stack of at most 64 rows into n words."""
-    planes = np.zeros((states.shape[1], _WORD.itemsize), dtype=np.uint8)
-    packed = np.packbits(states, axis=0, bitorder="little")
-    planes[:, : packed.shape[0]] = packed.T
-    return planes.view(_WORD).ravel()
+    """Bit-slice an (instances x n) stack of at most 64 rows into n words of
+    the narrowest unsigned dtype that holds one bit per row."""
+    dtype = np.dtype(f"u{1 << ((len(states) - 1) >> 3).bit_length()}")
+    shifts = np.arange(len(states), dtype=dtype)[:, None]
+    return np.bitwise_or.reduce(states.astype(dtype) << shifts, axis=0)
 
 
-def _sliced_step(rule: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The update of n bit-sliced words: the OR of the rule's set minterms."""
+def _sliced_step(rule: int, words: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The update of bit-sliced words of the size and dtype of ``words``: the
+    OR of the rule's set minterms."""
     minterms = [k for k in range(8) if rule >> k & 1]
-    ring = np.empty(n + 2, dtype=_WORD)  # word n-1, the n words, word 0
+    n, dtype = words.size, words.dtype
+    ring = np.empty(n + 2, dtype=dtype)  # word n-1, the n words, word 0
 
     def step(words: np.ndarray) -> np.ndarray:
         ring[1:-1] = words
         ring[0], ring[-1] = words[-1], words[0]
         inverse = ~ring
-        out = np.zeros(n, dtype=_WORD)
+        out = np.zeros(n, dtype=dtype)
         for k in minterms:
             term = (ring if k & 4 else inverse)[:-2] & (ring if k & 2 else inverse)[1:-1]
             term &= (ring if k & 1 else inverse)[2:]
@@ -128,9 +130,8 @@ def _sliced_step(rule: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
 def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one instance per seed (``config.seed`` is ignored), stepping up to
     64 rows at once as bit-sliced words; rows evolve independently, so a
-    result does not depend on the batch it shares."""
-    step = _sliced_step(config.rule, config.n)
-
+    result does not depend on the batch it shares.  A stack holds as many
+    rows as the widest word whose recorded block fits the record budget."""
     def start(chunk):
         if config.init == "random":
             states = np.array([
@@ -141,15 +142,20 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
             states[:, config.n // 2] = 1  # single cell, centered
 
         def unstack(recorded):
-            planes = recorded.view(np.uint8).reshape(config.window, config.n, _WORD.itemsize)
+            low = np.empty(recorded.shape, dtype=np.uint8)  # the low byte of each word
             for j in range(len(chunk)):
-                if j % 8 == 0:  # one byte column per 8 instances, as n x window
-                    byte = np.ascontiguousarray(planes[:, :, j >> 3].T)
+                if j % 8 == 0:  # the words' next byte, 8 instances, as n x window
+                    np.right_shift(recorded, j, out=low, casting="unsafe")
+                    byte = np.ascontiguousarray(low.T)
                 yield (byte >> (j & 7)) & 1
 
-        return _pack(states), step, unstack
+        words = _pack(states)
+        return words, _sliced_step(config.rule, words), unstack
 
-    return _record_runs(seeds, _BATCH, start, config.transient, config.window)
+    # the widest word (in bytes) whose block fits, so no stack's rounded-up word
+    # outgrows the budget; EcaConfig has checked that one byte fits
+    width = max(w for w in (1, 2, 4, 8) if w * config.n * config.window <= _RECORD_BUDGET)
+    return _record_runs(seeds, min(_BATCH, 8 * width), start, config.transient, config.window)
 
 
 def oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,8 +61,8 @@ class RbnConfig:
     discarded before ``window`` states are recorded.
     """
 
-    n: int
-    k: float
+    n: int = 100
+    k: float = 2.0
     transient: int = 1000
     window: int = 1000
     seed: int = 0
@@ -81,13 +82,14 @@ class RbnConfig:
         _check_run(self.transient, self.window, self.seed, self.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BooleanNetwork:
-    """Topology, lookup tables, and current state of one network.
+    """Topology, lookup tables, and initial state of one network.
 
     ``degrees[i]`` is node ``i``'s in-degree.  ``inputs`` holds every node's
     input indices and ``tables`` every node's ``2^degrees[i]``-entry table,
-    each concatenated in node order.
+    each concatenated in node order.  Each array is stored as a read-only
+    copy, so the update built from them once can never go stale.
     """
 
     degrees: np.ndarray
@@ -131,12 +133,19 @@ class BooleanNetwork:
         state = np.asarray(self.state).ravel()
         if state.size != n or _first_nonbit(state) is not None:
             raise ValueError("state must be an n-bit vector")
-        self.degrees, self.inputs, self.state = degrees, inputs, state.astype(np.uint8)
-        self.tables = tables.astype(np.uint8, copy=False)
+        for name, values, dtype in (("degrees", degrees, np.int64), ("inputs", inputs, np.int64),
+                                    ("tables", tables, np.uint8), ("state", state, np.uint8)):
+            values = np.array(values, dtype=dtype)  # a copy: no caller holds it
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
         return int(self.degrees.size)
+
+    @cached_property
+    def _step(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _lookup([self])
 
 
 def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
@@ -215,7 +224,7 @@ def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray
         raise ValueError("state length must equal n")
     if _first_nonbit(cur) is not None:
         raise ValueError("state must be binary")
-    return _lookup([net])(cur.astype(np.uint8))
+    return net._step(cur.astype(np.uint8, copy=False))
 
 
 def run_rbn(config: RbnConfig) -> Trajectory:

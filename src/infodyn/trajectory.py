@@ -4,7 +4,7 @@ A :class:`Trajectory` is stored series-major: row ``i`` of ``series`` is the
 time series of node/cell ``i``, the layout every measure reads, and
 ``states`` is its time-major view.  A simulator may step and record a stack
 of instances in its own layout (RBN networks side by side, ECA instances
-bit-sliced into 64-bit words); the record loop hands the recorded block back
+bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
 to the simulator, which unstacks it into each instance's series.  The one
 binary-array check and the one bits-to-text encoder live here too.
 """

@@ -6,6 +6,7 @@ Imports are read with ``ast`` so the demos (which take seconds to run) are
 never executed here.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import infodyn
+from infodyn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("measures", "trajectory", "rbn", "eca", "experiments", "plots", "cli")
@@ -153,3 +155,35 @@ def test_package_reexports_at_most_40_names():
         for alias in node.names
     ]
     assert len(reexported) <= 40
+
+
+def test_each_shared_flag_is_declared_once():
+    # a flag several commands read lives in one parent parser, not in each command
+    shared = ("--seed", "--n", "--transient", "--window", "--average-h", "--dump-trajectory",
+              "--threads")
+    declared = [
+        node.args[0].value
+        for node in ast.walk(ast.parse((ROOT / "src" / "infodyn" / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument" and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+    assert {flag: declared.count(flag) for flag in shared} == dict.fromkeys(shared, 1)
+
+
+def test_single_run_sizes_and_seed_default_to_the_config():
+    # the CLI spells no default of its own: an absent flag keeps the config's
+    (commands,) = [action.choices for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {"--n", "--k", "--transient", "--window", "--seed", "--init"}
+    defaults = {
+        (command, flag): action.default
+        for command in ("rbn", "eca")
+        for action in commands[command]._actions
+        for flag in action.option_strings
+        if flag in flags
+    }
+    assert defaults == dict.fromkeys(
+        [("rbn", f) for f in ("--n", "--k", "--transient", "--window", "--seed")]
+        + [("eca", f) for f in ("--n", "--transient", "--window", "--seed", "--init")]
+    )

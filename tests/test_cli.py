@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -14,9 +15,11 @@ import pytest
 
 from infodyn import cli
 from infodyn.cli import main
-from infodyn.eca import eca_step, rule_table
+from infodyn.eca import EcaConfig, eca_step, rule_table
 from infodyn.experiments import DEFAULT_K_GRID
 from infodyn.measures import SymbolSequence, rescale, simplified_measures
+from infodyn.rbn import RbnConfig
+from infodyn.trajectory import Trajectory
 
 REF_BITS = "00001000101000011100100011001000"
 ROOT = Path(__file__).resolve().parents[1]
@@ -370,6 +373,25 @@ class TestStreamedInput:
         assert (code, rows) == (2, None)
         assert "symbol CSV must contain only bits (0 or 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 17])
+    @pytest.mark.parametrize("token, expected", [
+        ("01", [1, 1, 0]), ("+1", [1, 1, 0]), ("-0", [1, 0, 0]),
+        ("1_0", "symbol CSV must contain only bits (0 or 1)"),
+        ("2", "symbol CSV must contain only bits (0 or 1)"),
+        ("x", "symbol CSV must contain integers"),
+    ])
+    def test_a_csv_token_other_than_0_or_1_reads_as_int_reads_it(
+        self, monkeypatch, token, expected, block
+    ):
+        # blocks of 1 to 3 characters split the token and its neighbours
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        try:
+            bits = cli._bit_blocks(io.StringIO(f"1, {token}\n0"), "csv")
+            result = np.concatenate(list(bits)).tolist()
+        except cli.CliInputError as exc:
+            result = str(exc)
+        assert result == expected
+
     def test_a_late_non_integer_csv_token_takes_precedence(self, tmp_path, monkeypatch, capsys):
         # as over the whole text: a non-integer anywhere outranks a non-bit
         monkeypatch.setattr(cli, "_BLOCK", 2)
@@ -668,6 +690,42 @@ class TestSeedsAndRunSizes:
         assert main(command) == 2
         err = capsys.readouterr().err
         assert re.search(r"error: recording .+ needs [\d,]+ bytes, over the [\d,]+-byte limit", err)
+
+
+class TestSingleRunFlags:
+    @pytest.mark.parametrize("argv, runner, config", [
+        (["rbn"], "run_rbn", RbnConfig()),
+        (["eca", "--rule", "110"], "run_eca", EcaConfig(rule=110)),
+    ], ids=["rbn", "eca"])
+    def test_no_size_flag_builds_the_default_config(self, monkeypatch, capsys, argv, runner,
+                                                    config):
+        built = []
+        traj = Trajectory(np.zeros((8, 3), dtype=np.uint8))
+        monkeypatch.setattr(cli, runner, lambda config: built.append(config) or traj)
+        assert main([*argv, "--scales", "1"]) == 0
+        assert built == [config]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["rbn"], "a457e71c5f7f74b0729d1893c2ccf786c8b84db7c808981d48731a7a500c4a63"),
+        (["eca", "--rule", "110"],
+         "311e5ec82b50b77d5e9f47c57e5cda7bd040c17fc879ceac0b63b2c11f53ce6c"),
+    ], ids=["rbn", "eca"])
+    def test_default_sizes_print_the_pinned_report(self, capsys, argv, digest):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--seed", "1"], ["rbn", "--threads", "2"],
+        ["eca", "--rule", "30", "--threads", "2"],
+    ], ids=["measure-seed", "rbn-threads", "eca-threads"])
+    def test_a_flag_the_command_would_ignore_exits_2(self, capsys, argv):
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_measure_still_accepts_threads(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_text(REF_BITS)
+        assert main(["measure", str(path), "--threads", "1"]) == 0
 
 
 class TestMainEntry:

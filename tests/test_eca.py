@@ -178,12 +178,47 @@ class TestRun:
         assert EcaConfig(rule=np.uint8(30)).rule == 30
 
     def test_record_budget_rejected_with_estimate(self):
-        # a stack records one 64-bit word per cell per step, whatever its instances
-        with pytest.raises(ValueError, match=r"needs 8,192,000,000,000,000 bytes, over the"):
+        # a stack of up to 8 instances records one byte per cell per step
+        with pytest.raises(ValueError, match=r"needs 1,024,000,000,000,000 bytes, over the"):
             EcaConfig(rule=30, n=10**12)
-        with pytest.raises(ValueError, match=r"3,000,000,000 steps of 2,048 bytes"):
+        with pytest.raises(ValueError, match=r"3,000,000,000 steps of 256 bytes"):
             EcaConfig(rule=30, transient=0, window=3 * 10**9)
-        EcaConfig(rule=30, window=(1 << 28) // 2048)  # 256 cells fit the 256 MiB limit
+
+    def test_a_one_byte_block_at_the_budget_is_accepted(self):
+        # 256 cells x 2^20 steps is the 256 MiB limit exactly
+        EcaConfig(rule=30, n=256, window=2**20)
+
+    @pytest.mark.parametrize("count, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
+                                              (16, np.uint16), (17, np.uint32), (33, np.uint64),
+                                              (64, np.uint64)])
+    def test_a_stack_packs_into_the_narrowest_word(self, count, dtype):
+        states = np.random.default_rng(count).integers(0, 2, (count, 11), dtype=np.uint8)
+        words = eca._pack(states)
+        assert words.dtype == dtype
+        bits = (words[None, :] >> np.arange(count, dtype=dtype)[:, None]) & 1
+        assert np.array_equal(bits, states)
+
+    def test_stacks_fit_the_record_budget(self, monkeypatch):
+        # 30 cells * 40 steps = 1,200 bytes a word byte: 2-byte words fit in
+        # 2,500, so stacks of 16 instances
+        monkeypatch.setattr(eca, "_RECORD_BUDGET", 2500)
+        record, blocks = eca._record_runs, []
+
+        def spy(seeds, batch, start, transient, window):
+            def sized_start(chunk):
+                words, step, unstack = start(chunk)
+                blocks.append((len(chunk), words.nbytes * window))
+                return words, step, unstack
+            return record(seeds, batch, sized_start, transient, window)
+
+        monkeypatch.setattr(eca, "_record_runs", spy)
+        config = EcaConfig(rule=110, n=30, transient=20, window=40, seed=0)
+        seeds = range(100, 140)
+        batched = run_eca_many(config, seeds)
+        assert blocks == [(16, 2400), (16, 2400), (8, 1200)]
+        for seed, traj in zip(seeds, batched):
+            assert np.array_equal(traj.states, run_eca(EcaConfig(rule=110, n=30, transient=20,
+                                                                 window=40, seed=seed)).states)
 
 
 class TestSeries:

@@ -189,6 +189,20 @@ class TestStep:
             state = rbn_step(net, state)
             assert state[0] != state[1]
 
+    def test_the_built_update_never_goes_stale(self):
+        # the network keeps read-only copies: the caller's arrays may change,
+        # the network's may not, so the update it built once stays right
+        tables, state = np.array([0, 1, 0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)
+        net = BooleanNetwork([1, 1], [1, 0], tables, state)
+        assert list(rbn_step(net)) == [1, 0]
+        tables[:], state[:] = 1 - tables, 1 - state
+        assert list(rbn_step(net)) == [1, 0]
+        for array in (net.degrees, net.inputs, net.tables, net.state):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            net.tables = tables
+
     def test_constant_zero_tables(self):
         net = network(
             inputs=[[0, 1], [1, 2], [2, 0]],

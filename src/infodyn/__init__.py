@@ -30,7 +30,6 @@ from .rbn import (
     BooleanNetwork,
     RbnConfig,
     generate_rbn,
-    network_measures,
     parse_network,
     rbn_step,
     run_rbn,
@@ -39,7 +38,6 @@ from .rbn import (
 )
 from .eca import (
     EcaConfig,
-    eca_measures,
     eca_step,
     rule_table,
     run_eca,

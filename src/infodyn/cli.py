@@ -42,16 +42,12 @@ from .trajectory import trajectory_csv, trajectory_pbm
 __all__ = ["main"]
 
 
-class CliInputError(Exception):
-    """Bad user input: reported with exit code 2."""
-
-
 def _parse_ints(text: str, what: str, check) -> tuple[int, ...]:
     """A comma list of ints, each passed through its one validator."""
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise CliInputError(f"bad {what} list: {text!r}") from exc
+        raise ValueError(f"bad {what} list: {text!r}") from exc
     for value in values:
         check(value)
     return values
@@ -67,18 +63,18 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
         # the tolerance keeps an exact grid's last value despite float error
         count = math.floor((stop - start) / step + 1e-9) + 1
     except (ValueError, OverflowError) as exc:
-        raise CliInputError(f"bad K grid {text!r} (use 'a,b,c' or 'start:stop:step')") from exc
+        raise ValueError(f"bad K grid {text!r} (use 'a,b,c' or 'start:stop:step')") from exc
     _check_rows(count, f"at least one per value of the K grid {text!r}")
     return tuple(round(start + i * step, 10) for i in range(count))
 
 
 def _resolve_threads(value: int | None) -> int:
-    """``--threads``, else ``$INFODYN_THREADS``, else 1; below 2 runs serially."""
+    """``--threads``, else ``$INFODYN_THREADS``, else 1; the sweep checks it."""
     env = os.environ.get("INFODYN_THREADS") or "1"
     try:
         return value if value is not None else int(env)
     except ValueError as exc:
-        raise CliInputError(f"bad INFODYN_THREADS value: {env!r}") from exc
+        raise ValueError(f"bad INFODYN_THREADS value: {env!r}") from exc
 
 
 # bytes (raw) or characters (ascii01, csv) read at a time: 2^20 raw bits
@@ -95,36 +91,42 @@ _ASCII_SEPARATORS = np.array([c == "," or c.isspace() for c in map(chr, range(12
 
 
 def _csv_blocks(fh):
-    """The bits of a CSV text, chunk by chunk.  Each chunk's last token may go
-    on in the next one, so it is carried over; a final separator flushes it.
-    Tokens other than ``0`` and ``1`` go through ``int()``: a non-integer is an
-    error at once, a non-bit only after the last chunk, as a later non-integer
-    outranks it."""
-    tail, nonbit = "", False
+    """The bits of a CSV text, chunk by chunk.  A token a chunk leaves open is
+    carried over as its pieces, joined once a later chunk or the final
+    separator ends it, so each character is read once.  Tokens other than
+    ``0`` and ``1`` go through ``int()``: a non-integer is an error at once, a
+    non-bit only after the last chunk, as a later non-integer outranks it."""
+    tail, nonbit = [], False  # the pieces of the open token
     for chunk in itertools.chain(_chunks(fh), [","]):
-        text = tail + chunk
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        codes = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         sep = _ASCII_SEPARATORS[np.minimum(codes, 127)]
         wide = np.flatnonzero(codes > 127)
-        sep[wide] = [text[i].isspace() for i in wide.tolist()]
+        sep[wide] = [chunk[i].isspace() for i in wide.tolist()]
+        if not sep.any():  # the open token goes on through the whole chunk
+            tail.append(chunk)
+            continue
         # a token starts and ends where the separator mask changes
         starts, ends = np.flatnonzero(np.diff(sep, prepend=True, append=True)).reshape(-1, 2).T
-        tail = ""
-        if ends.size and ends[-1] == len(text):
-            tail, starts, ends = text[starts[-1]:], starts[:-1], ends[:-1]
+        if not sep[0]:  # the chunk's first token ends the open one
+            tail.append(chunk[:ends[0]])
+            starts, ends = starts[1:], ends[1:]
+        carried, tail = ["".join(tail)] if tail else [], []
+        if not sep[-1]:
+            tail, starts, ends = [chunk[starts[-1]:]], starts[:-1], ends[:-1]
         first = codes[starts]
         slow = np.flatnonzero((ends - starts != 1) | ((first != ord("0")) & (first != ord("1"))))
+        texts = carried + [chunk[a:b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
         try:
-            values = [int(text[a:b]) for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
+            values = [int(text) for text in texts]
         except ValueError as exc:
-            raise CliInputError("symbol CSV must contain integers") from exc
+            raise ValueError("symbol CSV must contain integers") from exc
         nonbit = nonbit or any(v not in (0, 1) for v in values)
         if not nonbit:
             bits = (first == ord("1")).astype(np.uint8)
-            bits[slow] = values
-            yield bits
+            bits[slow] = values[len(carried):]
+            yield np.insert(bits, 0, values[0]) if carried else bits
     if nonbit:
-        raise CliInputError("symbol CSV must contain only bits (0 or 1)")
+        raise ValueError("symbol CSV must contain only bits (0 or 1)")
 
 
 def _bit_blocks(fh, fmt: str):
@@ -143,7 +145,7 @@ def _bit_blocks(fh, fmt: str):
         empty = empty and bits.size == 0
         yield bits
     if empty:
-        raise CliInputError("empty input sequence")
+        raise ValueError("empty input sequence")
 
 
 def _emit_report(rows: list[dict], args) -> None:
@@ -240,15 +242,15 @@ def cmd_sweep(args) -> int:
         params["scales"] = _parse_ints(args.scales, "scales", check_scale)
     if args.rules is not None:
         if args.what == "rbn":
-            raise CliInputError("--rules applies only to sweep eca and sweep profile")
+            raise ValueError("--rules applies only to sweep eca and sweep profile")
         params["rules"] = _parse_ints(args.rules, "rules", rule_table)
     if args.k_grid is not None:
         if args.what != "rbn":
-            raise CliInputError("--k-grid applies only to sweep rbn")
+            raise ValueError("--k-grid applies only to sweep rbn")
         params["k_grid"] = _parse_k_grid(args.k_grid)
     if args.h_baseline is not None:
         if args.what != "profile":
-            raise CliInputError("--h-baseline applies only to sweep profile")
+            raise ValueError("--h-baseline applies only to sweep profile")
         params["baseline_form"] = args.h_baseline
 
     results = sweep(threads=_resolve_threads(args.threads), **params)
@@ -349,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliInputError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

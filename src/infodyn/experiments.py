@@ -120,10 +120,14 @@ class SweepResult:
 
 
 def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Deterministic parallel map: results always in input order."""
-    if threads <= 1 or len(items) <= 1:
+    """Deterministic parallel map, results in input order, on at most one
+    worker per item and per CPU this process may use: each item in flight
+    holds its own working set."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(items), cpus or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -140,10 +144,12 @@ def _sweep(
     """The one cell runner: per grid value, build its config (whose ``key``
     attribute is the cell's parameter), seed and run ``instances`` systems,
     measure each one's series at every scale in one call, then aggregate each
-    scale.  The sweep's size, the master seed and every config are checked,
-    and the window against the scales, before any cell runs."""
+    scale.  The sweep's size, its threads, the master seed and every config
+    are checked, and the window against the scales, before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
     scales = [check_scale(scale) for scale in scales]
     _check_rows(len(grid) * len(scales) * instances,
                 f"{len(grid):,} cells x {len(scales)} scales x {instances:,} instances")

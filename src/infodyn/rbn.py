@@ -38,7 +38,6 @@ __all__ = [
     "rbn_step",
     "run_rbn",
     "run_rbn_many",
-    "network_measures",
     "serialize_network",
     "parse_network",
 ]
@@ -258,12 +257,12 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     return _record_runs(seeds, batch, start, config.transient, config.window)
 
 
-def network_measures(
-    traj: Trajectory, scale: int, *, average_h: bool = False
-) -> MeasureSet:
-    """Network-level measures at one scale: :func:`series_matrix_measures` of
-    the node series, read in place; a too-short window raises ValueError."""
-    (measured,) = series_matrix_measures(traj.series, [scale], average_h=average_h).values()
+def network_measures(traj: Trajectory, scale: int) -> MeasureSet:
+    """One scale of :func:`series_matrix_measures` over ``traj.series``; a
+    too-short window raises ValueError.  Not exported: it exists only for the
+    traced sweep replica in ``perfbench/worker.py`` (also as
+    ``eca.eca_measures``), until ROADMAP item 1 moves it onto the kernel."""
+    measured = series_matrix_measures(traj.series, [scale])[scale]
     if measured is None:
         raise ValueError(f"window too short for scale {scale}")
     return measured

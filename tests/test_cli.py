@@ -388,7 +388,7 @@ class TestStreamedInput:
         try:
             bits = cli._bit_blocks(io.StringIO(f"1, {token}\n0"), "csv")
             result = np.concatenate(list(bits)).tolist()
-        except cli.CliInputError as exc:
+        except ValueError as exc:
             result = str(exc)
         assert result == expected
 
@@ -433,6 +433,27 @@ class TestStreamedInput:
         assert code == 0
         assert [row["E"] is None for row in rows] == [False, False, True]
         assert "warning: scale 8: sequence too short" in capsys.readouterr().err
+
+    def test_a_token_over_many_chunks_reads_as_one(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        text = "1," + "0" * 3000 + "1 " + "0" * 100 + ",1"
+        assert np.concatenate(list(cli._bit_blocks(io.StringIO(text), "csv"))).tolist() == [
+            1, 1, 0, 1]
+
+    def test_a_long_csv_token_is_carried_in_linear_memory(self, monkeypatch):
+        # a 1 MiB token over 1,024 chunks is joined once when it ends, not
+        # re-read (and re-encoded at 4 bytes a character) with every chunk
+        monkeypatch.setattr(cli, "_BLOCK", 1024)
+        size = 1 << 20
+        fh = io.StringIO("x" * size)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="symbol CSV must contain integers"):
+                list(cli._bit_blocks(fh, "csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * size, peak
 
     def test_peak_memory_does_not_grow_with_input_length(self, tmp_path, capsys):
         # uniform bytes show every 12- and 16-bit symbol at both lengths, so
@@ -562,7 +583,7 @@ class TestSweepCommand:
         assert cli._parse_k_grid("1:2:0.6") == (1.0, 1.6)
         exact = cli._parse_k_grid("1:5:0.2")
         assert len(exact) == 21 and exact[-1] == 5.0 and exact == DEFAULT_K_GRID
-        with pytest.raises(cli.CliInputError, match="bad K grid"):
+        with pytest.raises(ValueError, match="bad K grid"):
             cli._parse_k_grid("1:inf:1")  # used to exit 1 on an OverflowError
         out = tmp_path / "grid"
         assert main(["sweep", "rbn", "--k-grid", "1:2:0.6", "--n", "6", "--instances", "1",
@@ -626,6 +647,20 @@ class TestSweepCommand:
         assert main([*command, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert re.search(r"error: [\d,]+ instance rows \(.+\), over the [\d,]+-row limit", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), ([], "0"),
+                                           (["--threads", "-2"], "4")])
+    def test_threads_below_1_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("INFODYN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("INFODYN_THREADS", env)
+        out = tmp_path / "none"
+        assert main(["sweep", "eca", "--rules", "0", "--instances", "1", "--n", "8",
+                     "--transient", "0", "--window", "4", "--scales", "1", *flag,
+                     "--output-dir", str(out)]) == 2
+        assert "error: threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scale_out_of_range_exits_2(self, tmp_path, cli_env):

@@ -7,12 +7,12 @@ from infodyn.eca import (
     EcaConfig,
     oriented_series,
     as_boolean_network,
-    eca_measures,
     eca_step,
     rule_table,
     run_eca,
     run_eca_many,
 )
+from infodyn.measures import series_matrix_measures
 from infodyn.rbn import rbn_step
 
 
@@ -259,36 +259,35 @@ class TestMeasures:
     def test_rule_zero_fixed_point_measures(self):
         traj = run_eca(EcaConfig(rule=0, n=32, transient=4, window=64, seed=13))
         for scale in (1, 2, 4, 8):
-            ms = eca_measures(traj, scale)
+            ms = series_matrix_measures(traj.series, [scale])[scale]
             assert (ms.emergence, ms.complexity) == (0.0, 0.0)
             assert (ms.self_organization, ms.homeostasis) == (1.0, 1.0)
 
     def test_rule_51_complements_every_step(self):
         traj = run_eca(EcaConfig(rule=51, n=32, transient=4, window=64, seed=13))
         assert np.array_equal(traj.states[1], 1 - traj.states[0])
-        assert eca_measures(traj, 1).homeostasis == 0.0
+        assert series_matrix_measures(traj.series, [1])[1].homeostasis == 0.0
 
     def test_rule_204_freezes(self):
         traj = run_eca(EcaConfig(rule=204, n=32, transient=0, window=16, seed=2))
-        assert eca_measures(traj, 1).homeostasis == 1.0
+        assert series_matrix_measures(traj.series, [1])[1].homeostasis == 1.0
 
     def test_rule_1_scale_transition_small(self):
         traj = run_eca(EcaConfig(rule=1, n=64, transient=256, window=256, seed=3))
-        assert eca_measures(traj, 1).emergence > 0.5
+        assert series_matrix_measures(traj.series, [1])[1].emergence > 0.5
         for scale in (2, 4, 8):
-            ms = eca_measures(traj, scale)
+            ms = series_matrix_measures(traj.series, [scale])[scale]
             assert ms.emergence == 0.0
             assert ms.self_organization == 1.0
             assert ms.homeostasis == 1.0
 
     def test_rule_30_high_emergence(self):
         traj = run_eca(EcaConfig(rule=30, n=64, transient=256, window=1024, seed=8))
-        assert eca_measures(traj, 1).emergence >= 0.95
+        assert series_matrix_measures(traj.series, [1])[1].emergence >= 0.95
 
     def test_window_too_short(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=8, seed=1))
-        with pytest.raises(ValueError, match="window too short"):
-            eca_measures(traj, 8)
+        assert series_matrix_measures(traj.series, [8])[8] is None
 
 
 class TestRbnEquivalence:

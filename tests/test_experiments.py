@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from infodyn import experiments
-from infodyn.eca import EcaConfig, eca_measures, run_eca
+from infodyn.eca import EcaConfig, run_eca
 from infodyn.experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
@@ -23,8 +23,8 @@ from infodyn.experiments import (
     write_sweep_files,
     write_text,
 )
-from infodyn.measures import MeasureSet
-from infodyn.rbn import RbnConfig, network_measures, run_rbn
+from infodyn.measures import MeasureSet, series_matrix_measures
+from infodyn.rbn import RbnConfig, run_rbn
 
 
 def printed(rows):
@@ -100,9 +100,8 @@ class TestRbnSweep:
         assert len(results) == 1
         result = results[0]
         seed = SeedSchedule(9).seed_for("rbn_sweep/k=2", 0)
-        direct = network_measures(
-            run_rbn(RbnConfig(n=20, k=2.0, transient=16, window=64, seed=seed)), 1
-        )
+        traj = run_rbn(RbnConfig(n=20, k=2.0, transient=16, window=64, seed=seed))
+        direct = series_matrix_measures(traj.series, [1])[1]
         assert result.instances[0] == direct
         assert result.aggregate["mean"]["E"] == pytest.approx(direct.emergence)
 
@@ -194,6 +193,42 @@ class TestRbnSweep:
         threaded = rbn_sweep(threads=4, **kwargs)
         assert serial == threaded
 
+    @pytest.mark.parametrize("threads, cells, cpus, workers", [
+        (19, 3, 2, 2), (2, 5, 8, 2), (8, 3, 8, 3), (4, 1, 8, None), (4, 3, 1, None),
+        (1, 3, 8, None),
+    ])
+    def test_workers_are_capped_by_cells_and_cpus(self, monkeypatch, threads, cells, cpus,
+                                                  workers):
+        # a stub pool records its size and maps on this thread: no thread starts
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        kwargs = dict(n=6, k_grid=[1.0, 2.0, 3.0, 4.0, 5.0][:cells], instances=2, transient=2,
+                      window=8, scales=(1, 2), master_seed=1)
+        assert rbn_sweep(threads=threads, **kwargs) == rbn_sweep(threads=1, **kwargs)
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_1_are_refused_before_any_cell_runs(self, monkeypatch, threads):
+        monkeypatch.setattr(experiments, "run_rbn_many", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=rf"threads must be >= 1 \(got {threads}\)"):
+            rbn_sweep(n=6, k_grid=[1.0], instances=1, transient=2, window=8, threads=threads)
+
 
 class TestEcaSurvey:
     def test_rule_zero_row_zero_variance(self):
@@ -217,7 +252,7 @@ class TestEcaSurvey:
         result = results[0]
         for index, seed in enumerate(result.seeds):
             traj = run_eca(EcaConfig(rule=30, n=32, transient=8, window=32, seed=seed))
-            assert result.instances[index] == eca_measures(traj, 1)
+            assert result.instances[index] == series_matrix_measures(traj.series, [1])[1]
 
     def test_rule_out_of_range(self):
         with pytest.raises(ValueError, match="rule out of range"):

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from infodyn import rbn
-from infodyn.measures import SymbolSequence, rescale, shannon_information
+from infodyn import eca, rbn
+from infodyn.measures import (
+    SymbolSequence,
+    rescale,
+    series_matrix_measures,
+    shannon_information,
+)
 from infodyn.rbn import (
     BooleanNetwork,
     RbnConfig,
@@ -395,7 +401,7 @@ class TestNetworkMeasures:
     def test_frozen_network_measures(self):
         traj = run_rbn(RbnConfig(n=20, k=0, transient=1, window=64, seed=9))
         for scale in (1, 2, 4, 8):
-            ms = network_measures(traj, scale)
+            ms = series_matrix_measures(traj.series, [scale])[scale]
             assert ms.emergence == 0.0
             assert ms.self_organization == 1.0
             assert ms.complexity == 0.0
@@ -408,12 +414,12 @@ class TestNetworkMeasures:
         # E ~ 1 where the series is long relative to the alphabet; at b=8 the
         # 125 symbols per node undersample the 256-symbol alphabet
         for scale in (1, 2, 4):
-            ms = network_measures(traj, scale)
+            ms = series_matrix_measures(traj.series, [scale])[scale]
             assert ms.emergence > 0.9
             assert ms.self_organization < 0.1
             assert ms.complexity < 0.3
         for scale, h_tol in ((1, 0.15), (2, 0.12), (4, 0.08), (8, 0.03)):
-            ms = network_measures(traj, scale)
+            ms = series_matrix_measures(traj.series, [scale])[scale]
             assert abs(ms.homeostasis - 2.0**-scale) < h_tol
 
     def test_window_too_short(self):
@@ -431,6 +437,11 @@ class TestNetworkMeasures:
             assert traj.series.flags.c_contiguous
             network_measures(traj, 2)
         assert all(s is traj.series for s, traj in zip(seen, trajs))
+
+    def test_the_replica_adapter_is_one_function_of_traj_and_scale(self):
+        assert eca.eca_measures is network_measures
+        assert list(inspect.signature(network_measures).parameters) == ["traj", "scale"]
+        assert "network_measures" not in rbn.__all__ and "eca_measures" not in eca.__all__
 
 
 class TestAttractors:

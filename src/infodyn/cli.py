@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .experiments import (
     MEASURE_FIELDS,
     ProfileResult,
     _check_rows,
+    _check_threads,
     csv_text,
     eca_class_survey,
     json_text,
@@ -69,12 +71,13 @@ def _parse_k_grid(text: str) -> tuple[float, ...]:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """``--threads``, else ``$INFODYN_THREADS``, else 1; the sweep checks it."""
+    """``--threads``, else ``$INFODYN_THREADS``, else 1, checked to be >= 1."""
     env = os.environ.get("INFODYN_THREADS") or "1"
     try:
-        return value if value is not None else int(env)
+        threads = value if value is not None else int(env)
     except ValueError as exc:
         raise ValueError(f"bad INFODYN_THREADS value: {env!r}") from exc
+    return _check_threads(threads)
 
 
 # bytes (raw) or characters (ascii01, csv) read at a time: 2^20 raw bits
@@ -90,12 +93,33 @@ def _chunks(fh):
 _ASCII_SEPARATORS = np.array([c == "," or c.isspace() for c in map(chr, range(128))])
 
 
+# int()'s grammar for a decimal token: a sign, then digits that single
+# underscores may separate; ``\d`` is any Unicode decimal digit, as for int()
+_INT_TOKEN = re.compile(r"[+-]?\d(?:_?\d)*")
+
+
+def _token_bit(text: str) -> int | None:
+    """The value of a CSV token if it is 0 or 1, None for any other integer;
+    a non-integer is an error.  ``int()`` refuses a token of more digits than
+    ``sys.get_int_max_str_digits()``, so a token of any length is matched
+    against int()'s grammar, then read in pieces short enough for int()."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError("symbol CSV must contain integers")
+    digits = text.lstrip("+-").replace("_", "")
+    head, last = digits[:-1], int(digits[-1])
+    step = sys.int_info.str_digits_check_threshold  # int() reads any shorter string
+    if last > 1 or any(int(head[i:i + step]) for i in range(0, len(head), step)):
+        return None
+    return None if last and text[0] == "-" else last
+
+
 def _csv_blocks(fh):
     """The bits of a CSV text, chunk by chunk.  A token a chunk leaves open is
     carried over as its pieces, joined once a later chunk or the final
     separator ends it, so each character is read once.  Tokens other than
-    ``0`` and ``1`` go through ``int()``: a non-integer is an error at once, a
-    non-bit only after the last chunk, as a later non-integer outranks it."""
+    ``0`` and ``1`` go through :func:`_token_bit`: a non-integer is an error
+    at once, a non-bit only after the last chunk, as a later non-integer
+    outranks it."""
     tail, nonbit = [], False  # the pieces of the open token
     for chunk in itertools.chain(_chunks(fh), [","]):
         codes = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
@@ -116,11 +140,8 @@ def _csv_blocks(fh):
         first = codes[starts]
         slow = np.flatnonzero((ends - starts != 1) | ((first != ord("0")) & (first != ord("1"))))
         texts = carried + [chunk[a:b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
-        try:
-            values = [int(text) for text in texts]
-        except ValueError as exc:
-            raise ValueError("symbol CSV must contain integers") from exc
-        nonbit = nonbit or any(v not in (0, 1) for v in values)
+        values = [_token_bit(text) for text in texts]
+        nonbit = nonbit or None in values
         if not nonbit:
             bits = (first == ord("1")).astype(np.uint8)
             bits[slow] = values[len(carried):]
@@ -176,6 +197,7 @@ def _measure_rows(scales, measured, columns, unit) -> list[dict]:
 
 def cmd_measure(args) -> int:
     scales = _parse_ints(args.scales, "scales", check_scale)
+    _resolve_threads(args.threads)  # checked only: one stream is read by one thread
     binary = args.input_format == "raw"
     if args.input == "-":
         source = contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
@@ -282,8 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     thread_flags = argparse.ArgumentParser(add_help=False)
     thread_flags.add_argument("--threads", type=int,
-                              help="sweep worker threads (default: $INFODYN_THREADS or 1); "
-                                   "never change results, and do not shorten a sweep yet")
+                              help="sweep worker threads, at least 1 (default: "
+                                   "$INFODYN_THREADS or 1); they never change results and do "
+                                   "not shorten a sweep yet; measure reads a single stream, "
+                                   "which the flag does not change")
 
     report_flags = argparse.ArgumentParser(add_help=False)
     report_flags.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -131,6 +131,13 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _check_threads(threads: int) -> int:
+    """The one thread-count check, shared by the sweeps and the CLI."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
+    return threads
+
+
 def _check_rows(rows: int, detail: str) -> None:
     """The one bound on a sweep's size, checked before its grid or seeds exist."""
     if rows > _ROW_LIMIT:
@@ -148,8 +155,7 @@ def _sweep(
     are checked, and the window against the scales, before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
+    _check_threads(threads)
     scales = [check_scale(scale) for scale in scales]
     _check_rows(len(grid) * len(scales) * instances,
                 f"{len(grid):,} cells x {len(scales)} scales x {instances:,} instances")

@@ -9,8 +9,10 @@ homeostasis -- are derived from plug-in Shannon information on the regrouped
 string.  :func:`series_matrix_measures` measures each row of a simulator's
 ``series`` matrix this way, at every scale in one call, and averages them;
 :func:`streamed_measures` measures one bit string read block by block, from
-its running symbol counts.  No other module knows the symbol dtype or the
-grouping order.
+its running symbol counts.  Both build each scale ``b`` from the symbols of
+its largest listed divisor ``d`` (:func:`_group_sources`); the stream carries,
+per scale, a tail of fewer than ``b / d`` such symbols from block to block.
+No other module knows the symbol dtype or the grouping order.
 """
 
 from __future__ import annotations
@@ -223,6 +225,15 @@ def _group_symbols(symbols: np.ndarray, count: int, width: int = 1) -> np.ndarra
     return np.ascontiguousarray(grouped)
 
 
+def _group_sources(scales: Iterable[int]) -> dict[int, int]:
+    """The one regrouping rule: each scale ``b``, ascending, mapped to the
+    largest other listed scale ``d`` that divides it, or to 1 (the bits) when
+    none does.  Scale ``b`` is grouped ``b // d`` symbols of ``d`` bits at a
+    time, which is exact because ``floor(floor(L / d) / (b / d)) = floor(L / b)``."""
+    listed = sorted(set(scales))
+    return {b: max((d for d in listed if d < b and b % d == 0), default=1) for b in listed}
+
+
 def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one symbol counter: ``(row, symbol, count)`` of each distinct symbol
     of each row of a 2-D array, rows in order and symbols ascending.
@@ -358,9 +369,8 @@ def series_matrix_measures(
     averaged into one system-level information, from which E, S, and C follow;
     H compares the final two macro-states, or, with ``average_h``, averages
     the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).  Scale ``b`` is grouped from the symbols of its
-    largest listed divisor ``d``, which is exact because
-    ``floor(floor(L / d) / (b / d)) = floor(L / b)``.  Symbols are counted by
+    non-default estimate).  Each scale is grouped from the symbols of its
+    source scale (see :func:`_group_sources`).  Symbols are counted by
     sorting each row, so memory is O(units x groups) at any scale in 1..62.
     """
     series = np.asarray(series)
@@ -370,8 +380,7 @@ def series_matrix_measures(
         raise ValueError("series must be binary")
     measured = dict.fromkeys(map(check_scale, scales))
     grouped = {1: series.astype(np.uint8, copy=False)}
-    for b in sorted(b for b in measured if 2 * b <= series.shape[1]):
-        d = max(d for d in grouped if b % d == 0)
+    for b, d in _group_sources(b for b in measured if 2 * b <= series.shape[1]).items():
         symbols = grouped[b] = _group_symbols(grouped[d], b // d, d)
         info = _row_information(symbols) / b
         first = 0 if average_h else -2  # all successive pairs, or the final one
@@ -386,30 +395,36 @@ def streamed_measures(
     """Simplified (E, S, C) of one bit string, read block by block, at each
     scale; ``None`` for a scale longer than the string.  H is None.
 
-    The string is the concatenation of ``blocks``, 1-D arrays of bits.  At
-    each scale ``b``, a block is grouped with the fewer than ``b`` bits the
-    previous block left over in front, and its ascending ``(symbol, count)``
-    pairs are merged into that scale's running counts (see
-    :func:`_merge_runs`).  Memory is therefore O(block + distinct symbols)
-    per scale, not O(string), and each value is exactly
+    The string is the concatenation of ``blocks``, 1-D arrays of bits.  As in
+    :func:`series_matrix_measures`, scale ``b`` is grouped from the symbols of
+    its source scale ``d`` (see :func:`_group_sources`): each block's fresh
+    ``d``-symbols, behind the fewer than ``b / d`` of them that the previous
+    block left over, become that block's ``b``-symbols, and their ascending
+    ``(symbol, count)`` pairs are merged into the running counts of ``b`` (see
+    :func:`_merge_runs`).  Memory is therefore O(block + distinct symbols) per
+    scale, not O(string), and each value is exactly
     ``simplified_measures(rescale(SymbolSequence(bits, 1), b))``.
     """
-    tails = {b: np.zeros(0, np.uint8) for b in map(check_scale, scales)}
-    runs = {b: [] for b in tails}
+    scales = [check_scale(b) for b in scales]
+    sources = _group_sources(scales)
+    tails = {b: np.zeros(0, np.uint8) for b in sources}
+    runs = {b: [] for b in sources}
     for block in blocks:
         block = np.asarray(block)
         # checked in the block's own dtype: a uint8 cast would wrap 256 to 0
         if block.ndim != 1 or _first_nonbit(block) is not None:
             raise ValueError("blocks must be 1-D arrays of bits")
-        block = block.astype(np.uint8, copy=False)
-        for b, tail in tails.items():
-            bits = np.concatenate((tail, block)) if tail.size else block
-            used = bits.size - bits.size % b
+        fresh = {1: block.astype(np.uint8, copy=False)}
+        for b, d in sources.items():
+            tail = tails[b]
+            symbols = np.concatenate((tail, fresh[d])) if tail.size else fresh[d]
+            used = symbols.size - symbols.size % (b // d)
+            grouped = fresh[b] = _group_symbols(symbols[None, :used], b // d, d)[0]
+            tails[b] = symbols[used:].copy()
             if used:
-                runs[b].append(_row_counts(_group_symbols(bits[None, :used], b))[1:])
+                runs[b].append(_row_counts(grouped[None, :])[1:])
                 _merge_runs(runs[b], _MERGE_RATIO)
-            tails[b] = bits[used:].copy()
-    measured = dict.fromkeys(tails)
+    measured = dict.fromkeys(scales)
     for b, pending in runs.items():
         if pending:  # at least one group of b bits
             _merge_runs(pending, np.inf)

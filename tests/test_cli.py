@@ -366,6 +366,63 @@ class TestStreamedInput:
                              "S": ms.self_organization, "C": ms.complexity})
         assert rows == expected
 
+    def test_raw_groups_straddle_blocks(self, tmp_path, monkeypatch):
+        # 5-byte blocks are 40 bits, so some 12- and 16-bit groups span two
+        # blocks, and each scale carries a tail of its source scale's symbols
+        bits = markov_bits(8 * 61, seed=3)
+        scales = (16, 1, 12, 4, 8, 2)
+        monkeypatch.setattr(cli, "_BLOCK", 5)
+        code, rows = measure_in_process(
+            monkeypatch, tmp_path, encode(bits, "raw", seed=0), "raw", "file", scales
+        )
+        assert code == 0
+        expected = []
+        for b in scales:
+            ms = simplified_measures(rescale(SymbolSequence(bits, 1), b))
+            expected.append({"scale": b, "I_b": ms.emergence, "E": ms.emergence,
+                             "S": ms.self_organization, "C": ms.complexity})
+        assert rows == expected
+
+    @pytest.mark.parametrize("block", [7, 1 << 17])
+    @pytest.mark.parametrize("token, expected", [
+        ("0" * 5000 + "1", [1, 1, 0]), ("-" + "0" * 5000, [1, 0, 0]),
+        ("0" * 4999 + "2", "symbol CSV must contain only bits (0 or 1)"),
+        ("1" + "0" * 4999, "symbol CSV must contain only bits (0 or 1)"),
+        ("0" * 5000 + "_", "symbol CSV must contain integers"),
+    ], ids=["zeros-1", "minus-zeros", "zeros-2", "1-zeros", "zeros-underscore"])
+    def test_a_csv_token_of_any_length_reads_as_its_integer_value(
+        self, monkeypatch, token, expected, block
+    ):
+        # int() refuses more than sys.get_int_max_str_digits() (4,300) digits
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        try:
+            bits = cli._bit_blocks(io.StringIO(f"1, {token}\n0"), "csv")
+            result = np.concatenate(list(bits)).tolist()
+        except ValueError as exc:
+            result = str(exc)
+        assert result == expected
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("token", ["00", "+1", "-0", "-1", "1_0", "0_1", "_1", "1_",
+                                       "1__0", "+-1", "\u0661", "\u0660_\u0661", "\u00b2",
+                                       "0x1", "1.0", "1e0"])
+    def test_a_csv_token_is_judged_as_int_judges_it(self, token):
+        try:
+            value = int(token)
+        except ValueError:
+            with pytest.raises(ValueError, match="symbol CSV must contain integers"):
+                cli._token_bit(token)
+        else:
+            assert cli._token_bit(token) == (value if value in (0, 1) else None)
+
+    def test_a_late_non_integer_outranks_a_long_non_bit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK", 64)
+        data = ("0" * 4999 + "2,0,1," * 20 + "x").encode()
+        code, _ = measure_in_process(monkeypatch, tmp_path, data, "csv", "file", [1])
+        assert code == 2
+        assert "symbol CSV must contain integers" in capsys.readouterr().err
+
     def test_csv_token_split_across_chunks_is_not_a_bit(self, tmp_path, monkeypatch, capsys):
         # "0,1" | "0,1": the carried "1" and the next "0" are one token, 10
         monkeypatch.setattr(cli, "_BLOCK", 3)
@@ -761,6 +818,21 @@ class TestSingleRunFlags:
         path = tmp_path / "bits.txt"
         path.write_text(REF_BITS)
         assert main(["measure", str(path), "--threads", "1"]) == 0
+
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), ([], "0"),
+                                           (["--threads", "-5"], "4")])
+    def test_measure_threads_below_1_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("INFODYN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("INFODYN_THREADS", env)
+        path = tmp_path / "bits.txt"
+        path.write_text(REF_BITS)
+        assert main(["measure", str(path), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        got = flag[1] if flag else env
+        assert f"error: threads must be >= 1 (got {got})" in captured.err
 
 
 class TestMainEntry:

@@ -24,7 +24,7 @@ from infodyn.measures import (
     streamed_measures,
     uncorrelated_homeostasis,
 )
-from infodyn.measures import _symbol_dtype
+from infodyn.measures import _group_sources, _symbol_dtype
 
 # A fixed 32-bit reference string (10 ones, 22 zeros) whose regrouped forms
 # and per-scale information values are frozen below.
@@ -381,20 +381,37 @@ def split_bit_strings(draw):
     return bits, np.split(bits, cuts)
 
 
+class TestGroupSources:
+    @pytest.mark.parametrize("scales, sources", [
+        ((1, 2, 4, 8, 12, 16), {1: 1, 2: 1, 4: 2, 8: 4, 12: 4, 16: 8}),
+        ((24, 3, 12, 6, 3), {3: 1, 6: 3, 12: 6, 24: 12}),
+        ((5, 40, 10), {5: 1, 10: 5, 40: 10}),
+        ((7, 9, 21), {7: 1, 9: 1, 21: 7}),
+        ((), {}),
+    ])
+    def test_each_scale_groups_from_its_largest_listed_divisor(self, scales, sources):
+        result = _group_sources(scales)
+        assert result == sources
+        assert list(result) == sorted(sources)  # a source is grouped before its users
+
+
 class TestStreamedMeasures:
     @settings(max_examples=200, deadline=None)
     @given(split_bit_strings())
     def test_equals_the_in_memory_measure_at_every_cut(self, case):
         bits, blocks = case
-        scales = (1, 2, 3, 4, 8, 12, 16, 17, 33)
-        measured = streamed_measures(blocks, scales)
-        assert list(measured) == list(scales)
-        for b in scales:
-            if bits.size < b:
-                assert measured[b] is None
-            else:
-                # exact: the same counts, in the same order, through one sum
-                assert measured[b] == simplified_measures(rescale(SymbolSequence(bits, 1), b))
+        # with and without 1, chains three deep, and shuffled with duplicates
+        for scales in [(1, 2, 3, 4, 8, 12, 16, 17, 33), (3, 6, 12, 24), (5, 10, 40),
+                       (16, 4, 12, 2, 4, 33, 8, 16, 1, 3)]:
+            measured = streamed_measures(blocks, scales)
+            assert list(measured) == list(dict.fromkeys(scales))
+            for b in scales:
+                if bits.size < b:
+                    assert measured[b] is None
+                else:
+                    # exact: the same counts, in the same order, through one sum
+                    assert measured[b] == simplified_measures(
+                        rescale(SymbolSequence(bits, 1), b))
 
     def test_mostly_distinct_symbols_merge_in_order(self):
         # at b=40 nearly every group is a new symbol, so each block inserts

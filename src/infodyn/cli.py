@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -93,68 +91,33 @@ def _chunks(fh):
 _ASCII_SEPARATORS = np.array([c == "," or c.isspace() for c in map(chr, range(128))])
 
 
-# int()'s grammar for a decimal token: a sign, then digits that single
-# underscores may separate; ``\d`` is any Unicode decimal digit, as for int()
-_INT_TOKEN = re.compile(r"[+-]?\d(?:_?\d)*")
-
-
-def _token_bit(text: str) -> int | None:
-    """The value of a CSV token if it is 0 or 1, None for any other integer;
-    a non-integer is an error.  ``int()`` refuses a token of more digits than
-    ``sys.get_int_max_str_digits()``, so a token of any length is matched
-    against int()'s grammar, then read in pieces short enough for int()."""
-    if not _INT_TOKEN.fullmatch(text):
-        raise ValueError("symbol CSV must contain integers")
-    digits = text.lstrip("+-").replace("_", "")
-    head, last = digits[:-1], int(digits[-1])
-    step = sys.int_info.str_digits_check_threshold  # int() reads any shorter string
-    if last > 1 or any(int(head[i:i + step]) for i in range(0, len(head), step)):
-        return None
-    return None if last and text[0] == "-" else last
-
-
 def _csv_blocks(fh):
-    """The bits of a CSV text, chunk by chunk.  A token a chunk leaves open is
-    carried over as its pieces, joined once a later chunk or the final
-    separator ends it, so each character is read once.  Tokens other than
-    ``0`` and ``1`` go through :func:`_token_bit`: a non-integer is an error
-    at once, a non-bit only after the last chunk, as a later non-integer
-    outranks it."""
-    tail, nonbit = [], False  # the pieces of the open token
-    for chunk in itertools.chain(_chunks(fh), [","]):
+    """The bits of a CSV text, chunk by chunk.  Every token between
+    separators must be the single character ``0`` or ``1``, so one array
+    check reads a chunk: no other character, no two token characters side by
+    side, and no token character first when the last chunk ended in a token.
+    That one bool is all that is carried between chunks, and any other token
+    is refused in the chunk where it is found."""
+    open_token = False
+    for chunk in _chunks(fh):
         codes = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         sep = _ASCII_SEPARATORS[np.minimum(codes, 127)]
         wide = np.flatnonzero(codes > 127)
         sep[wide] = [chunk[i].isspace() for i in wide.tolist()]
-        if not sep.any():  # the open token goes on through the whole chunk
-            tail.append(chunk)
-            continue
-        # a token starts and ends where the separator mask changes
-        starts, ends = np.flatnonzero(np.diff(sep, prepend=True, append=True)).reshape(-1, 2).T
-        if not sep[0]:  # the chunk's first token ends the open one
-            tail.append(chunk[:ends[0]])
-            starts, ends = starts[1:], ends[1:]
-        carried, tail = ["".join(tail)] if tail else [], []
-        if not sep[-1]:
-            tail, starts, ends = [chunk[starts[-1]:]], starts[:-1], ends[:-1]
-        first = codes[starts]
-        slow = np.flatnonzero((ends - starts != 1) | ((first != ord("0")) & (first != ord("1"))))
-        texts = carried + [chunk[a:b] for a, b in zip(starts[slow].tolist(), ends[slow].tolist())]
-        values = [_token_bit(text) for text in texts]
-        nonbit = nonbit or None in values
-        if not nonbit:
-            bits = (first == ord("1")).astype(np.uint8)
-            bits[slow] = values[len(carried):]
-            yield np.insert(bits, 0, values[0]) if carried else bits
-    if nonbit:
-        raise ValueError("symbol CSV must contain only bits (0 or 1)")
+        # unsigned: a character below "0" wraps past 1 too
+        bits = codes[~sep] - ord("0")
+        if (open_token and not sep[0]) or not (sep[1:] | sep[:-1]).all() or (bits > 1).any():
+            raise ValueError("symbol CSV must contain only bits (0 or 1)")
+        open_token = not sep[-1]
+        yield bits.astype(np.uint8)
 
 
 def _bit_blocks(fh, fmt: str):
     """The bits of an open input, one block per read of ``_BLOCK`` bytes or
     characters.  raw bytes unpack MSB first; ascii01 drops whitespace chunk
-    by chunk, which is exact because a text read never splits a character.
-    An empty input is an error once the last block has been read."""
+    by chunk, which is exact because a text read never splits a character;
+    csv reads one-character tokens (:func:`_csv_blocks`).  An empty input is
+    an error once the last block has been read."""
     if fmt == "raw":
         blocks = (np.unpackbits(np.frombuffer(c, dtype=np.uint8)) for c in _chunks(fh))
     elif fmt == "ascii01":
@@ -329,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="input file, or '-' for stdin (default)")
     p.add_argument("--input-format", choices=("ascii01", "raw", "csv"), default="ascii01",
                    help="ascii01: '0'/'1' text; raw: bytes, MSB first; "
-                        "csv: comma/whitespace separated bits")
+                        "csv: tokens separated by commas or whitespace, "
+                        "each the single character 0 or 1")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("rbn", parents=[run_flags, report_flags, single_flags],

@@ -76,13 +76,6 @@ class SeedSchedule:
         return int.from_bytes(digest, "little")
 
 
-def _measure_values(measures: Sequence[MeasureSet], key: str) -> np.ndarray:
-    values = [getattr(ms, MEASURE_FIELDS[key]) for ms in measures]
-    if any(v is None for v in values):
-        raise ValueError(f"measure {key} missing from an instance")
-    return np.asarray(values, dtype=float)
-
-
 def aggregate(measures: Sequence[MeasureSet]) -> dict[str, dict[str, float]]:
     """Mean, median, quartiles, and Tukey whiskers per measure.
 
@@ -91,20 +84,23 @@ def aggregate(measures: Sequence[MeasureSet]) -> dict[str, dict[str, float]]:
     """
     if not measures:
         raise ValueError("empty list")
-    stats: dict[str, dict[str, float]] = {name: {} for name in STAT_NAMES}
-    for key in MEASURE_FIELDS:
-        values = _measure_values(measures, key)
-        q25, median, q75 = np.percentile(values, [25, 50, 75], method="linear")
-        iqr = q75 - q25
-        lo = values[values >= q25 - 1.5 * iqr].min()
-        hi = values[values <= q75 + 1.5 * iqr].max()
-        stats["mean"][key] = float(values.mean())
-        stats["median"][key] = float(median)
-        stats["q25"][key] = float(q25)
-        stats["q75"][key] = float(q75)
-        stats["whisker_lo"][key] = float(lo)
-        stats["whisker_hi"][key] = float(hi)
-    return stats
+    rows = [[getattr(ms, field) for ms in measures] for field in MEASURE_FIELDS.values()]
+    for key, row in zip(MEASURE_FIELDS, rows):
+        if None in row:
+            raise ValueError(f"measure {key} missing from an instance")
+    # one C-order row per measure: the row mean keeps the pairwise sum of a 1-D mean
+    values = np.array(rows, dtype=float)
+    q25, median, q75 = np.percentile(values, [25, 50, 75], axis=1, method="linear")
+    iqr = (q75 - q25)[:, None]
+    stats = {
+        "mean": values.mean(axis=1),
+        "median": median,
+        "q25": q25,
+        "q75": q75,
+        "whisker_lo": np.where(values >= q25[:, None] - 1.5 * iqr, values, np.inf).min(axis=1),
+        "whisker_hi": np.where(values <= q75[:, None] + 1.5 * iqr, values, -np.inf).max(axis=1),
+    }
+    return {name: dict(zip(MEASURE_FIELDS, stats[name].tolist())) for name in STAT_NAMES}
 
 
 @dataclass

@@ -313,18 +313,16 @@ def markov_bits(size, seed):
 
 
 def encode(bits, fmt, seed):
-    """``bits`` in an input format, with whitespace, separators and zero-padded
-    csv tokens drawn at random, so they fall across block boundaries."""
+    """``bits`` in an input format, with whitespace and separators drawn at
+    random, so they fall across block boundaries."""
     rng = np.random.default_rng(seed)
     if fmt == "raw":
         return np.packbits(bits).tobytes()
     if fmt == "ascii01":
         gaps = rng.choice(["", "", " ", "\n", "\t", "\r\n"], size=bits.size)
         return "".join(f"{b}{g}" for b, g in zip(bits, gaps)).encode()
-    tokens = [str(rng.choice(["1", "01", "001"]) if b else rng.choice(["0", "00"]))
-              for b in bits]
     seps = rng.choice([",", ", ", "\n", " ,\t", ",\n"], size=bits.size)
-    return (" " + "".join(f"{t}{s}" for t, s in zip(tokens, seps))).encode()
+    return (" " + "".join(f"{b}{s}" for b, s in zip(bits, seps))).encode()
 
 
 def measure_in_process(monkeypatch, tmp_path, data, fmt, via, scales, extra=()):
@@ -383,46 +381,6 @@ class TestStreamedInput:
                              "S": ms.self_organization, "C": ms.complexity})
         assert rows == expected
 
-    @pytest.mark.parametrize("block", [7, 1 << 17])
-    @pytest.mark.parametrize("token, expected", [
-        ("0" * 5000 + "1", [1, 1, 0]), ("-" + "0" * 5000, [1, 0, 0]),
-        ("0" * 4999 + "2", "symbol CSV must contain only bits (0 or 1)"),
-        ("1" + "0" * 4999, "symbol CSV must contain only bits (0 or 1)"),
-        ("0" * 5000 + "_", "symbol CSV must contain integers"),
-    ], ids=["zeros-1", "minus-zeros", "zeros-2", "1-zeros", "zeros-underscore"])
-    def test_a_csv_token_of_any_length_reads_as_its_integer_value(
-        self, monkeypatch, token, expected, block
-    ):
-        # int() refuses more than sys.get_int_max_str_digits() (4,300) digits
-        limit = sys.get_int_max_str_digits()
-        monkeypatch.setattr(cli, "_BLOCK", block)
-        try:
-            bits = cli._bit_blocks(io.StringIO(f"1, {token}\n0"), "csv")
-            result = np.concatenate(list(bits)).tolist()
-        except ValueError as exc:
-            result = str(exc)
-        assert result == expected
-        assert sys.get_int_max_str_digits() == limit
-
-    @pytest.mark.parametrize("token", ["00", "+1", "-0", "-1", "1_0", "0_1", "_1", "1_",
-                                       "1__0", "+-1", "\u0661", "\u0660_\u0661", "\u00b2",
-                                       "0x1", "1.0", "1e0"])
-    def test_a_csv_token_is_judged_as_int_judges_it(self, token):
-        try:
-            value = int(token)
-        except ValueError:
-            with pytest.raises(ValueError, match="symbol CSV must contain integers"):
-                cli._token_bit(token)
-        else:
-            assert cli._token_bit(token) == (value if value in (0, 1) else None)
-
-    def test_a_late_non_integer_outranks_a_long_non_bit(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_BLOCK", 64)
-        data = ("0" * 4999 + "2,0,1," * 20 + "x").encode()
-        code, _ = measure_in_process(monkeypatch, tmp_path, data, "csv", "file", [1])
-        assert code == 2
-        assert "symbol CSV must contain integers" in capsys.readouterr().err
-
     def test_csv_token_split_across_chunks_is_not_a_bit(self, tmp_path, monkeypatch, capsys):
         # "0,1" | "0,1": the carried "1" and the next "0" are one token, 10
         monkeypatch.setattr(cli, "_BLOCK", 3)
@@ -431,30 +389,40 @@ class TestStreamedInput:
         assert "symbol CSV must contain only bits (0 or 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block", [1, 2, 3, 1 << 17])
-    @pytest.mark.parametrize("token, expected", [
-        ("01", [1, 1, 0]), ("+1", [1, 1, 0]), ("-0", [1, 0, 0]),
-        ("1_0", "symbol CSV must contain only bits (0 or 1)"),
-        ("2", "symbol CSV must contain only bits (0 or 1)"),
-        ("x", "symbol CSV must contain integers"),
-    ])
-    def test_a_csv_token_other_than_0_or_1_reads_as_int_reads_it(
-        self, monkeypatch, token, expected, block
-    ):
+    @pytest.mark.parametrize("token", ["00", "01", "+1", "-0", "1_0", "\u0661", "0x1", "2", "/",
+                                       "\u200b", "\U0001d7ce"])
+    def test_a_csv_token_other_than_0_or_1_exits_2(self, monkeypatch, capsys, token, block):
         # blocks of 1 to 3 characters split the token and its neighbours
         monkeypatch.setattr(cli, "_BLOCK", block)
-        try:
-            bits = cli._bit_blocks(io.StringIO(f"1, {token}\n0"), "csv")
-            result = np.concatenate(list(bits)).tolist()
-        except ValueError as exc:
-            result = str(exc)
-        assert result == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"1, {token}\n0"))
+        assert main(["measure", "-", "--input-format", "csv", "--scales", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: symbol CSV must contain only bits (0 or 1)\n"
 
-    def test_a_late_non_integer_csv_token_takes_precedence(self, tmp_path, monkeypatch, capsys):
-        # as over the whole text: a non-integer anywhere outranks a non-bit
-        monkeypatch.setattr(cli, "_BLOCK", 2)
-        code, _ = measure_in_process(monkeypatch, tmp_path, b"2,0,1,0,1,x", "csv", "file", [1])
-        assert code == 2
-        assert "symbol CSV must contain integers" in capsys.readouterr().err
+    @pytest.mark.parametrize("block", [1, 1 << 17])
+    def test_an_endless_csv_token_is_refused_before_a_fourth_read(self, monkeypatch, block):
+        # only one bool is carried between chunks, so a token longer than
+        # one character is refused by the chunk that lengthens it
+        class EndlessZeros:
+            reads = 0
+
+            def read(self, size):
+                self.reads += 1
+                if self.reads == 4:
+                    pytest.fail("the csv reader asked for a 4th chunk of one token")
+                return "0" * size
+
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        with pytest.raises(ValueError, match=re.escape("symbol CSV must contain only bits")):
+            list(cli._bit_blocks(EndlessZeros(), "csv"))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_non_ascii_whitespace_separates_csv_tokens(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        text = "1\x850\u20031\u3000\u3000,0\x85"
+        bits = np.concatenate(list(cli._bit_blocks(io.StringIO(text), "csv")))
+        assert bits.tolist() == [1, 0, 1, 0]
 
     @pytest.mark.parametrize("fmt, data", [
         ("ascii01", b"0101" * 50 + b"2"),
@@ -490,27 +458,6 @@ class TestStreamedInput:
         assert code == 0
         assert [row["E"] is None for row in rows] == [False, False, True]
         assert "warning: scale 8: sequence too short" in capsys.readouterr().err
-
-    def test_a_token_over_many_chunks_reads_as_one(self, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK", 7)
-        text = "1," + "0" * 3000 + "1 " + "0" * 100 + ",1"
-        assert np.concatenate(list(cli._bit_blocks(io.StringIO(text), "csv"))).tolist() == [
-            1, 1, 0, 1]
-
-    def test_a_long_csv_token_is_carried_in_linear_memory(self, monkeypatch):
-        # a 1 MiB token over 1,024 chunks is joined once when it ends, not
-        # re-read (and re-encoded at 4 bytes a character) with every chunk
-        monkeypatch.setattr(cli, "_BLOCK", 1024)
-        size = 1 << 20
-        fh = io.StringIO("x" * size)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="symbol CSV must contain integers"):
-                list(cli._bit_blocks(fh, "csv"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * size, peak
 
     def test_peak_memory_does_not_grow_with_input_length(self, tmp_path, capsys):
         # uniform bytes show every 12- and 16-bit symbol at both lengths, so

@@ -90,6 +90,24 @@ class TestAggregate:
         with pytest.raises(ValueError, match="empty"):
             aggregate([])
 
+    def test_a_missing_h_is_an_error(self):
+        with pytest.raises(ValueError, match="measure H missing from an instance"):
+            aggregate([ms(0.4), ms(0.5, h=None)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_each_measure_computed_alone(self, seed):
+        # the one-pass statistics equal, bit for bit, each measure's 1-D ones
+        rng = np.random.default_rng(seed)
+        shape = (4, int(rng.integers(1, 120)))
+        values = rng.random(shape) ** 3 if seed % 2 else rng.integers(0, 8, shape) / 7
+        stats = aggregate([MeasureSet(*column.tolist(), 1) for column in values.T])
+        for key, row in zip("ESCH", values):
+            q25, median, q75 = np.percentile(row, [25, 50, 75], method="linear")
+            iqr = q75 - q25
+            assert [stats[name][key] for name in experiments.STAT_NAMES] == [
+                row.mean(), median, q25, q75,
+                row[row >= q25 - 1.5 * iqr].min(), row[row <= q75 + 1.5 * iqr].max()]
+
 
 class TestRbnSweep:
     def test_single_instance_equals_direct_run(self):

@@ -35,7 +35,6 @@ from .experiments import (
     write_text,
 )
 from .measures import SymbolSequence, check_scale, series_matrix_measures, streamed_measures
-from .plots import plot_script
 from .rbn import RbnConfig, generate_rbn, run_rbn, serialize_network
 from .trajectory import trajectory_csv, trajectory_pbm
 
@@ -242,10 +241,7 @@ def cmd_sweep(args) -> int:
     baseline = None
     if isinstance(results, ProfileResult):
         results, baseline = results.sweeps, results.h_baseline
-    script = plot_script(experiment) if args.plot_script else None
-    written = write_sweep_files(
-        results, Path(args.output_dir), experiment, h_baseline=baseline, plot_script=script
-    )
+    written = write_sweep_files(results, Path(args.output_dir), experiment, h_baseline=baseline)
     for path in written:
         print(path)
     return 0
@@ -324,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-baseline", choices=("exact", "inv2b"),
                    help="uncorrelated-H reference (profile): 2^-b (exact, the default) "
                         "or 1/(2b) (inv2b)")
-    p.add_argument("--plot-script", action="store_true",
-                   help="also emit a matplotlib script next to the data")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -20,7 +20,7 @@ holds the cells' series, which the vertical read-out uses as is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,12 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     64 rows at once as bit-sliced words; rows evolve independently, so a
     result does not depend on the batch it shares.  A stack holds as many
     rows as the widest word whose recorded block fits the record budget."""
+    return [traj for stack in _eca_stacks(config, seeds) for traj in stack]
+
+
+def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[Trajectory]]:
+    """The trajectories of :func:`run_eca_many`, one stack at a time."""
+
     def start(chunk):
         if config.init == "random":
             states = np.array([
@@ -145,7 +151,9 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
                 if j % 8 == 0:  # the words' next byte, 8 instances, as n x window
                     np.right_shift(recorded, j, out=low, casting="unsafe")
                     byte = np.ascontiguousarray(low.T)
-                yield (byte >> (j & 7)) & 1
+                bits = byte >> (j & 7)
+                bits &= 1
+                yield bits
 
         words = _pack(states)
         return words, _sliced_step(config.rule, words), unstack

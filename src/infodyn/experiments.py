@@ -16,14 +16,15 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .eca import EcaConfig, run_eca_many
+from .eca import EcaConfig, _eca_stacks
 from .measures import MeasureSet, check_scale, series_matrix_measures, uncorrelated_homeostasis
-from .rbn import RbnConfig, run_rbn_many
+from .rbn import RbnConfig, _rbn_stacks
 from .trajectory import _check_seed
 
 __all__ = [
@@ -141,14 +142,16 @@ def _check_rows(rows: int, detail: str) -> None:
 
 
 def _sweep(
-    experiment: str, key: str, grid: Sequence, make_config: Callable, run_many: Callable,
+    experiment: str, key: str, grid: Sequence, make_config: Callable, stacks: Callable,
     instances: int, scales: Sequence[int], master_seed: int, threads: int,
 ) -> list[SweepResult]:
     """The one cell runner: per grid value, build its config (whose ``key``
-    attribute is the cell's parameter), seed and run ``instances`` systems,
-    measure each one's series at every scale in one call, then aggregate each
-    scale.  The sweep's size, its threads, the master seed and every config
-    are checked, and the window against the scales, before any cell runs."""
+    attribute is the cell's parameter), seed and run ``instances`` systems
+    one stack at a time (``stacks(config, seeds)``), measure each one's series
+    at every scale in one call, then aggregate each scale.  A cell keeps only
+    the measures, so it holds one stack of trajectories at a time.  The
+    sweep's size, its threads, the master seed and every config are checked,
+    and the window against the scales, before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
     _check_threads(threads)
@@ -165,7 +168,12 @@ def _sweep(
         parameter = getattr(config, key)
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
-        measured = [series_matrix_measures(t.series, scales) for t in run_many(config, seeds)]
+
+        def measure(traj):
+            return series_matrix_measures(traj.series, scales)
+
+        # map holds no trajectory once it is measured, nor chain a finished stack
+        measured = list(map(measure, chain.from_iterable(stacks(config, seeds))))
         per_scale = {b: [by_scale[b] for by_scale in measured] for b in scales}
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]
@@ -187,13 +195,13 @@ def rbn_sweep(
     """Connectivity sweep: `instances` independent networks per K value."""
     return _sweep("rbn_sweep", "k", k_grid,
                   lambda k: RbnConfig(n=n, k=float(k), transient=transient, window=window),
-                  run_rbn_many, instances, scales, master_seed, threads)
+                  _rbn_stacks, instances, scales, master_seed, threads)
 
 
 def _rule_survey(experiment, rules, n, instances, transient, window, scales, master_seed, threads):
     return _sweep(experiment, "rule", rules,
                   lambda rule: EcaConfig(rule=rule, n=n, transient=transient, window=window),
-                  run_eca_many, instances, scales, master_seed, threads)
+                  _eca_stacks, instances, scales, master_seed, threads)
 
 
 def eca_class_survey(
@@ -374,12 +382,11 @@ def write_sweep_files(
     experiment: str,
     *,
     h_baseline: dict[int, float] | None = None,
-    plot_script: str | None = None,
 ) -> list[Path]:
     """Write per-instance and aggregate CSVs plus their JSON mirrors.
 
-    Optionally writes the per-scale uncorrelated-H reference line and a plot
-    script.  Returns the written paths.
+    Optionally writes the per-scale uncorrelated-H reference line.  Returns
+    the written paths.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -399,6 +406,4 @@ def write_sweep_files(
     if h_baseline is not None:
         rows = [{"scale": b, "h_baseline": h} for b, h in sorted(h_baseline.items())]
         emit(f"{experiment}_h_baseline.csv", csv_text(("scale", "h_baseline"), rows))
-    if plot_script is not None:
-        emit(f"plot_{experiment}.py", plot_script)
     return written

@@ -6,13 +6,16 @@ Everything here is a pure function of its arguments.  The central object is a
 sequences (``b=1``) can be regrouped to coarser scales with :func:`rescale`,
 and the four headline measures -- emergence, self-organization, complexity,
 homeostasis -- are derived from plug-in Shannon information on the regrouped
-string.  :func:`series_matrix_measures` measures each row of a simulator's
-``series`` matrix this way, at every scale in one call, and averages them;
-:func:`streamed_measures` measures one bit string read block by block, from
-its running symbol counts.  Both build each scale ``b`` from the symbols of
-its largest listed divisor ``d`` (:func:`_group_sources`); the stream carries,
-per scale, a tail of fewer than ``b / d`` such symbols from block to block.
-No other module knows the symbol dtype or the grouping order.
+string.
+
+One kernel, :func:`_measure_blocks`, groups, counts and computes H for every
+series: it reads a ``units x length`` bit series as column blocks and carries,
+per scale, a tail of source symbols, each row's last two symbols (or a count
+of changes) and the running ``(row, symbol, count)`` runs.  Its two entries
+only check their input: :func:`series_matrix_measures` cuts a simulator's
+``series`` matrix into column blocks of at most ``_BLOCK_BITS`` bits, and
+:func:`streamed_measures` hands over one bit string, read block by block, as
+a single row.  No other module knows the symbol dtype or the grouping order.
 """
 
 from __future__ import annotations
@@ -53,11 +56,15 @@ _MAX_SCALE = 62
 
 _RANGE_TOL = 1e-9
 
-# a streamed run merges into the one before it while that one holds at most
-# this many times its symbols: a smaller ratio copies each symbol fewer times,
-# a larger one keeps the merge temporaries (proportional to the smaller run)
-# small
-_MERGE_RATIO = 16
+# a block's counts merge into the run before them while that run holds at most
+# this many times their entries: a merge sorts both runs, so a larger ratio
+# only re-sorts the running counts more often
+_MERGE_RATIO = 2
+
+# bits of one column block of a series: the kernel's temporaries are a few
+# bytes per bit of a block, and every sweep trajectory (at most 256 x 4,096
+# bits in the library's defaults) is one block
+_BLOCK_BITS = 1 << 20
 
 
 def check_scale(scale: int) -> int:
@@ -236,7 +243,8 @@ def _group_sources(scales: Iterable[int]) -> dict[int, int]:
 
 def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one symbol counter: ``(row, symbol, count)`` of each distinct symbol
-    of each row of a 2-D array, rows in order and symbols ascending.
+    of each row of a 2-D array, rows in order and symbols ascending; rows in
+    the narrowest unsigned dtype that holds them.
 
     These are the run lengths of the sorted rows, so memory grows with the
     array, never with the alphabet.
@@ -246,7 +254,8 @@ def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     first = np.flatnonzero(starts)
     counts = np.diff(first, append=ordered.size)
-    return first // ordered.shape[1], ordered.ravel()[first], counts
+    rows = (first // ordered.shape[1]).astype(np.min_scalar_type(max(len(ordered) - 1, 0)))
+    return rows, ordered.ravel()[first], counts
 
 
 def _row_information(symbols: np.ndarray) -> np.ndarray:
@@ -267,36 +276,43 @@ def _count_information(
     return -np.bincount(rows, weights=p * np.log2(p), minlength=shape[0])
 
 
-def _merge_counts(
-    symbols: np.ndarray, counts: np.ndarray, new: np.ndarray, new_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ascending ``(new, new_counts)`` pairs into ascending running
-    ``(symbols, counts)`` without sorting again: a symbol already present adds
-    its count in place, the others are inserted at their ``searchsorted``
-    positions, so one merge costs O(len(symbols) + len(new) log len(symbols))."""
-    at = np.searchsorted(symbols, new)
-    found = at < symbols.size
-    found[found] = symbols[at[found]] == new[found]
-    counts[at[found]] += new_counts[found]
-    fresh = ~found
-    if not fresh.any():
-        return symbols, counts
-    return (np.insert(symbols, at[fresh], new[fresh]),
-            np.insert(counts, at[fresh], new_counts[fresh]))
+def _merge_counts(runs: list) -> None:
+    """Replace the last two ``(row, symbol, count)`` runs of ``runs``, each
+    ascending by ``(row, symbol)``, by their merge: a stable sort of their
+    concatenation by ``(row, symbol)`` (``np.lexsort``, which finds the two
+    presorted runs), then the count of each equal pair of neighbours summed.
+    It builds no composite key, so it holds at every number of rows and every
+    scale.  The two runs are freed once concatenated, and the columns are
+    reordered one at a time, so a merge peaks near its concatenation."""
+    rows, symbols, counts = (np.concatenate(pair) for pair in zip(runs.pop(-2), runs.pop()))
+    order = np.lexsort((symbols, rows))
+    rows = rows[order]
+    symbols = symbols[order]
+    counts = counts[order]
+    del order
+    # a run holds each (row, symbol) once, so an equal pair is one from each
+    same = np.flatnonzero((rows[1:] == rows[:-1]) & (symbols[1:] == symbols[:-1]))
+    counts[same] += counts[same + 1]
+    keep = np.ones(rows.size, dtype=bool)
+    keep[same + 1] = False
+    rows = rows[keep]
+    symbols = symbols[keep]
+    runs.append((rows, symbols, counts[keep]))
 
 
 def _merge_runs(runs: list, ratio: float) -> None:
-    """Merge the newest of a list of ascending ``(symbol, count)`` runs into
-    the one before it while that one holds at most ``ratio`` times as many
-    symbols (all of them, for an infinite ratio).
+    """Merge the newest of a list of ``(row, symbol, count)`` runs into the
+    one before it while that one holds at most ``ratio`` times as many
+    entries (all of them, for an infinite ratio).
 
     With few distinct symbols every block's run merges into one running
-    count at once.  When most symbols are distinct (large ``b``), run sizes
-    fall geometrically instead, so a symbol is copied O(log blocks) times,
-    not once per later block as a single running count would copy it.
+    count at once.  When most symbols are distinct (large ``b``), runs merge
+    like the digits of a binary counter instead, so a symbol is copied
+    O(log blocks) times, not once per later block as a single running count
+    would copy it.
     """
     while len(runs) > 1 and runs[-2][0].size <= ratio * runs[-1][0].size:
-        runs[-2:] = [_merge_counts(*runs[-2], *runs[-1])]
+        _merge_counts(runs)
 
 
 def emergence(i_in: float, i_out: float) -> float:
@@ -337,13 +353,8 @@ def simplified_measures(seq: SymbolSequence) -> MeasureSet:
     ``S = 1 - E`` and ``C = 4 E (1 - E)``, which spans ``[0, 1]`` and peaks
     at ``E = 0.5``.
     """
-    return _simplified(shannon_information(seq), seq.bits_per_symbol)
-
-
-def _simplified(information: float, scale: int) -> MeasureSet:
-    """Simplified (E, S, C) at ``scale`` from a sequence's Shannon information
-    in bits, with E clipped to [0, 1]; H is None."""
-    return _measure_set(min(max(information / scale, 0.0), 1.0), None, scale)
+    b = seq.bits_per_symbol
+    return _measure_set(min(max(shannon_information(seq) / b, 0.0), 1.0), None, b)
 
 
 def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
@@ -358,6 +369,69 @@ def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
     )
 
 
+def _measure_blocks(
+    blocks: Iterable[np.ndarray], scales: Iterable[int], h: str | None
+) -> dict[int, MeasureSet | None]:
+    """The one measurement kernel: the measures at each scale of a
+    ``units x length`` bit series, read as column blocks (uint8, one row per
+    unit).
+
+    Each block's fresh symbols of the source scale ``d`` of ``b`` (see
+    :func:`_group_sources`), behind the fewer than ``b / d`` per row left
+    over by the block before, become its ``b``-symbols, whose ``(row, symbol,
+    count)`` runs merge into the running counts (:func:`_merge_runs`); one
+    block is counted once and never merged.  E is the row mean of the
+    normalized information, each clipped to [0, 1].  ``h`` is ``None`` (no
+    H; a scale needs one group), ``"final"`` (the last two macro-states,
+    carried as each row's last two symbols) or ``"all"`` (every successive
+    pair, from a running count of changes); with H a scale needs two groups.
+    A scale with too few groups is ``None``.
+    """
+    measured = dict.fromkeys(map(check_scale, scales))
+    sources = _group_sources(measured)
+    runs = {b: [] for b in sources}
+    groups = dict.fromkeys(sources, 0)
+    changes = dict.fromkeys(sources, 0)
+    tails, last = {}, {}
+    units = 0
+    for block in blocks:
+        units = block.shape[0]
+        fresh = {1: block}
+        for b, d in sources.items():
+            symbols = fresh[d]
+            if b in tails:
+                symbols = np.concatenate((tails.pop(b), symbols), axis=1)
+            used = symbols.shape[1] - symbols.shape[1] % (b // d)
+            if used < symbols.shape[1]:
+                tails[b] = symbols[:, used:].copy()
+            grouped = fresh[b] = _group_symbols(symbols, b // d, d)
+            if not used:
+                continue
+            groups[b] += grouped.shape[1]
+            runs[b].append(_row_counts(grouped))
+            _merge_runs(runs[b], _MERGE_RATIO)
+            if h is not None:
+                before = last.get(b, grouped[:, :0])
+                if h == "all":  # the pairs inside the block and across its left edge
+                    changes[b] += np.count_nonzero(grouped[:, 1:] != grouped[:, :-1])
+                    changes[b] += np.count_nonzero(grouped[:, :1] != before[:, -1:])
+                last[b] = np.concatenate((before, grouped[:, -2:]), axis=1)[:, -2:]
+    for b, pending in runs.items():
+        if groups[b] < (1 if h is None else 2):
+            continue
+        _merge_runs(pending, np.inf)
+        rows, _, counts = pending[0]
+        info = _count_information(rows, counts, (units, groups[b])) / b
+        if h == "final":
+            h_b = 1.0 - int(np.count_nonzero(last[b][:, 0] != last[b][:, 1])) / units
+        elif h == "all":
+            h_b = 1.0 - int(changes[b]) / (units * (groups[b] - 1))
+        else:
+            h_b = None
+        measured[b] = _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h_b, b)
+    return measured
+
+
 def series_matrix_measures(
     series: np.ndarray, scales: Iterable[int], *, average_h: bool = False
 ) -> dict[int, MeasureSet | None]:
@@ -369,24 +443,21 @@ def series_matrix_measures(
     averaged into one system-level information, from which E, S, and C follow;
     H compares the final two macro-states, or, with ``average_h``, averages
     the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).  Each scale is grouped from the symbols of its
-    source scale (see :func:`_group_sources`).  Symbols are counted by
-    sorting each row, so memory is O(units x groups) at any scale in 1..62.
+    non-default estimate).  The series is checked, then read by the one
+    kernel (:func:`_measure_blocks`) in column blocks of at most
+    ``_BLOCK_BITS`` bits, so the kernel's memory does not grow with its
+    length; every sweep trajectory is a single block.
     """
     series = np.asarray(series)
-    if series.ndim != 2:
-        raise ValueError("series must be a 2-D (units x length) matrix")
+    if series.ndim != 2 or not series.shape[0]:
+        raise ValueError("series must be a 2-D (units x length) matrix of at least one unit")
     if _first_nonbit(series) is not None:
         raise ValueError("series must be binary")
-    measured = dict.fromkeys(map(check_scale, scales))
-    grouped = {1: series.astype(np.uint8, copy=False)}
-    for b, d in _group_sources(b for b in measured if 2 * b <= series.shape[1]).items():
-        symbols = grouped[b] = _group_symbols(grouped[d], b // d, d)
-        info = _row_information(symbols) / b
-        first = 0 if average_h else -2  # all successive pairs, or the final one
-        h = homeostasis(symbols[:, first:-1], symbols[:, first + 1 :])
-        measured[b] = _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h, b)
-    return measured
+    units, length = series.shape
+    width = max(_BLOCK_BITS // units, 1)
+    blocks = (series[:, at : at + width].astype(np.uint8, copy=False)
+              for at in range(0, length, width))
+    return _measure_blocks(blocks, scales, "all" if average_h else "final")
 
 
 def streamed_measures(
@@ -395,45 +466,21 @@ def streamed_measures(
     """Simplified (E, S, C) of one bit string, read block by block, at each
     scale; ``None`` for a scale longer than the string.  H is None.
 
-    The string is the concatenation of ``blocks``, 1-D arrays of bits.  As in
-    :func:`series_matrix_measures`, scale ``b`` is grouped from the symbols of
-    its source scale ``d`` (see :func:`_group_sources`): each block's fresh
-    ``d``-symbols, behind the fewer than ``b / d`` of them that the previous
-    block left over, become that block's ``b``-symbols, and their ascending
-    ``(symbol, count)`` pairs are merged into the running counts of ``b`` (see
-    :func:`_merge_runs`).  Memory is therefore O(block + distinct symbols) per
-    scale, not O(string), and each value is exactly
+    The string is the concatenation of ``blocks``, 1-D arrays of bits; each
+    is checked and handed to the one kernel (:func:`_measure_blocks`) as a
+    one-row column block.  Memory is therefore O(block + distinct symbols)
+    per scale, not O(string), and each value is exactly
     ``simplified_measures(rescale(SymbolSequence(bits, 1), b))``.
     """
-    scales = [check_scale(b) for b in scales]
-    sources = _group_sources(scales)
-    tails = {b: np.zeros(0, np.uint8) for b in sources}
-    runs = {b: [] for b in sources}
-    for block in blocks:
-        block = np.asarray(block)
-        # checked in the block's own dtype: a uint8 cast would wrap 256 to 0
-        if block.ndim != 1 or _first_nonbit(block) is not None:
-            raise ValueError("blocks must be 1-D arrays of bits")
-        fresh = {1: block.astype(np.uint8, copy=False)}
-        for b, d in sources.items():
-            tail = tails[b]
-            symbols = np.concatenate((tail, fresh[d])) if tail.size else fresh[d]
-            used = symbols.size - symbols.size % (b // d)
-            grouped = fresh[b] = _group_symbols(symbols[None, :used], b // d, d)[0]
-            tails[b] = symbols[used:].copy()
-            if used:
-                runs[b].append(_row_counts(grouped[None, :])[1:])
-                _merge_runs(runs[b], _MERGE_RATIO)
-    measured = dict.fromkeys(scales)
-    for b, pending in runs.items():
-        if pending:  # at least one group of b bits
-            _merge_runs(pending, np.inf)
-            counts = pending[0][1]
-            rows = np.zeros(counts.size, dtype=np.intp)
-            # + 0.0 turns the -0.0 of a constant string into 0.0
-            info = float(_count_information(rows, counts, (1, int(counts.sum())))[0]) + 0.0
-            measured[b] = _simplified(info, b)
-    return measured
+    def checked():
+        for block in blocks:
+            block = np.asarray(block)
+            # checked in the block's own dtype: a uint8 cast would wrap 256 to 0
+            if block.ndim != 1 or _first_nonbit(block) is not None:
+                raise ValueError("blocks must be 1-D arrays of bits")
+            yield block.astype(np.uint8, copy=False)[None, :]
+
+    return _measure_blocks(checked(), scales, None)
 
 
 def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,6 +241,11 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     budgets and stepped as one block-diagonal system; a network's
     trajectory does not depend on the stack it shares.
     """
+    return [traj for stack in _rbn_stacks(config, seeds) for traj in stack]
+
+
+def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[list[Trajectory]]:
+    """The trajectories of :func:`run_rbn_many`, one stack at a time."""
 
     def start(chunk):
         nets = [generate_rbn(config, np.random.default_rng(s)) for s in chunk]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,8 +76,11 @@ class Trajectory:
 
 
 # bytes one stack may record (its window x state block); a run whose block
-# alone is larger is refused.  Measuring one RBN run peaks at about 6.7 times
-# its block in RSS, so about 1.8 GB at this limit (7 GB at 2^30).
+# alone is larger is refused.  Unstacking copies the block, and the measure
+# kernel reads a series in column blocks of a fixed size, so a run peaks at a
+# small multiple of its block in RSS: `rbn --n 100 --transient 0 --window
+# 524288` (a 52 MB block) at 136 MB, `eca --rule 30 --n 256 --transient 0
+# --window 262144` (67 MB) at 292 MB, so about 0.7 and 1.2 GB at this limit
 _RECORD_BUDGET = 1 << 28
 
 
@@ -103,19 +106,21 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
 
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> list[Trajectory]:
-    """The one record loop of both simulators: one trajectory per seed.
+) -> Iterator[list[Trajectory]]:
+    """The one record loop of both simulators: one trajectory per seed, in
+    seed order, recorded and yielded one stack of at most ``batch`` at a time.
 
-    ``start(chunk)`` returns the initial state of a stack of at most ``batch``
-    instances, its update, and ``unstack``, which maps the recorded
-    ``window x state`` block to each instance's contiguous ``n x window``
-    series in chunk order; the stack runs ``transient`` steps, then
-    ``window`` states are recorded.  Every seed is checked before any runs.
+    ``start(chunk)`` returns the initial state of a stack, its update, and
+    ``unstack``, which maps the recorded ``window x state`` block to each
+    instance's contiguous ``n x window`` series in chunk order; the stack runs
+    ``transient`` steps, then ``window`` states are recorded.  Every seed is
+    checked before this returns, so before any stack runs.  A stack is
+    recorded only when the one before it has been taken, and the loop keeps
+    nothing of a stack it has yielded.
     """
     seeds = [_check_seed(seed) for seed in seeds]
-    trajectories: list[Trajectory] = []
-    for first in range(0, len(seeds), batch):
-        chunk = seeds[first : first + batch]
+
+    def record(chunk: list[int]) -> list[Trajectory]:
         state, step, unstack = start(chunk)
         for _ in range(transient):
             state = step(state)
@@ -123,8 +128,9 @@ def _record_runs(
         for t in range(window):
             recorded[t] = state
             state = step(state)
-        trajectories += [Trajectory(series.T, transient) for series in unstack(recorded)]
-    return trajectories
+        return [Trajectory(series.T, transient) for series in unstack(recorded)]
+
+    return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 
 
 def _bit_text(bits: np.ndarray, sep: str = "") -> str:

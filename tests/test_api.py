@@ -18,7 +18,7 @@ import infodyn
 from infodyn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("measures", "trajectory", "rbn", "eca", "experiments", "plots", "cli")
+MODULES = ("measures", "trajectory", "rbn", "eca", "experiments", "cli")
 
 
 def _infodyn_imports(source: str) -> list[str]:
@@ -112,8 +112,9 @@ def test_readme_quickstart_imports_exist():
 
 def test_only_measures_uses_the_symbol_format():
     # the symbol dtype, grouping order and kernels stay behind measures.py
-    private = {"_group_symbols", "_row_counts", "_row_information", "_count_information",
-               "_merge_counts", "_merge_runs", "_measure_set", "_simplified", "_symbol_dtype"}
+    private = {"_group_symbols", "_group_sources", "_row_counts", "_row_information",
+               "_count_information", "_merge_counts", "_merge_runs", "_measure_blocks",
+               "_measure_set", "_symbol_dtype"}
     used = {
         (path.name, name)
         for path in (ROOT / "src" / "infodyn").glob("*.py")
@@ -126,6 +127,24 @@ def test_only_measures_uses_the_symbol_format():
         if name in private
     }
     assert used == set()
+
+
+def test_one_function_groups_and_merges():
+    # one measurement kernel: a second caller of the regrouping rule or of
+    # the count merge would be a second grouping or counting loop
+    tree = ast.parse((ROOT / "src" / "infodyn" / "measures.py").read_text())
+
+    def callers(name):
+        return [
+            fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name for node in ast.walk(fn))
+        ]
+
+    assert callers("_group_sources") == ["_measure_blocks"]
+    assert callers("_merge_runs") == ["_measure_blocks"]
 
 
 def test_only_trajectory_spells_the_seed_bound():

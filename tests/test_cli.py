@@ -525,20 +525,17 @@ class TestSweepCommand:
         assert proc.returncode == 0
         assert (out / "eca_survey_instances.csv").exists()
 
-    def test_profile_writes_baseline_and_plot(self, tmp_path, cli_env):
+    def test_profile_writes_baseline(self, tmp_path, cli_env):
         out = tmp_path / "profile"
         proc = run_cli(
             ["sweep", "profile", "--rules", "0", "--instances", "1", "--window", "16",
-             "--transient", "4", "--n", "8", "--scales", "1,2", "--plot-script",
-             "--output-dir", str(out)],
+             "--transient", "4", "--n", "8", "--scales", "1,2", "--output-dir", str(out)],
             cli_env,
         )
         assert proc.returncode == 0
         assert (out / "eca_profiles_h_baseline.csv").read_text() == (
             "scale,h_baseline\n1,0.5\n2,0.25\n"
         )
-        script = (out / "plot_eca_profiles.py").read_text()
-        compile(script, "plot_eca_profiles.py", "exec")
 
     def test_profile_at_wide_scale(self, tmp_path, cli_env):
         out = tmp_path / "wide"
@@ -562,26 +559,6 @@ class TestSweepCommand:
         assert (out / "eca_profiles_h_baseline.csv").read_text() == (
             "scale,h_baseline\n4,0.125\n"
         )
-
-    def test_plot_scripts_render(self, tmp_path, cli_env):
-        pytest.importorskip("matplotlib")
-        for what, experiment in (("rbn", "rbn_sweep"), ("eca", "eca_survey"),
-                                 ("profile", "eca_profiles")):
-            out = tmp_path / what
-            args = ["sweep", what, "--instances", "2", "--window", "32",
-                    "--transient", "8", "--n", "16", "--scales", "1,2",
-                    "--plot-script", "--output-dir", str(out)]
-            if what == "rbn":
-                args += ["--k-grid", "1,2"]
-            else:
-                args += ["--rules", "0,30"]
-            assert run_cli(args, cli_env).returncode == 0
-            render = subprocess.run(
-                [sys.executable, str(out / f"plot_{experiment}.py")],
-                capture_output=True, env=cli_env, timeout=300,
-            )
-            assert render.returncode == 0, render.stderr.decode()
-            assert list(out.glob("*.png")), f"no images rendered for {what}"
 
     def test_k_grid_range_never_passes_its_stop(self, tmp_path, capsys):
         assert cli._parse_k_grid("1:2:0.6") == (1.0, 1.6)

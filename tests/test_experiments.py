@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestRbnSweep:
         def never(config, seeds):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "run_rbn_many", never)
+        monkeypatch.setattr(experiments, "_rbn_stacks", never)
         with pytest.raises(ValueError, match="lookup tables"):
             rbn_sweep(n=100, k_grid=[1.0, 35.0], instances=1, transient=1, window=8)
 
@@ -149,8 +150,8 @@ class TestRbnSweep:
         def never(config, seeds):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "run_rbn_many", never)
-        monkeypatch.setattr(experiments, "run_eca_many", never)
+        monkeypatch.setattr(experiments, "_rbn_stacks", never)
+        monkeypatch.setattr(experiments, "_eca_stacks", never)
         with pytest.raises(ValueError, match="window too short for scale 4"):
             sweep(n=10, instances=1, transient=1, window=4, scales=(1, 4))
         with pytest.raises(ValueError, match="scale must be in 1..62"):
@@ -162,8 +163,8 @@ class TestRbnSweep:
         def never(config, seeds):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "run_rbn_many", never)
-        monkeypatch.setattr(experiments, "run_eca_many", never)
+        monkeypatch.setattr(experiments, "_rbn_stacks", never)
+        monkeypatch.setattr(experiments, "_eca_stacks", never)
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             sweep(n=10, instances=1, transient=1, window=4, scales=(1,), master_seed=seed)
 
@@ -171,8 +172,8 @@ class TestRbnSweep:
         def never(config, seeds):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "run_rbn_many", never)
-        monkeypatch.setattr(experiments, "run_eca_many", never)
+        monkeypatch.setattr(experiments, "_rbn_stacks", never)
+        monkeypatch.setattr(experiments, "_eca_stacks", never)
         # a range grid of 10^15 K values is never turned into configs
         with pytest.raises(ValueError, match=r"^4,000,000,000,000,000 instance rows .*-row limit"):
             rbn_sweep(k_grid=range(10**15), instances=1)
@@ -187,7 +188,7 @@ class TestRbnSweep:
             assert (config.n, config.window, len(seeds)) == (100, 1000, 1000)
             raise CellRan
 
-        monkeypatch.setattr(experiments, "run_rbn_many", first_cell)
+        monkeypatch.setattr(experiments, "_rbn_stacks", first_cell)
         assert 21 * 4 * 1000 <= experiments._ROW_LIMIT
         with pytest.raises(CellRan):
             rbn_sweep()  # the library defaults are the paper's sizes
@@ -243,7 +244,7 @@ class TestRbnSweep:
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_1_are_refused_before_any_cell_runs(self, monkeypatch, threads):
-        monkeypatch.setattr(experiments, "run_rbn_many", lambda *a: pytest.fail("a cell ran"))
+        monkeypatch.setattr(experiments, "_rbn_stacks", lambda *a: pytest.fail("a cell ran"))
         with pytest.raises(ValueError, match=rf"threads must be >= 1 \(got {threads}\)"):
             rbn_sweep(n=6, k_grid=[1.0], instances=1, transient=2, window=8, threads=threads)
 
@@ -271,6 +272,20 @@ class TestEcaSurvey:
         for index, seed in enumerate(result.seeds):
             traj = run_eca(EcaConfig(rule=30, n=32, transient=8, window=32, seed=seed))
             assert result.instances[index] == series_matrix_measures(traj.series, [1])[1]
+
+    def test_a_cell_holds_one_stack_at_a_time(self):
+        # 64 instances a stack: 4 stacks against 16, so a cell that held all
+        # its trajectories until it measured them would peak about 4x higher
+        peaks = {}
+        for instances in (256, 1024):
+            tracemalloc.start()
+            try:
+                eca_class_survey(rules=[30], n=256, instances=instances, transient=0,
+                                 window=512, scales=(1,))
+                peaks[instances] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1024] <= 1.1 * peaks[256], peaks
 
     def test_rule_out_of_range(self):
         with pytest.raises(ValueError, match="rule out of range"):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from infodyn.measures import (
     MeasureSet,
     SymbolSequence,
     _group_symbols,
+    _measure_blocks,
     _row_counts,
     _row_information,
     estimate_distribution,
@@ -224,6 +226,50 @@ def test_every_scale_matches_its_own_regrouping(bits, scales, average_h):
     assert list(measured) == list(dict.fromkeys(scales))
     for scale, ms in measured.items():
         assert ms == per_scale_reference(bits, scale, average_h)
+
+
+@st.composite
+def column_cuts(draw):
+    """(bits, blocks): a 1..9-row bit series, and the same series cut into
+    column blocks at random columns, empty blocks included."""
+    units = draw(st.integers(1, 9))
+    length = draw(st.integers(0, 400))
+    bits = draw(arrays(np.uint8, (units, length), elements=st.integers(0, 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=12)))
+    return bits, np.split(bits, cuts, axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=column_cuts(),
+    scales=st.sampled_from([(1, 2, 4, 8), (3, 6, 12, 24), (2, 31, 62), (62, 1, 31, 5, 10),
+                            (40, 5, 10, 20)]),
+    h=st.sampled_from([None, "final", "all"]),
+)
+def test_block_cuts_do_not_change_the_measures(case, scales, h):
+    # every scale's tail, last two symbols, change count and (row, symbol,
+    # count) runs carry across each cut; at b=62 on 5 or more rows a
+    # (row << b) | symbol key would not fit 64 bits, and the merge builds none
+    bits, blocks = case
+    assert _measure_blocks(blocks, scales, h) == _measure_blocks([bits], scales, h)
+
+
+def test_series_peak_memory_does_not_grow_with_length():
+    # the series is read in column blocks, so the kernel's own peak (net of
+    # the series, which exists before tracing starts) is the same at 4x the
+    # length; it measured the whole series at once and peaked 4x higher
+    rng = np.random.default_rng(7)
+    peaks = {}
+    for length in (1 << 17, 1 << 19):
+        series = rng.integers(0, 2, size=(100, length), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            series_matrix_measures(series, (1, 2, 4, 8))
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del series
+    assert abs(peaks[1 << 19] - peaks[1 << 17]) <= 0.1 * peaks[1 << 17], peaks
 
 
 def test_scale_out_of_range():

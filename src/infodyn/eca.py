@@ -13,8 +13,8 @@ the narrowest 8-, 16-, 32- or 64-bit dtype that holds the stack, bit ``j``
 being instance ``j``, and a step is the OR of the rule's set minterms over
 the left, center and right words and their complements.  Only bitwise
 operations touch a word, so instances never mix.  Unstacking copies each
-byte of the words, 8 instances, transposed, so a trajectory's ``series``
-holds the cells' series, which the vertical read-out uses as is.
+byte of the words, 8 instances, out once, transposed, and shifts them out of
+it, so ``series`` holds the cells' series, which the vertical read-out uses.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .measures import _BLOCK_BITS
 from .rbn import BooleanNetwork, network_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _check_run, _first_nonbit, _record_runs
 
@@ -97,9 +98,9 @@ def run_eca(config: EcaConfig) -> Trajectory:
 
 
 def _pack(states: np.ndarray) -> np.ndarray:
-    """Bit-slice an (instances x n) stack of at most 64 rows into n words of
-    the narrowest unsigned dtype that holds one bit per row."""
-    dtype = np.dtype(f"u{1 << ((len(states) - 1) >> 3).bit_length()}")
+    """Bit-slice an (instances x n) stack of at most 64 rows into n little-endian
+    words of the narrowest unsigned dtype that holds one bit per row."""
+    dtype = np.dtype(f"<u{1 << ((len(states) - 1) >> 3).bit_length()}")
     shifts = np.arange(len(states), dtype=dtype)[:, None]
     return np.bitwise_or.reduce(states.astype(dtype) << shifts, axis=0)
 
@@ -128,13 +129,14 @@ def _sliced_step(rule: int, words: np.ndarray) -> Callable[[np.ndarray], np.ndar
 def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one instance per seed (``config.seed`` is ignored), stepping up to
     64 rows at once as bit-sliced words; rows evolve independently, so a
-    result does not depend on the batch it shares.  A stack holds as many
-    rows as the widest word whose recorded block fits the record budget."""
-    return [traj for stack in _eca_stacks(config, seeds) for traj in stack]
+    result does not depend on the batch it shares.  A stack holds as many rows
+    as the widest word whose block fits the record budget; its series become trajectories."""
+    return [Trajectory(series.T, config.transient)
+            for stack in _eca_stacks(config, seeds) for series in stack]
 
 
-def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[Trajectory]]:
-    """The trajectories of :func:`run_eca_many`, one stack at a time."""
+def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[np.ndarray]]:
+    """The read-only ``n x window`` series of :func:`run_eca_many`, one stack at a time."""
 
     def start(chunk):
         if config.init == "random":
@@ -146,14 +148,16 @@ def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[Trajec
             states[:, config.n // 2] = 1  # single cell, centered
 
         def unstack(recorded):
-            low = np.empty(recorded.shape, dtype=np.uint8)  # the low byte of each word
-            for j in range(len(chunk)):
-                if j % 8 == 0:  # the words' next byte, 8 instances, as n x window
-                    np.right_shift(recorded, j, out=low, casting="unsafe")
-                    byte = np.ascontiguousarray(low.T)
-                bits = byte >> (j & 7)
-                bits &= 1
-                yield bits
+            # byte k of the words holds instances 8k..8k+7: copy it out once,
+            # as n x window, and shift each of them out of that one copy
+            planes = recorded.view(np.uint8).reshape(config.window, config.n, -1)
+            series = []
+            for first in range(0, len(chunk), 8):
+                plane = np.ascontiguousarray(planes[:, :, first // 8].T)
+                last = min(8, len(chunk) - first) - 1
+                series += [plane >> j for j in range(last)] + [plane]
+                plane >>= last  # in place: the copy is the byte's last instance
+            return [np.bitwise_and(bits, 1, out=bits) for bits in series]
 
         words = _pack(states)
         return words, _sliced_step(config.rule, words), unstack
@@ -172,9 +176,21 @@ def oriented_series(traj: Trajectory, orientation: str) -> np.ndarray:
         return traj.states
     if orientation == "diagonal":
         # element t of diagonal u is series[(u - t) mod n, t]: a pattern
-        # drifting one cell left per step reads as a constant series
-        t = np.arange(traj.window)
-        return traj.series[(np.arange(traj.n)[:, None] - t) % traj.n, t]
+        # drifting one cell left per step reads as a constant series.  It is
+        # gathered a block of at most _BLOCK_BITS entries at a time, so the
+        # index stays small next to the series
+        n, window = traj.n, traj.window
+        diagonal = np.empty((n, window), dtype=np.uint8)
+        rows = min(n, _BLOCK_BITS)
+        cols = _BLOCK_BITS // rows
+        for u in range(0, n, rows):
+            for c in range(0, window, cols):
+                t = np.arange(c, min(c + cols, window))
+                index = np.subtract.outer(np.arange(u, min(u + rows, n)), t)
+                index %= n
+                diagonal[u : u + rows, c : c + cols] = traj.series[index, t]
+                del index  # before the next block's index is built
+        return diagonal
     raise ValueError(f"orientation must be one of {ORIENTATIONS}")
 
 

@@ -16,7 +16,6 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -146,11 +145,10 @@ def _sweep(
     instances: int, scales: Sequence[int], master_seed: int, threads: int,
 ) -> list[SweepResult]:
     """The one cell runner: per grid value, build its config (whose ``key``
-    attribute is the cell's parameter), seed and run ``instances`` systems
-    one stack at a time (``stacks(config, seeds)``), measure each one's series
-    at every scale in one call, then aggregate each scale.  A cell keeps only
-    the measures, so it holds one stack of trajectories at a time.  The
-    sweep's size, its threads, the master seed and every config are checked,
+    attribute is the cell's parameter), seed and run ``instances`` systems one
+    stack of series at a time (``stacks(config, seeds)``), measure each series at
+    every scale in one call and keep only the measures, then aggregate each scale.
+    The sweep's size, its threads, the master seed and every config are checked,
     and the window against the scales, before any cell runs."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -169,11 +167,9 @@ def _sweep(
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
 
-        def measure(traj):
-            return series_matrix_measures(traj.series, scales)
-
-        # map holds no trajectory once it is measured, nor chain a finished stack
-        measured = list(map(measure, chain.from_iterable(stacks(config, seeds))))
+        # each series leaves its stack as it is measured, so no stack outlives its turn
+        measured = [series_matrix_measures(stack.pop(0), scales)
+                    for stack in stacks(config, seeds) for _ in range(len(stack))]
         per_scale = {b: [by_scale[b] for by_scale in measured] for b in scales}
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]

@@ -239,20 +239,21 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 
     Networks are stacked as many at a time as fit the table and record
     budgets and stepped as one block-diagonal system; a network's
-    trajectory does not depend on the stack it shares.
+    trajectory does not depend on the stack it shares; its series become trajectories.
     """
-    return [traj for stack in _rbn_stacks(config, seeds) for traj in stack]
+    return [Trajectory(series.T, config.transient)
+            for stack in _rbn_stacks(config, seeds) for series in stack]
 
 
-def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[list[Trajectory]]:
-    """The trajectories of :func:`run_rbn_many`, one stack at a time."""
+def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[list[np.ndarray]]:
+    """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack at a time."""
 
     def start(chunk):
         nets = [generate_rbn(config, np.random.default_rng(s)) for s in chunk]
 
         def unstack(recorded):
             # one transpose per stack: row block j is network j's n x window series
-            return np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, config.window)
+            return list(np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, -1))
 
         return np.concatenate([net.state for net in nets]), _lookup(nets), unstack
 

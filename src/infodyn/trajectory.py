@@ -5,7 +5,7 @@ time series of node/cell ``i``, the layout every measure reads, and
 ``states`` is its time-major view.  A simulator may step and record a stack
 of instances in its own layout (RBN networks side by side, ECA instances
 bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
-to the simulator, which unstacks it into each instance's series.  The one
+to the simulator, which unstacks it into each instance's bare series.  The one
 binary-array check and the one bits-to-text encoder live here too.
 """
 
@@ -76,11 +76,11 @@ class Trajectory:
 
 
 # bytes one stack may record (its window x state block); a run whose block
-# alone is larger is refused.  Unstacking copies the block, and the measure
-# kernel reads a series in column blocks of a fixed size, so a run peaks at a
-# small multiple of its block in RSS: `rbn --n 100 --transient 0 --window
-# 524288` (a 52 MB block) at 136 MB, `eca --rule 30 --n 256 --transient 0
-# --window 262144` (67 MB) at 292 MB, so about 0.7 and 1.2 GB at this limit
+# alone is larger is refused.  A run holds its block and its series, one copy,
+# so it peaks at about two blocks plus 30 MB in RSS: `rbn --n 100 --transient 0
+# --window 524288` (52 MB) at 136 MB, `eca --rule 30 --n 256 --transient 0
+# --window 262144` (67 MB) at 164 MB, so about 0.57 GB at this limit; an ECA
+# sweep's stack of 8 or more unstacks 8 series a byte, so up to 9 blocks
 _RECORD_BUDGET = 1 << 28
 
 
@@ -106,21 +106,21 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
 
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> Iterator[list[Trajectory]]:
-    """The one record loop of both simulators: one trajectory per seed, in
-    seed order, recorded and yielded one stack of at most ``batch`` at a time.
+) -> Iterator[list[np.ndarray]]:
+    """The one record loop of both simulators: one series per seed, in seed
+    order, recorded and yielded one stack (a list) of at most ``batch`` at a time.
 
     ``start(chunk)`` returns the initial state of a stack, its update, and
-    ``unstack``, which maps the recorded ``window x state`` block to each
-    instance's contiguous ``n x window`` series in chunk order; the stack runs
-    ``transient`` steps, then ``window`` states are recorded.  Every seed is
-    checked before this returns, so before any stack runs.  A stack is
-    recorded only when the one before it has been taken, and the loop keeps
-    nothing of a stack it has yielded.
+    ``unstack``, which returns the list of each instance's C-contiguous uint8
+    ``n x window`` series, in chunk order, from the recorded ``window x state``
+    block; each is yielded read-only.  The stack runs ``transient`` steps, then
+    ``window`` states are recorded.  Every seed is checked before this returns,
+    so before any stack runs.  A stack is recorded only when the one before it
+    has been taken, and the loop keeps nothing of a stack it has yielded.
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
-    def record(chunk: list[int]) -> list[Trajectory]:
+    def record(chunk: list[int]) -> list[np.ndarray]:
         state, step, unstack = start(chunk)
         for _ in range(transient):
             state = step(state)
@@ -128,7 +128,10 @@ def _record_runs(
         for t in range(window):
             recorded[t] = state
             state = step(state)
-        return [Trajectory(series.T, transient) for series in unstack(recorded)]
+        stack = unstack(recorded)
+        for series in stack:
+            series.flags.writeable = False
+        return stack
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 

@@ -226,3 +226,21 @@ def test_single_run_sizes_and_seed_default_to_the_config():
         [("rbn", f) for f in ("--n", "--k", "--transient", "--window", "--seed")]
         + [("eca", f) for f in ("--n", "--transient", "--window", "--seed", "--init")]
     )
+
+
+def test_only_the_run_many_functions_build_trajectories():
+    # the record loop yields bare series and a sweep measures them as they
+    # come: a Trajectory is built only where a caller asks for a list of runs
+    def builds(node):
+        return any(isinstance(call, ast.Call) and "Trajectory" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+            for call in ast.walk(node))
+
+    builders = {
+        (path.name, getattr(node, "name", None))
+        for path in (ROOT / "src" / "infodyn").glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if builds(node)
+    }
+    assert builders == {("rbn.py", "run_rbn_many"), ("eca.py", "run_eca_many")}
+    assert "Trajectory" not in (ROOT / "src" / "infodyn" / "experiments.py").read_text()

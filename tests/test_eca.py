@@ -14,6 +14,7 @@ from infodyn.eca import (
 )
 from infodyn.measures import series_matrix_measures
 from infodyn.rbn import rbn_step
+from infodyn.trajectory import Trajectory
 
 
 def naive_step(state, rule_number):
@@ -253,6 +254,17 @@ class TestSeries:
         assert diagonal.all()  # constant 1 along the drift
         vertical = oriented_series(traj, "vertical")[center]
         assert not vertical.all()
+
+    @pytest.mark.parametrize("n, window, block", [
+        (257, 3 * (2**20 // 257) + 17, 2**20),  # 4 column blocks, the last 17 wide
+        (7, 40, 64),  # 9-column blocks, the last 4 wide
+        (67, 5, 64),  # one-column blocks of 64 cells, then of 3
+    ])
+    def test_diagonal_matches_its_definition_across_blocks(self, monkeypatch, n, window, block):
+        monkeypatch.setattr(eca, "_BLOCK_BITS", block)
+        series = np.random.default_rng(n).integers(0, 2, (n, window), dtype=np.uint8)
+        expected = np.fromfunction(lambda u, t: series[(u - t) % n, t], (n, window), dtype=int)
+        assert np.array_equal(oriented_series(Trajectory(series.T), "diagonal"), expected)
 
 
 class TestMeasures:

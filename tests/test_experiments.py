@@ -3,12 +3,13 @@ import os
 import stat
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from infodyn import experiments
-from infodyn.eca import EcaConfig, run_eca
+from infodyn.eca import EcaConfig, oriented_series, run_eca
 from infodyn.experiments import (
     DEFAULT_K_GRID,
     DEFAULT_RULES,
@@ -26,6 +27,7 @@ from infodyn.experiments import (
 )
 from infodyn.measures import MeasureSet, series_matrix_measures
 from infodyn.rbn import RbnConfig, run_rbn
+from infodyn.trajectory import Trajectory
 
 
 def printed(rows):
@@ -274,10 +276,11 @@ class TestEcaSurvey:
             assert result.instances[index] == series_matrix_measures(traj.series, [1])[1]
 
     def test_a_cell_holds_one_stack_at_a_time(self):
-        # 64 instances a stack: 4 stacks against 16, so a cell that held all
-        # its trajectories until it measured them would peak about 4x higher
+        # 64 instances a stack: 1, 4 and 16 stacks, so a cell that held all
+        # its trajectories until it measured them would peak about 4x higher,
+        # and one that held a measured stack while recording the next, 2x
         peaks = {}
-        for instances in (256, 1024):
+        for instances in (64, 256, 1024):
             tracemalloc.start()
             try:
                 eca_class_survey(rules=[30], n=256, instances=instances, transient=0,
@@ -285,7 +288,38 @@ class TestEcaSurvey:
                 peaks[instances] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1024] <= 1.1 * peaks[256], peaks
+        assert max(peaks.values()) <= 1.1 * peaks[64], peaks
+
+    @pytest.mark.parametrize("run, config", [
+        (run_eca, EcaConfig(rule=30, n=256, transient=0, window=2**15)),
+        (run_rbn, RbnConfig(n=256, transient=0, window=2**15)),
+    ])
+    def test_one_run_holds_its_block_and_its_series(self, run, config):
+        # the recorded block and the one copy unstacked from it, which is the
+        # series: no block-sized scratch array besides
+        run(replace(config, window=2))  # first-call imports stay out of the trace
+        block = config.n * config.window
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * block, peak / block
+
+    def test_the_diagonal_read_out_adds_about_one_block(self):
+        # the read-out itself plus one gather block's index, never an index
+        # the size of the whole window
+        n, window = 256, 2**18
+        series = np.random.default_rng(0).integers(0, 2, (n, window), dtype=np.uint8)
+        traj = Trajectory(series.T)
+        tracemalloc.start()
+        try:
+            oriented_series(traj, "diagonal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * window, peak / (n * window)
 
     def test_rule_out_of_range(self):
         with pytest.raises(ValueError, match="rule out of range"):

@@ -21,8 +21,8 @@ from infodyn.measures import (
     shannon_information,
     simplified_measures,
 )
-from infodyn.eca import EcaConfig, run_eca_many
-from infodyn.rbn import RbnConfig, run_rbn_many
+from infodyn.eca import EcaConfig, _eca_stacks, run_eca, run_eca_many
+from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
     trajectory_csv,
@@ -292,6 +292,24 @@ def test_every_seed_of_a_run_is_checked(config, run_many, seed):
     with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
         replace(config, seed=seed)
     assert len(run_many(config, [0, 2**64 - 1])) == 2
+
+
+@pytest.mark.parametrize("config, stacks, run", [
+    (RbnConfig(n=7, k=2, transient=3, window=20), _rbn_stacks, run_rbn),
+    (EcaConfig(rule=110, n=9, transient=3, window=20), _eca_stacks, run_eca),
+])
+def test_stacks_yield_read_only_series_in_seed_order(config, stacks, run):
+    # 130 seeds: RBN stacks of 128 and 2, ECA stacks of 64, 64 and 2
+    seeds = list(range(130))
+    yielded = list(stacks(config, seeds))
+    assert len(yielded) == (2 if run is run_rbn else 3)
+    series = [s for stack in yielded for s in stack]
+    assert all(type(stack) is list for stack in yielded) and len(series) == len(seeds)
+    for s in series:
+        assert (s.dtype, s.shape) == (np.uint8, (config.n, config.window))
+        assert s.flags.c_contiguous and not s.flags.writeable
+    for seed in (0, 63, 64, 127, 128, 129):
+        assert np.array_equal(series[seed], run(replace(config, seed=seed)).series)
 
 
 def test_csv_layout():

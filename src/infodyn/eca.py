@@ -13,8 +13,10 @@ the narrowest 8-, 16-, 32- or 64-bit dtype that holds the stack, bit ``j``
 being instance ``j``, and a step is the OR of the rule's set minterms over
 the left, center and right words and their complements.  Only bitwise
 operations touch a word, so instances never mix.  Unstacking copies each
-byte of the words, 8 instances, out once, transposed, and shifts them out of
-it, so ``series`` holds the cells' series, which the vertical read-out uses.
+byte of the words, 8 instances, out once, transposed, and shifts each out of
+it as it is taken, so a stack holds its words, one byte plane and the series
+being read.  ``series`` holds the cells' series, which the vertical read-out
+uses.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
             for stack in _eca_stacks(config, seeds) for series in stack]
 
 
-def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[np.ndarray]]:
+def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[Iterator[np.ndarray]]:
     """The read-only ``n x window`` series of :func:`run_eca_many`, one stack at a time."""
 
     def start(chunk):
@@ -149,15 +151,20 @@ def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[list[np.nda
 
         def unstack(recorded):
             # byte k of the words holds instances 8k..8k+7: copy it out once,
-            # as n x window, and shift each of them out of that one copy
+            # as n x window, and shift each of them out of that one copy as
+            # it is taken
             planes = recorded.view(np.uint8).reshape(config.window, config.n, -1)
-            series = []
             for first in range(0, len(chunk), 8):
                 plane = np.ascontiguousarray(planes[:, :, first // 8].T)
                 last = min(8, len(chunk) - first) - 1
-                series += [plane >> j for j in range(last)] + [plane]
+                for j in range(last):
+                    series = plane >> j
+                    series &= 1
+                    yield series
+                    del series  # before the next one is made
                 plane >>= last  # in place: the copy is the byte's last instance
-            return [np.bitwise_and(bits, 1, out=bits) for bits in series]
+                plane &= 1
+                yield plane
 
         words = _pack(states)
         return words, _sliced_step(config.rule, words), unstack

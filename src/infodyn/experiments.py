@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eca import EcaConfig, _eca_stacks
-from .measures import MeasureSet, check_scale, series_matrix_measures, uncorrelated_homeostasis
+from .measures import MeasureSet, _stack_measures, check_scale, uncorrelated_homeostasis
 from .rbn import RbnConfig, _rbn_stacks
 from .trajectory import _check_seed
 
@@ -146,7 +146,7 @@ def _sweep(
 ) -> list[SweepResult]:
     """The one cell runner: per grid value, build its config (whose ``key``
     attribute is the cell's parameter), seed and run ``instances`` systems one
-    stack of series at a time (``stacks(config, seeds)``), measure each series at
+    stack of series at a time (``stacks(config, seeds)``), measure each stack at
     every scale in one call and keep only the measures, then aggregate each scale.
     The sweep's size, its threads, the master seed and every config are checked,
     and the window against the scales, before any cell runs."""
@@ -167,10 +167,11 @@ def _sweep(
         experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
 
-        # each series leaves its stack as it is measured, so no stack outlives its turn
-        measured = [series_matrix_measures(stack.pop(0), scales)
-                    for stack in stacks(config, seeds) for _ in range(len(stack))]
-        per_scale = {b: [by_scale[b] for by_scale in measured] for b in scales}
+        per_scale = {b: [] for b in scales}
+        for stack in stacks(config, seeds):
+            for by_scale in _stack_measures(stack, scales):
+                for b, kept in per_scale.items():
+                    kept.append(by_scale[b])
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]
 
@@ -305,14 +306,19 @@ def json_text(rows: Sequence[dict]) -> str:
     """The one JSON writer, an exact mirror of :func:`csv_text`: each float
     carries the value its CSV field prints; ints, text and ``None`` are as is.
 
-    The layout is that of ``json.dumps(rows, indent=2)``; the text is built
-    one row at a time, so no encoder chunk list for the whole file is held."""
-    encode = json.JSONEncoder(indent=2).encode
-    items = ",\n".join(
-        "  " + encode({k: float(_fmt(v)) if isinstance(v, float) else v
-                      for k, v in row.items()}).replace("\n", "\n  ")
-        for row in rows
-    )
+    The layout is that of ``json.dumps(rows, indent=2)`` for rows of flat
+    values.  Each row is encoded by the C encoder (which ``indent`` would
+    turn off), its items split by the separator that ``indent`` puts between
+    them, so no encoder chunk list for the whole file is held."""
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+    def item(row: dict) -> str:
+        if not row:
+            return "  {}"
+        text = encode({k: float(_fmt(v)) if isinstance(v, float) else v for k, v in row.items()})
+        return "  {\n    " + text[1:-1] + "\n  }"
+
+    items = ",\n".join(map(item, rows))
     return f"[\n{items}\n]\n" if items else "[]\n"
 
 

@@ -9,13 +9,16 @@ homeostasis -- are derived from plug-in Shannon information on the regrouped
 string.
 
 One kernel, :func:`_measure_blocks`, groups, counts and computes H for every
-series: it reads a ``units x length`` bit series as column blocks and carries,
-per scale, a tail of source symbols, each row's last two symbols (or a count
-of changes) and the running ``(row, symbol, count)`` runs.  Its two entries
-only check their input: :func:`series_matrix_measures` cuts a simulator's
-``series`` matrix into column blocks of at most ``_BLOCK_BITS`` bits, and
-:func:`streamed_measures` hands over one bit string, read block by block, as
-a single row.  No other module knows the symbol dtype or the grouping order.
+series: it reads a band of rows as column blocks and carries, per scale, a
+tail of source symbols, each row's last two symbols (or a count of changes)
+and the running ``(row, symbol, count)`` runs, and returns each row's
+information and H data.  Its entries check their input and tile it:
+:func:`_stack_measures` reads a stack of equal-shape series in bands of whole
+rows of at most ``_BLOCK_BITS`` bits (a longer row in column blocks) and
+averages each series' rows, :func:`series_matrix_measures` is its one-series
+case, and :func:`streamed_measures` hands over one bit string, read block by
+block, as a single row.  No other module knows the symbol dtype or the
+grouping order.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ _RANGE_TOL = 1e-9
 # only re-sorts the running counts more often
 _MERGE_RATIO = 2
 
-# bits of one column block of a series: the kernel's temporaries are a few
-# bytes per bit of a block, and every sweep trajectory (at most 256 x 4,096
-# bits in the library's defaults) is one block
-_BLOCK_BITS = 1 << 20
+# bits of one block of rows: the kernel's temporaries are a few bytes per bit
+# of a block.  At 2^20 bits four desk ECA series share a block, and the
+# kernel's peak was 3.5 times this one's for at most a fifth less time
+_BLOCK_BITS = 1 << 18
 
 
 def check_scale(scale: int) -> int:
@@ -369,23 +372,34 @@ def _measure_set(e: float, h: float | None, scale: int) -> MeasureSet:
     )
 
 
+def _group_sets(
+    info: np.ndarray, h: np.ndarray | None, scale: int
+) -> list[MeasureSet]:
+    """The one E rule: a :class:`MeasureSet` per row of ``info`` (groups x
+    units of normalized information), whose E is the mean of that group's
+    clipped information, with the group's H from ``h`` (or ``None``)."""
+    e = np.clip(info, 0.0, 1.0).mean(axis=1).tolist()
+    return [_measure_set(e_i, h_i, scale)
+            for e_i, h_i in zip(e, [None] * len(e) if h is None else h.tolist())]
+
+
 def _measure_blocks(
     blocks: Iterable[np.ndarray], scales: Iterable[int], h: str | None
-) -> dict[int, MeasureSet | None]:
-    """The one measurement kernel: the measures at each scale of a
-    ``units x length`` bit series, read as column blocks (uint8, one row per
-    unit).
+) -> dict[int, tuple[np.ndarray, np.ndarray | None] | None]:
+    """The one measurement kernel: at each scale, per row of a band of rows
+    read as column blocks (uint8 bits, one row per unit), the row's
+    normalized information and its H data.
 
     Each block's fresh symbols of the source scale ``d`` of ``b`` (see
     :func:`_group_sources`), behind the fewer than ``b / d`` per row left
     over by the block before, become its ``b``-symbols, whose ``(row, symbol,
     count)`` runs merge into the running counts (:func:`_merge_runs`); one
-    block is counted once and never merged.  E is the row mean of the
-    normalized information, each clipped to [0, 1].  ``h`` is ``None`` (no
-    H; a scale needs one group), ``"final"`` (the last two macro-states,
-    carried as each row's last two symbols) or ``"all"`` (every successive
-    pair, from a running count of changes); with H a scale needs two groups.
-    A scale with too few groups is ``None``.
+    block is counted once and never merged.  At ``b = 1`` two symbols need no
+    sort: each row's ones are counted, and its zeros are the rest.  ``h`` is
+    ``None`` (no H data; a scale needs one group), ``"final"`` (whether each
+    row's last two macro-states differ, from its last two symbols) or
+    ``"all"`` (each row's count of changes between successive macro-states);
+    with H a scale needs two groups.  A scale with too few groups is ``None``.
     """
     measured = dict.fromkeys(map(check_scale, scales))
     sources = _group_sources(measured)
@@ -393,43 +407,115 @@ def _measure_blocks(
     groups = dict.fromkeys(sources, 0)
     changes = dict.fromkeys(sources, 0)
     tails, last = {}, {}
-    units = 0
+    ones = units = 0
     for block in blocks:
         units = block.shape[0]
         fresh = {1: block}
         for b, d in sources.items():
-            symbols = fresh[d]
-            if b in tails:
-                symbols = np.concatenate((tails.pop(b), symbols), axis=1)
-            used = symbols.shape[1] - symbols.shape[1] % (b // d)
-            if used < symbols.shape[1]:
-                tails[b] = symbols[:, used:].copy()
-            grouped = fresh[b] = _group_symbols(symbols, b // d, d)
-            if not used:
+            if b == 1:  # a uint32 sum is 3x faster than count_nonzero by row
+                grouped = block
+                wide = np.uint32 if block.shape[1] < 1 << 32 else np.uint64
+                ones += block.sum(axis=1, dtype=wide).astype(np.int64)
+            else:
+                symbols = fresh[d]
+                if b in tails:
+                    symbols = np.concatenate((tails.pop(b), symbols), axis=1)
+                used = symbols.shape[1] - symbols.shape[1] % (b // d)
+                if used < symbols.shape[1]:
+                    tails[b] = symbols[:, used:].copy()
+                grouped = fresh[b] = _group_symbols(symbols, b // d, d)
+                if used:
+                    runs[b].append(_row_counts(grouped))
+                    _merge_runs(runs[b], _MERGE_RATIO)
+            if not grouped.shape[1]:
                 continue
             groups[b] += grouped.shape[1]
-            runs[b].append(_row_counts(grouped))
-            _merge_runs(runs[b], _MERGE_RATIO)
             if h is not None:
                 before = last.get(b, grouped[:, :0])
                 if h == "all":  # the pairs inside the block and across its left edge
-                    changes[b] += np.count_nonzero(grouped[:, 1:] != grouped[:, :-1])
-                    changes[b] += np.count_nonzero(grouped[:, :1] != before[:, -1:])
+                    changes[b] += np.count_nonzero(grouped[:, 1:] != grouped[:, :-1], axis=1)
+                    changes[b] += np.count_nonzero(grouped[:, :1] != before[:, -1:], axis=1)
                 last[b] = np.concatenate((before, grouped[:, -2:]), axis=1)[:, -2:]
-    for b, pending in runs.items():
+    for b in sources:
         if groups[b] < (1 if h is None else 2):
             continue
-        _merge_runs(pending, np.inf)
-        rows, _, counts = pending[0]
+        if b == 1:  # (row, zeros) then (row, ones) where they occur: _row_counts order
+            counts = np.stack((groups[1] - ones, ones), axis=1).ravel()
+            rows = np.flatnonzero(counts) // 2
+            counts = counts[counts > 0]
+        else:
+            _merge_runs(runs[b], np.inf)
+            rows, _, counts = runs[b][0]
         info = _count_information(rows, counts, (units, groups[b])) / b
         if h == "final":
-            h_b = 1.0 - int(np.count_nonzero(last[b][:, 0] != last[b][:, 1])) / units
-        elif h == "all":
-            h_b = 1.0 - int(changes[b]) / (units * (groups[b] - 1))
+            measured[b] = info, last[b][:, 0] != last[b][:, 1]
         else:
-            h_b = None
-        measured[b] = _measure_set(float(np.clip(info, 0.0, 1.0).mean()), h_b, b)
+            measured[b] = info, (changes[b] if h == "all" else None)
     return measured
+
+
+def _stack_measures(
+    series: Iterable[np.ndarray], scales: Iterable[int], *, average_h: bool = False
+) -> list[dict[int, MeasureSet | None]]:
+    """:func:`series_matrix_measures` of each of a stack of equal-shape
+    series, in order, from one kernel pass (:func:`_measure_blocks`) per
+    band of whole rows.
+
+    While one row fits ``_BLOCK_BITS`` bits, a band is as many whole rows as
+    fit, filled from consecutive series and cut between rows; a longer row is
+    a band of its own, read in column blocks of ``_BLOCK_BITS`` bits.  A
+    series is taken from ``series`` once the bands before it are measured.
+    A series' E is the mean of its rows' clipped information and its H
+    follows from its rows' integer counts, so each value is what a pass over
+    that series alone gives.
+    """
+    h = "all" if average_h else "final"
+    measured = dict.fromkeys(map(check_scale, scales))
+    per_band = {b: [] for b in measured}
+    band, held, count, shape = [], 0, 0, None
+
+    def measure(band: list[np.ndarray]) -> None:
+        rows = band[0] if len(band) == 1 else np.concatenate(band)
+        width = max(_BLOCK_BITS // len(rows), 1)
+        blocks = (rows[:, at : at + width].astype(np.uint8, copy=False)
+                  for at in range(0, rows.shape[1], width))
+        for b, result in _measure_blocks(blocks, measured, h).items():
+            per_band[b].append(result)
+
+    for one in series:
+        one = np.asarray(one)
+        if one.ndim != 2 or not one.shape[0]:
+            raise ValueError("series must be a 2-D (units x length) matrix of at least one unit")
+        if _first_nonbit(one) is not None:
+            raise ValueError("series must be binary")
+        if shape is None:
+            shape = one.shape
+            size = max(_BLOCK_BITS // max(shape[1], 1), 1)  # rows a band holds
+        elif one.shape != shape:
+            raise ValueError(f"the series of a stack must share a shape: {one.shape} != {shape}")
+        count += 1
+        at = 0
+        while at < shape[0]:
+            take = min(size - held, shape[0] - at)
+            band.append(one[at : at + take])
+            held, at = held + take, at + take
+            if held == size:
+                measure(band)
+                band, held = [], 0
+        del one  # before the next series is made
+    if band:
+        measure(band)
+    results = [dict.fromkeys(measured) for _ in range(count)]
+    for b, bands in per_band.items():
+        if not bands or bands[0] is None:
+            continue
+        units, length = shape
+        info = np.concatenate([info for info, _ in bands]).reshape(count, units)
+        differ = np.concatenate([data for _, data in bands]).reshape(count, units).sum(axis=1)
+        h_b = 1.0 - differ / (units * (length // b - 1) if average_h else units)
+        for result, measure_set in zip(results, _group_sets(info, h_b, b)):
+            result[b] = measure_set
+    return results
 
 
 def series_matrix_measures(
@@ -443,21 +529,11 @@ def series_matrix_measures(
     averaged into one system-level information, from which E, S, and C follow;
     H compares the final two macro-states, or, with ``average_h``, averages
     the comparison over all successive macro-state pairs (a smoother,
-    non-default estimate).  The series is checked, then read by the one
-    kernel (:func:`_measure_blocks`) in column blocks of at most
-    ``_BLOCK_BITS`` bits, so the kernel's memory does not grow with its
-    length; every sweep trajectory is a single block.
+    non-default estimate).  This is the one-series case of
+    :func:`_stack_measures`, so the kernel's memory grows with neither the
+    series' length nor its number of rows.
     """
-    series = np.asarray(series)
-    if series.ndim != 2 or not series.shape[0]:
-        raise ValueError("series must be a 2-D (units x length) matrix of at least one unit")
-    if _first_nonbit(series) is not None:
-        raise ValueError("series must be binary")
-    units, length = series.shape
-    width = max(_BLOCK_BITS // units, 1)
-    blocks = (series[:, at : at + width].astype(np.uint8, copy=False)
-              for at in range(0, length, width))
-    return _measure_blocks(blocks, scales, "all" if average_h else "final")
+    return _stack_measures([series], scales, average_h=average_h)[0]
 
 
 def streamed_measures(
@@ -480,7 +556,8 @@ def streamed_measures(
                 raise ValueError("blocks must be 1-D arrays of bits")
             yield block.astype(np.uint8, copy=False)[None, :]
 
-    return _measure_blocks(checked(), scales, None)
+    return {b: None if result is None else _group_sets(result[0][None, :], None, b)[0]
+            for b, result in _measure_blocks(checked(), scales, None).items()}
 
 
 def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:

@@ -13,8 +13,9 @@ from one generator per network, without a per-node loop: the in-degrees from
 one uniform draw, the inputs by Floyd's sampling run across all nodes at once
 (one draw per input position, so memory is O(n * ceil(k))), then the tables
 from one block of fair bits and the state.  A stack of networks steps as one
-padded lookup whose index is a shift-or over one contiguous column per input
-position; its recorded block is transposed once, into each network's series.
+padded lookup whose index is one gather of every input bit, each raised to
+its place and summed in the narrowest word that holds the index; its
+recorded block is transposed once, into each network's series.
 """
 
 from __future__ import annotations
@@ -202,12 +203,16 @@ def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray
         np.repeat(np.int64(1) << (width - degrees), np.int64(1) << degrees),
     )
     base = np.arange(degrees.size, dtype=np.intp) << width
+    # a node's local index in the narrowest word that holds width bits: each
+    # input bit raised to its place by a multiply (numpy vectorizes a uint8
+    # multiply, not a uint8 shift), then the places summed
+    dtype = np.uint8 if width <= 8 else np.intp
+    places = (1 << np.arange(width - 1, -1, -1)).astype(dtype)[:, None]
 
     def step(state: np.ndarray) -> np.ndarray:
-        idx = base.copy()
-        for c, column in enumerate(columns):
-            idx |= state.take(column).astype(np.intp) << (width - 1 - c)
-        return tables.take(idx)
+        bits = state.astype(dtype, copy=False).take(columns)
+        bits *= places
+        return tables.take(base + bits.sum(axis=0, dtype=dtype))
 
     return step
 
@@ -245,7 +250,7 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
             for stack in _rbn_stacks(config, seeds) for series in stack]
 
 
-def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[list[np.ndarray]]:
+def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[Iterator[np.ndarray]]:
     """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack at a time."""
 
     def start(chunk):
@@ -253,7 +258,7 @@ def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[list[np.nda
 
         def unstack(recorded):
             # one transpose per stack: row block j is network j's n x window series
-            return list(np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, -1))
+            return iter(np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, -1))
 
         return np.concatenate([net.state for net in nets]), _lookup(nets), unstack
 

@@ -79,8 +79,9 @@ class Trajectory:
 # alone is larger is refused.  A run holds its block and its series, one copy,
 # so it peaks at about two blocks plus 30 MB in RSS: `rbn --n 100 --transient 0
 # --window 524288` (52 MB) at 136 MB, `eca --rule 30 --n 256 --transient 0
-# --window 262144` (67 MB) at 164 MB, so about 0.57 GB at this limit; an ECA
-# sweep's stack of 8 or more unstacks 8 series a byte, so up to 9 blocks
+# --window 262144` (67 MB) at 164 MB, so about 0.57 GB at this limit.  An ECA
+# stack unstacks its series one at a time, so a sweep's stack holds its words,
+# one byte plane and the series being measured: at most three blocks
 _RECORD_BUDGET = 1 << 28
 
 
@@ -106,21 +107,27 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
 
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> Iterator[list[np.ndarray]]:
+) -> Iterator[Iterator[np.ndarray]]:
     """The one record loop of both simulators: one series per seed, in seed
-    order, recorded and yielded one stack (a list) of at most ``batch`` at a time.
+    order, recorded and yielded one stack (an iterator) of at most ``batch`` at a time.
 
     ``start(chunk)`` returns the initial state of a stack, its update, and
-    ``unstack``, which returns the list of each instance's C-contiguous uint8
-    ``n x window`` series, in chunk order, from the recorded ``window x state``
-    block; each is yielded read-only.  The stack runs ``transient`` steps, then
-    ``window`` states are recorded.  Every seed is checked before this returns,
-    so before any stack runs.  A stack is recorded only when the one before it
-    has been taken, and the loop keeps nothing of a stack it has yielded.
+    ``unstack``, which yields each instance's C-contiguous uint8 ``n x window``
+    series, in chunk order, from the recorded ``window x state`` block; each
+    is yielded read-only.  The stack runs ``transient`` steps, then ``window``
+    states are recorded.  Every seed is checked before this returns, so before
+    any stack runs.  A stack is recorded only when the one before it has been
+    taken, and the loop keeps nothing of a stack it has yielded.
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
-    def record(chunk: list[int]) -> list[np.ndarray]:
+    def read_only(stack: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for series in stack:
+            series.flags.writeable = False
+            yield series
+            del series  # before the next one is made
+
+    def record(chunk: list[int]) -> Iterator[np.ndarray]:
         state, step, unstack = start(chunk)
         for _ in range(transient):
             state = step(state)
@@ -128,10 +135,7 @@ def _record_runs(
         for t in range(window):
             recorded[t] = state
             state = step(state)
-        stack = unstack(recorded)
-        for series in stack:
-            series.flags.writeable = False
-        return stack
+        return read_only(unstack(recorded))
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 

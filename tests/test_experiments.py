@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infodyn import experiments
+from infodyn import experiments, measures
 from infodyn.eca import EcaConfig, oriented_series, run_eca
 from infodyn.experiments import (
     DEFAULT_K_GRID,
@@ -26,7 +26,7 @@ from infodyn.experiments import (
     write_text,
 )
 from infodyn.measures import MeasureSet, series_matrix_measures
-from infodyn.rbn import RbnConfig, run_rbn
+from infodyn.rbn import RbnConfig, run_rbn, run_rbn_many
 from infodyn.trajectory import Trajectory
 
 
@@ -196,14 +196,34 @@ class TestRbnSweep:
             rbn_sweep()  # the library defaults are the paper's sizes
 
     def test_cells_measure_the_recorded_series(self, monkeypatch):
-        seen = []
-        measure = experiments.series_matrix_measures
-        monkeypatch.setattr(experiments, "series_matrix_measures",
-                            lambda s, scales: seen.append(s) or measure(s, scales))
-        rbn_sweep(n=6, k_grid=[2.0], instances=3, transient=2, window=8, scales=(1, 2))
-        assert len(seen) == 3  # one call per trajectory, for both scales
-        # only a Trajectory's stored series is contiguous and read-only
-        assert all(s.flags.c_contiguous and not s.flags.writeable for s in seen)
+        # one kernel pass per band of whole rows, for every scale: at 32 bits
+        # a band holds 4 rows of 8 columns, so the 3 series of 6 rows are read
+        # in 5 passes, bands cut inside a series and across two
+        stacked, passes = [], []
+        stack_measures, kernel = experiments._stack_measures, measures._measure_blocks
+
+        def stack(series, scales):
+            stacked.append(list(series))
+            return stack_measures(stacked[-1], scales)
+
+        def band(blocks, scales, h):
+            passes.append(list(blocks))
+            return kernel(passes[-1], scales, h)
+
+        monkeypatch.setattr(experiments, "_stack_measures", stack)
+        monkeypatch.setattr(measures, "_measure_blocks", band)
+        monkeypatch.setattr(measures, "_BLOCK_BITS", 32)
+        results = rbn_sweep(n=6, k_grid=[2.0], instances=3, transient=2, window=8,
+                            scales=(1, 2))
+        assert [len(series) for series in stacked] == [3]  # one call per stack
+        # only a recorded series is contiguous and read-only
+        assert all(s.flags.c_contiguous and not s.flags.writeable for s in stacked[0])
+        assert [[block.shape for block in blocks] for blocks in passes] == (
+            [[(4, 8)]] * 4 + [[(2, 8)]])
+        config = RbnConfig(n=6, k=2.0, transient=2, window=8)
+        recorded = [traj.series for traj in run_rbn_many(config, results[0].seeds)]
+        assert np.array_equal(np.concatenate([blocks[0] for blocks in passes]),
+                              np.concatenate(recorded))
 
     def test_threads_do_not_change_results(self):
         kwargs = dict(
@@ -278,17 +298,41 @@ class TestEcaSurvey:
     def test_a_cell_holds_one_stack_at_a_time(self):
         # 64 instances a stack: 1, 4 and 16 stacks, so a cell that held all
         # its trajectories until it measured them would peak about 4x higher,
-        # and one that held a measured stack while recording the next, 2x
-        peaks = {}
+        # and one that held a measured stack while recording the next, 2x.
+        # What is still held at return is bounded apart: the measures a cell
+        # returns take about 250 bytes an instance, where a series kept past
+        # its turn (in a cache, say) takes 128 kB.  A first call keeps one-off
+        # allocations out of the trace
+        eca_class_survey(rules=[30], n=8, instances=1, transient=0, window=8, scales=(1,))
+        working, kept = {}, {}
         for instances in (64, 256, 1024):
             tracemalloc.start()
             try:
+                results = eca_class_survey(rules=[30], n=256, instances=instances, transient=0,
+                                           window=512, scales=(1,))
+                kept[instances], peak = tracemalloc.get_traced_memory()
+                working[instances] = peak - kept[instances]
+            finally:
+                tracemalloc.stop()
+            del results
+        assert max(working.values()) <= 1.1 * working[64], working
+        assert kept[1024] - kept[64] <= 512 * (1024 - 64), kept
+
+    def test_a_stack_unstacks_one_series_at_a_time(self):
+        # a stack of 64 records 8-byte words, 8 blocks, against 1 for a stack
+        # of 8; besides them it holds one byte plane and the series being
+        # measured, so 10 blocks against 3.  Unstacking a whole stack at
+        # once held all its series: 72 blocks against 9
+        peaks = {}
+        for instances in (8, 64):
+            tracemalloc.start()
+            try:
                 eca_class_survey(rules=[30], n=256, instances=instances, transient=0,
-                                 window=512, scales=(1,))
+                                 window=2**16, scales=(1,))
                 peaks[instances] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert max(peaks.values()) <= 1.1 * peaks[64], peaks
+        assert peaks[64] <= 3.5 * peaks[8], peaks
 
     @pytest.mark.parametrize("run, config", [
         (run_eca, EcaConfig(rule=30, n=256, transient=0, window=2**15)),
@@ -394,6 +438,18 @@ class TestOutputFiles:
         assert json.loads(text)[0]["E"] == 0.666666667
         assert json.loads(text)[1]["E"] == 0.3
         assert json_text([]) == "[]\n"
+
+    def test_json_layout_is_that_of_indented_dumps(self):
+        # flat rows of every value kind, unicode and escapes in text, and an
+        # empty row, as json.dumps(rows, indent=2) lays them out
+        rows = [
+            {"name": "\u00e9t\u00e9 \u2603 \U0001d11e", "quote": '"\\\t', "n": -3, "E": 0.25,
+             "H": None, "ok": True},
+            {},
+            {"sep": ",\n    ", "E": 1 / 3, "x": 1e300},
+        ]
+        for case in ([], [{}], rows[:1], rows):
+            assert json_text(case) == json.dumps(printed(case), indent=2) + "\n"
 
     def test_aggregates_recomputable_from_instance_rows(self):
         results = rbn_sweep(

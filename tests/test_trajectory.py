@@ -1,18 +1,22 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from infodyn import measures
 from infodyn.measures import (
     MeasureSet,
     SymbolSequence,
+    _count_information,
     _group_symbols,
     _measure_blocks,
     _row_counts,
     _row_information,
+    _stack_measures,
     estimate_distribution,
     homeostasis,
     normalized_information,
@@ -21,7 +25,7 @@ from infodyn.measures import (
     shannon_information,
     simplified_measures,
 )
-from infodyn.eca import EcaConfig, _eca_stacks, run_eca, run_eca_many
+from infodyn.eca import EcaConfig, _eca_stacks, oriented_series, run_eca, run_eca_many
 from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
@@ -251,7 +255,68 @@ def test_block_cuts_do_not_change_the_measures(case, scales, h):
     # count) runs carry across each cut; at b=62 on 5 or more rows a
     # (row << b) | symbol key would not fit 64 bits, and the merge builds none
     bits, blocks = case
-    assert _measure_blocks(blocks, scales, h) == _measure_blocks([bits], scales, h)
+
+    def per_row(measured):  # each row's information and H data, as lists
+        return {b: None if result is None else [None if a is None else a.tolist() for a in result]
+                for b, result in measured.items()}
+
+    assert per_row(_measure_blocks(blocks, scales, h)) == per_row(_measure_blocks([bits], scales, h))
+
+
+@st.composite
+def equal_series(draw):
+    """(series, scales): 0..5 equal-shape bit series of 1..6 rows and 0..60
+    columns, and 1..4 scales in 1..12."""
+    units = draw(st.integers(1, 6))
+    length = draw(st.integers(0, 60))
+    count = draw(st.integers(0, 5))
+    series = [draw(arrays(np.uint8, (units, length), elements=st.integers(0, 1)))
+              for _ in range(count)]
+    return series, draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=equal_series(), block_bits=st.integers(1, 400), average_h=st.booleans())
+def test_a_stack_measures_as_its_series_one_by_one(case, block_bits, average_h):
+    # small blocks cut bands between series, inside a series, and a row
+    # longer than a block into column blocks; none of it moves a value
+    series, scales = case
+    alone = [series_matrix_measures(s, scales, average_h=average_h) for s in series]
+    with mock.patch.object(measures, "_BLOCK_BITS", block_bits):
+        assert _stack_measures(iter(series), scales, average_h=average_h) == alone
+
+
+def test_a_stack_of_unequal_series_is_refused():
+    with pytest.raises(ValueError, match="must share a shape"):
+        _stack_measures([np.zeros((2, 8), np.uint8), np.zeros((3, 8), np.uint8)], [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=column_cuts(), h=st.sampled_from([None, "final", "all"]))
+def test_bits_are_counted_as_the_sorted_count_counts_them(case, h):
+    # b=1 counts each row's ones and takes its zeros as the rest; the
+    # (row, count) pairs must reach the entropy sum in _row_counts order
+    bits, blocks = case
+    measured = _measure_blocks(blocks, [1], h)[1]
+    if bits.shape[1] < (1 if h is None else 2):
+        assert measured is None
+        return
+    rows, _, counts = _row_counts(bits.astype(np.uint16))
+    reference = _count_information(rows, counts, bits.shape)
+    assert measured[0].tolist() == reference.tolist()
+    assert np.signbit(measured[0]).tolist() == np.signbit(reference).tolist()
+
+
+def test_the_horizontal_read_out_is_exact_across_row_blocks():
+    # 8,229 rows of 64 cells: 2^18-bit bands of 4,096 rows, the last partial
+    traj = run_eca(EcaConfig(rule=30, n=64, transient=0, window=8192 + 37, seed=5))
+    rows = oriented_series(traj, "horizontal")
+    assert len(rows) > 2 * measures._BLOCK_BITS // 64
+    scales = (1, 2, 3, 4, 6, 8, 32)
+    for average_h in (False, True):
+        measured = series_matrix_measures(rows, scales, average_h=average_h)
+        for b in scales:
+            assert measured[b] == per_scale_reference(np.asarray(rows), b, average_h)
 
 
 def test_series_peak_memory_does_not_grow_with_length():
@@ -303,8 +368,10 @@ def test_stacks_yield_read_only_series_in_seed_order(config, stacks, run):
     seeds = list(range(130))
     yielded = list(stacks(config, seeds))
     assert len(yielded) == (2 if run is run_rbn else 3)
+    # each stack is an iterator: its series are unstacked as they are taken
+    assert all(iter(stack) is stack for stack in yielded)
     series = [s for stack in yielded for s in stack]
-    assert all(type(stack) is list for stack in yielded) and len(series) == len(seeds)
+    assert len(series) == len(seeds)
     for s in series:
         assert (s.dtype, s.shape) == (np.uint8, (config.n, config.window))
         assert s.flags.c_contiguous and not s.flags.writeable

@@ -10,13 +10,15 @@ down-left diagonals (tracking patterns that drift one cell per step).
 steps up to 64 instances at once by multi-spin coding (Jacobs & Rebbi,
 *J. Comput. Phys.* 41, 1981): cell ``i`` of the whole stack is one word of
 the narrowest 8-, 16-, 32- or 64-bit dtype that holds the stack, bit ``j``
-being instance ``j``, and a step is the OR of the rule's set minterms over
-the left, center and right words and their complements.  Only bitwise
-operations touch a word, so instances never mix.  Unstacking copies each
-byte of the words, 8 instances, out once, transposed, and shifts each out of
-it as it is taken, so a stack holds its words, one byte plane and the series
-being read.  ``series`` holds the cells' series, which the vertical read-out
-uses.
+being instance ``j``, and a step is the rule's algebraic normal form over
+the left, center and right words: the XOR of its linear terms and its AND
+products, inverted when its constant term is set.  Only bitwise operations
+touch a word, so instances never mix, and a stack that cycles stops
+stepping (see the record loop).  Unstacking copies each byte of the words,
+8 instances, out once, gathered in memory order and then transposed, and
+shifts each out of it as it is taken, so a stack holds its words, one byte
+plane and the series being read.  ``series`` holds the cells' series, which
+the vertical read-out uses.
 """
 
 from __future__ import annotations
@@ -108,21 +110,32 @@ def _pack(states: np.ndarray) -> np.ndarray:
 
 
 def _sliced_step(rule: int, words: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The update of bit-sliced words of the size and dtype of ``words``: the
-    OR of the rule's set minterms."""
-    minterms = [k for k in range(8) if rule >> k & 1]
+    """The update of bit-sliced words of the size and dtype of ``words``, by
+    the rule's algebraic normal form: the XOR of the linear terms and the
+    products of left, center and right whose coefficient is set, inverted
+    when the constant term is.  It returns a new array each step."""
+    # coefficient m is the XOR of the table's entries k whose bits lie in m
+    anf = [sum(rule >> k & 1 for k in range(8) if k & m == k) & 1 for m in range(8)]
     n, dtype = words.size, words.dtype
     ring = np.empty(n + 2, dtype=dtype)  # word n-1, the n words, word 0
+    center = ring[1:-1]
+    views = {4: ring[:-2], 2: center, 1: ring[2:]}  # left, center, right
+    linear = [views[m] for m in (4, 2, 1) if anf[m]]
+    products = [[views[bit] for bit in (4, 2, 1) if m & bit] for m in (6, 5, 3, 7) if anf[m]]
 
     def step(words: np.ndarray) -> np.ndarray:
-        ring[1:-1] = words
+        center[:] = words
         ring[0], ring[-1] = words[-1], words[0]
-        inverse = ~ring
-        out = np.zeros(n, dtype=dtype)
-        for k in minterms:
-            term = (ring if k & 4 else inverse)[:-2] & (ring if k & 2 else inverse)[1:-1]
-            term &= (ring if k & 1 else inverse)[2:]
-            out |= term
+        out = linear[0].copy() if linear else np.zeros(n, dtype=dtype)
+        for view in linear[1:]:
+            out ^= view
+        for first, second, *rest in products:
+            product = first & second
+            for view in rest:
+                product &= view
+            out ^= product
+        if anf[0]:
+            np.invert(out, out=out)
         return out
 
     return step
@@ -155,7 +168,9 @@ def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[Iterator[np
             # it is taken
             planes = recorded.view(np.uint8).reshape(config.window, config.n, -1)
             for first in range(0, len(chunk), 8):
-                plane = np.ascontiguousarray(planes[:, :, first // 8].T)
+                # gathered in memory order, then transposed: a transpose of
+                # the 8-byte-strided byte reads each cache line once per cell
+                plane = np.ascontiguousarray(planes[:, :, first // 8]).T.copy()
                 last = min(8, len(chunk) - first) - 1
                 for j in range(last):
                     series = plane >> j
@@ -165,6 +180,7 @@ def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[Iterator[np
                 plane >>= last  # in place: the copy is the byte's last instance
                 plane &= 1
                 yield plane
+                del plane  # before the next byte is gathered
 
         words = _pack(states)
         return words, _sliced_step(config.rule, words), unstack

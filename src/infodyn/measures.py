@@ -12,7 +12,8 @@ One kernel, :func:`_measure_blocks`, groups, counts and computes H for every
 series: it reads a band of rows as column blocks and carries, per scale, a
 tail of source symbols, each row's last two symbols (or a count of changes)
 and the running ``(row, symbol, count)`` runs, and returns each row's
-information and H data.  Its entries check their input and tile it:
+information and H data; scales 2, 4 and 8 are grouped from the bits by one
+word multiply.  Its entries check their input and tile it:
 :func:`_stack_measures` reads a stack of equal-shape series in bands of whole
 rows of at most ``_BLOCK_BITS`` bits (a longer row in column blocks) and
 averages each series' rows, :func:`series_matrix_measures` is its one-series
@@ -211,7 +212,9 @@ def rescale(bits: SymbolSequence, target_b: int) -> SymbolSequence:
         raise ValueError("sequence too short for scale")
     if target_b == 1:
         return bits
-    return SymbolSequence(_group_symbols(bits.symbols[None, :], target_b)[0], target_b)
+    # as uint8, which the word multiply groups
+    bits_u8 = bits.symbols.astype(np.uint8)[None, :]
+    return SymbolSequence(_group_symbols(bits_u8, target_b)[0], target_b)
 
 
 def _symbol_dtype(scale: int) -> np.dtype:
@@ -220,15 +223,29 @@ def _symbol_dtype(scale: int) -> np.dtype:
     return np.dtype(np.uint16 if scale <= 16 else np.uint32 if scale <= 32 else np.uint64)
 
 
+# sum of 2^(9i), i < count: a multiply moves the bit of byte count-1-i of a
+# little-endian word to bit i of its top byte, and no two shifted bits meet
+_WORD_MULTIPLIERS = {2: 0x0201, 4: 0x08040201, 8: 0x8040201008040201}
+
+
 def _group_symbols(symbols: np.ndarray, count: int, width: int = 1) -> np.ndarray:
     """Regroup rows of a (units x length) matrix of ``width``-bit symbols (bits
     are ``width=1``) into MSB-first ``count * width``-bit symbols of
-    :func:`_symbol_dtype`, by shift-or over ``count`` planes read in the
-    input's own memory order; only the result is laid out row by row."""
+    :func:`_symbol_dtype`: uint8 bits laid out along the row 2, 4 or 8 at a
+    time by one multiply and shift of them read as words, else by shift-or
+    over ``count`` planes read in the input's own memory order; only the
+    result is laid out row by row."""
     units, length = symbols.shape
     groups = length // count
+    dtype = _symbol_dtype(count * width)
+    if (width == 1 and count in _WORD_MULTIPLIERS and symbols.dtype == np.uint8
+            and symbols.strides[1] == 1):
+        words = symbols[:, : groups * count].view(f"<u{count}")
+        words = words * words.dtype.type(_WORD_MULTIPLIERS[count])
+        words >>= words.dtype.type(8 * count - 8)
+        return words.astype(dtype, copy=False)
     planes = symbols[:, : groups * count].reshape(units, groups, count)
-    grouped = planes[:, :, 0].astype(_symbol_dtype(count * width))
+    grouped = planes[:, :, 0].astype(dtype)
     for k in range(1, count):
         grouped <<= width
         grouped |= planes[:, :, k]
@@ -238,10 +255,12 @@ def _group_symbols(symbols: np.ndarray, count: int, width: int = 1) -> np.ndarra
 def _group_sources(scales: Iterable[int]) -> dict[int, int]:
     """The one regrouping rule: each scale ``b``, ascending, mapped to the
     largest other listed scale ``d`` that divides it, or to 1 (the bits) when
-    none does.  Scale ``b`` is grouped ``b // d`` symbols of ``d`` bits at a
-    time, which is exact because ``floor(floor(L / d) / (b / d)) = floor(L / b)``."""
+    none does or when ``b`` is 2, 4 or 8 (one word multiply).  Scale ``b`` is
+    grouped ``b // d`` symbols of ``d`` bits at a time, which is exact
+    because ``floor(floor(L / d) / (b / d)) = floor(L / b)``."""
     listed = sorted(set(scales))
-    return {b: max((d for d in listed if d < b and b % d == 0), default=1) for b in listed}
+    return {b: 1 if b in _WORD_MULTIPLIERS else
+            max((d for d in listed if d < b and b % d == 0), default=1) for b in listed}
 
 
 def _row_counts(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,8 +5,10 @@ time series of node/cell ``i``, the layout every measure reads, and
 ``states`` is its time-major view.  A simulator may step and record a stack
 of instances in its own layout (RBN networks side by side, ECA instances
 bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
-to the simulator, which unstacks it into each instance's bare series.  The one
-binary-array check and the one bits-to-text encoder live here too.
+to the simulator, which unstacks it into each instance's bare series.  The
+loop stops stepping a stack whose state recurs and copies the cycle into the
+rest of the window.  The one binary-array check and the one bits-to-text
+encoder live here too.
 """
 
 from __future__ import annotations
@@ -118,6 +120,14 @@ def _record_runs(
     states are recorded.  Every seed is checked before this returns, so before
     any stack runs.  A stack is recorded only when the one before it has been
     taken, and the loop keeps nothing of a stack it has yielded.
+
+    The state is a 1-D array, and the update must be a pure function of the
+    whole stack state that returns a new array, so a state that recurs starts
+    a cycle.  Each state is compared with a mark, the state at step 0, 1, 2,
+    4, ... (Brent, *BIT* 20, 1980).  Once the stack cycles with period ``p``,
+    what is left of the transient shrinks to fewer than ``p`` steps, and the
+    window's cycling states after its first ``p`` are copies of them, so a
+    stack that settles is stepped a few times, not ``transient + window``.
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
@@ -129,12 +139,33 @@ def _record_runs(
 
     def record(chunk: list[int]) -> Iterator[np.ndarray]:
         state, step, unstack = start(chunk)
-        for _ in range(transient):
-            state = step(state)
         recorded = np.empty((window,) + state.shape, dtype=state.dtype)
-        for t in range(window):
-            recorded[t] = state
-            state = step(state)
+        recorded[0] = state
+        end = transient + window - 1  # the step of the last recorded state
+        mark, marked, period, t = state, 0, 0, 0  # `state` is the state at step t
+        while t < end and not period:
+            state, t = step(state), t + 1
+            if t >= transient:
+                recorded[t - transient] = state
+            # one element first, so a stack that does not repeat seldom compares arrays
+            if state[0] == mark[0] and np.array_equal(state, mark):
+                period = t - marked  # every state from step `marked` on repeats
+            elif t & (t - 1) == 0:
+                mark, marked = state, t
+        if period:
+            if t < transient:  # the state at step `transient` is one a whole period on
+                for _ in range((transient - t) % period):
+                    state = step(state)
+                recorded[0], t = state, transient
+            begin = max(marked - transient, 0)  # the first recorded state of the cycle
+            filled = min(begin + period, window)
+            while t - transient < filled - 1:
+                state, t = step(state), t + 1
+                recorded[t - transient] = state
+            while filled < window:  # each copy doubles the whole periods recorded
+                size = min(filled - begin, window - filled)
+                recorded[filled : filled + size] = recorded[begin : begin + size]
+                filled += size
         return read_only(unstack(recorded))
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))

@@ -222,6 +222,61 @@ class TestRun:
                                                                  window=40, seed=seed)).states)
 
 
+class TestStackStep:
+    def test_the_normal_form_step_equals_eca_step_on_every_rule(self):
+        # 64 instances in uint64 words, and 5 in one byte whose high bits
+        # step as instances of their own
+        rng = np.random.default_rng(20)
+        for rule in range(256):
+            table = rule_table(rule)
+            for count in (64, 5):
+                states = rng.integers(0, 2, (count, 11), dtype=np.uint8)
+                words = eca._pack(states)
+                step = eca._sliced_step(rule, words)
+                for _ in range(2):
+                    words = step(words)
+                    states = np.array([eca_step(state, table) for state in states])
+                    bits = (words[None, :] >> np.arange(count, dtype=words.dtype)[:, None]) & 1
+                    assert np.array_equal(bits, states), rule
+
+    @pytest.mark.parametrize("transient, window", [(0, 2), (0, 40), (3, 9), (25, 30), (60, 7)])
+    def test_a_stack_that_cycles_records_what_naive_stepping_does(self, transient, window):
+        # every rule on rings of 3..9 cells: a stack cycles in the transient,
+        # at the window's edges, mid-window or not at all.  The reference
+        # steps every rule's instances at once by a table lookup, with no
+        # cycle check
+        tables = np.array([rule_table(rule) for rule in range(256)])[:, None, :, None]
+        for n in range(3, 10):
+            seeds = list(range(n * 1000, n * 1000 + 5))
+            state = np.array([np.random.default_rng(s).integers(0, 2, n, dtype=np.uint8)
+                              for s in seeds])
+            state = np.broadcast_to(state, (256, 5, n))
+            expected = np.empty((256, 5, n, window), dtype=np.uint8)
+            for t in range(transient + window):
+                if t >= transient:
+                    expected[..., t - transient] = state
+                index = (np.roll(state, 1, axis=2) << 2) | (state << 1) | np.roll(state, -1, axis=2)
+                state = np.take_along_axis(tables, index[:, :, None, :], axis=2)[:, :, 0, :]
+            for rule in range(256):
+                config = EcaConfig(rule=rule, n=n, transient=transient, window=window)
+                for one, traj in zip(expected[rule], run_eca_many(config, seeds), strict=True):
+                    assert np.array_equal(traj.series, one), (rule, n)
+
+    def test_a_stack_that_settles_stops_stepping(self, monkeypatch):
+        # rule 0 empties the ring at step 1, and step 2 repeats step 1
+        sliced, calls = eca._sliced_step, []
+
+        def counted(rule, words):
+            step = sliced(rule, words)
+            return lambda state: calls.append(None) or step(state)
+
+        monkeypatch.setattr(eca, "_sliced_step", counted)
+        config = EcaConfig(rule=0, n=256, transient=1024, window=1024)
+        (traj,) = run_eca_many(config, [7])
+        assert len(calls) <= 8
+        assert not traj.series.any() and traj.window == 1024
+
+
 class TestSeries:
     def test_vertical_series_length(self):
         traj = run_eca(EcaConfig(rule=30, n=16, transient=0, window=24, seed=1))

@@ -383,11 +383,13 @@ def split_bit_strings(draw):
 
 class TestGroupSources:
     @pytest.mark.parametrize("scales, sources", [
-        ((1, 2, 4, 8, 12, 16), {1: 1, 2: 1, 4: 2, 8: 4, 12: 4, 16: 8}),
+        # 2, 4 and 8 group from the bits by one word multiply
+        ((1, 2, 4, 8, 12, 16), {1: 1, 2: 1, 4: 1, 8: 1, 12: 4, 16: 8}),
         ((24, 3, 12, 6, 3), {3: 1, 6: 3, 12: 6, 24: 12}),
         ((5, 40, 10), {5: 1, 10: 5, 40: 10}),
         ((7, 9, 21), {7: 1, 9: 1, 21: 7}),
         ((), {}),
+        ((16, 8, 4), {4: 1, 8: 1, 16: 8}),
     ])
     def test_each_scale_groups_from_its_largest_listed_divisor(self, scales, sources):
         result = _group_sources(scales)

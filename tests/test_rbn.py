@@ -299,6 +299,22 @@ class TestLookupOracle:
                 assert np.array_equal(recorded, state)
                 state = naive_step(net, state)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_stack_that_cycles_records_what_naive_stepping_does(self, k):
+        # small K=1 networks settle within the transient or the window, as a
+        # stack of 12; K=3 ones mostly do not
+        for n, transient, window in ((4, 0, 40), (6, 5, 30), (9, 40, 12), (12, 3, 64)):
+            config = RbnConfig(n=n, k=k, transient=transient, window=window)
+            seeds = list(range(n, n + 12))
+            for seed, traj in zip(seeds, run_rbn_many(config, seeds), strict=True):
+                net = generate_rbn(config, np.random.default_rng(seed))
+                state = net.state
+                for _ in range(transient):
+                    state = rbn_step(net, state)
+                for recorded in traj.states:
+                    assert np.array_equal(recorded, state)
+                    state = rbn_step(net, state)
+
 
 class TestRun:
     def test_frozen_after_transient_with_zero_k(self):

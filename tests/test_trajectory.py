@@ -29,6 +29,7 @@ from infodyn.eca import EcaConfig, _eca_stacks, oriented_series, run_eca, run_ec
 from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
+    _record_runs,
     trajectory_csv,
     trajectory_pbm,
 )
@@ -305,6 +306,71 @@ def test_bits_are_counted_as_the_sorted_count_counts_them(case, h):
     reference = _count_information(rows, counts, bits.shape)
     assert measured[0].tolist() == reference.tolist()
     assert np.signbit(measured[0]).tolist() == np.signbit(reference).tolist()
+
+
+def msb_first(bits, count):
+    """Independent reference grouping: each row's whole groups of ``count``
+    bits, MSB first, by an integer dot product."""
+    units, length = bits.shape
+    groups = bits[:, : length // count * count].reshape(units, -1, count).astype(np.int64)
+    return groups @ (1 << np.arange(count - 1, -1, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=arrays(np.uint8, st.tuples(st.integers(1, 5), st.integers(0, 90)),
+                elements=st.integers(0, 1)),
+    count=st.sampled_from([2, 4, 8]),
+    offset=st.integers(0, 7),
+    pad=st.integers(0, 9),
+)
+def test_the_word_multiply_groups_as_shift_or_does(bits, count, offset, pad):
+    # odd lengths and column tails, rows read out of a wider array at any
+    # byte offset (strided, unaligned words), and rescale's uint16 bits
+    reference = msb_first(bits, count)
+    wide = np.zeros((bits.shape[0], offset + bits.shape[1] + pad), dtype=np.uint8)
+    wide[:, offset : offset + bits.shape[1]] = bits
+    strided = wide[:, offset : offset + bits.shape[1]]
+    for symbols in (bits, strided, bits.T.copy().T):
+        grouped = _group_symbols(symbols, count)
+        assert grouped.dtype == np.uint16 and grouped.flags.c_contiguous
+        assert np.array_equal(grouped, reference)
+    if bits.shape[1] >= count:
+        row = SymbolSequence(bits[0], 1)
+        assert row.symbols.dtype == np.uint16
+        assert np.array_equal(rescale(row, count).symbols, reference[0])
+
+
+def orbit(tail, period):
+    """A record-loop ``start`` whose one-element state runs 0, 1, ..., then
+    cycles with ``period`` after ``tail`` steps, counting its steps."""
+    steps = []
+
+    def start(chunk):
+        def step(state):
+            steps.append(None)
+            value = int(state[0]) + 1
+            return np.array([value if value < tail + period else tail])
+
+        return np.array([0]), step, lambda recorded: iter([recorded.T.astype(np.uint8)])
+
+    return start, steps
+
+
+@pytest.mark.parametrize("tail", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("period", [1, 2, 3, 7, 16])
+def test_the_record_loop_copies_a_cycle_exactly(tail, period):
+    # the stack cycles in the transient, at the window's edges, mid-window
+    # or never, and each recorded state is the one naive stepping reaches
+    for transient in (0, 1, 3, 8, 30):
+        for window in (2, 3, 5, 17, 40):
+            start, steps = orbit(tail, period)
+            (stack,) = _record_runs([0], 1, start, transient, window)
+            (recorded,) = stack
+            s = np.arange(transient, transient + window)
+            expected = np.where(s < tail, s, tail + (s - tail) % period)
+            assert recorded[0].tolist() == expected.tolist()
+            assert len(steps) <= transient + window - 1
 
 
 def test_the_horizontal_read_out_is_exact_across_row_blocks():

@@ -26,6 +26,7 @@ from .experiments import (
     ProfileResult,
     _check_rows,
     _check_threads,
+    _repeat,
     csv_text,
     eca_class_survey,
     json_text,
@@ -42,13 +43,15 @@ __all__ = ["main"]
 
 
 def _parse_ints(text: str, what: str, check) -> tuple[int, ...]:
-    """A comma list of ints, each passed through its one validator."""
+    """A comma list of distinct ints, each passed through its one validator."""
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad {what} list: {text!r}") from exc
     for value in values:
         check(value)
+    if (twice := _repeat(values)) is not None:
+        raise ValueError(f"{what} list {text!r} repeats {twice}")
     return values
 
 

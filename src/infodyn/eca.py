@@ -30,7 +30,8 @@ import numpy as np
 
 from .measures import _BLOCK_BITS
 from .rbn import BooleanNetwork, network_measures
-from .trajectory import _RECORD_BUDGET, Trajectory, _check_run, _first_nonbit, _record_runs
+from .trajectory import _RECORD_BUDGET, Trajectory, _check_count, _check_run, _first_nonbit
+from .trajectory import _record_runs
 
 __all__ = [
     "EcaConfig",
@@ -74,8 +75,7 @@ class EcaConfig:
     def __post_init__(self):
         rule_table(self.rule)
         object.__setattr__(self, "rule", int(self.rule))
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
+        _check_count("n", self.n, 3)
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
         # a stack of up to 8 instances records one byte per cell per step
@@ -229,8 +229,7 @@ def as_boolean_network(
     matches the automaton's ``(left, center, right)`` reading.
     """
     table = rule_table(rule)
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    _check_count("n", n, 3)
     idx = np.arange(n, dtype=np.int64)
     inputs = np.stack([(idx - 1) % n, idx, (idx + 1) % n], axis=1).ravel()
     return BooleanNetwork(np.full(n, 3), inputs, np.tile(table, n), state)

@@ -24,7 +24,7 @@ import numpy as np
 from .eca import EcaConfig, _eca_stacks
 from .measures import MeasureSet, _stack_measures, check_scale, uncorrelated_homeostasis
 from .rbn import RbnConfig, _rbn_stacks
-from .trajectory import _check_seed
+from .trajectory import _check_count, _check_seed
 
 __all__ = [
     "DEFAULT_RULES",
@@ -140,6 +140,16 @@ def _check_rows(rows: int, detail: str) -> None:
         raise ValueError(f"{rows:,} instance rows ({detail}), over the {_ROW_LIMIT:,}-row limit")
 
 
+def _repeat(values: Sequence):
+    """The first of ``values`` that an earlier one equals, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 def _sweep(
     experiment: str, key: str, grid: Sequence, make_config: Callable, stacks: Callable,
     instances: int, scales: Sequence[int], master_seed: int, threads: int,
@@ -149,33 +159,37 @@ def _sweep(
     stack of series at a time (``stacks(config, seeds)``), measure each stack at
     every scale in one call and keep only the measures, then aggregate each scale.
     The sweep's size, its threads, the master seed and every config are checked,
-    and the window against the scales, before any cell runs."""
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
+    the window against the scales, and that no scale and no cell (named by its
+    parameter as the CSV prints it) repeats, before any cell runs."""
+    _check_count("instances", instances, 1)
     _check_threads(threads)
     scales = [check_scale(scale) for scale in scales]
+    if (twice := _repeat(scales)) is not None:
+        raise ValueError(f"scale {twice} is listed twice")
     _check_rows(len(grid) * len(scales) * instances,
                 f"{len(grid):,} cells x {len(scales)} scales x {instances:,} instances")
     schedule = SeedSchedule(master_seed)
     configs = [make_config(value) for value in grid]
+    ids = [f"{experiment}/{key}={_fmt(getattr(config, key))}" for config in configs]
+    if (twice := _repeat(ids)) is not None:
+        raise ValueError(f"two grid values give the one cell {twice}")
     top = max(scales, default=1)
     if any(config.window < 2 * top for config in configs):
         raise ValueError(f"window too short for scale {top}")
 
-    def cell(config: RbnConfig | EcaConfig) -> list[SweepResult]:
+    def cell(job: tuple[RbnConfig | EcaConfig, str]) -> list[SweepResult]:
+        config, experiment_id = job
         parameter = getattr(config, key)
-        experiment_id = f"{experiment}/{key}={_fmt(parameter)}"
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
 
         per_scale = {b: [] for b in scales}
         for stack in stacks(config, seeds):
-            for by_scale in _stack_measures(stack, scales):
-                for b, kept in per_scale.items():
-                    kept.append(by_scale[b])
+            for b, measured in _stack_measures(stack, scales).items():
+                per_scale[b] += measured
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]
 
-    nested = _ordered_map(cell, configs, threads)
+    nested = _ordered_map(cell, list(zip(configs, ids)), threads)
     return [result for cell_results in nested for result in cell_results]
 
 

@@ -475,10 +475,10 @@ def _measure_blocks(
 
 def _stack_measures(
     series: Iterable[np.ndarray], scales: Iterable[int], *, average_h: bool = False
-) -> list[dict[int, MeasureSet | None]]:
-    """:func:`series_matrix_measures` of each of a stack of equal-shape
-    series, in order, from one kernel pass (:func:`_measure_blocks`) per
-    band of whole rows.
+) -> dict[int, list[MeasureSet] | None]:
+    """:func:`series_matrix_measures` of a stack of equal-shape series, per
+    scale a :class:`MeasureSet` per series in order (``None`` if too short),
+    from one kernel pass (:func:`_measure_blocks`) per band of whole rows.
 
     While one row fits ``_BLOCK_BITS`` bits, a band is as many whole rows as
     fit, filled from consecutive series and cut between rows; a longer row is
@@ -491,7 +491,7 @@ def _stack_measures(
     h = "all" if average_h else "final"
     measured = dict.fromkeys(map(check_scale, scales))
     per_band = {b: [] for b in measured}
-    band, held, count, shape = [], 0, 0, None
+    band, held, shape = [], 0, None
 
     def measure(band: list[np.ndarray]) -> None:
         rows = band[0] if len(band) == 1 else np.concatenate(band)
@@ -512,7 +512,6 @@ def _stack_measures(
             size = max(_BLOCK_BITS // max(shape[1], 1), 1)  # rows a band holds
         elif one.shape != shape:
             raise ValueError(f"the series of a stack must share a shape: {one.shape} != {shape}")
-        count += 1
         at = 0
         while at < shape[0]:
             take = min(size - held, shape[0] - at)
@@ -524,17 +523,15 @@ def _stack_measures(
         del one  # before the next series is made
     if band:
         measure(band)
-    results = [dict.fromkeys(measured) for _ in range(count)]
     for b, bands in per_band.items():
-        if not bands or bands[0] is None:
-            continue
-        units, length = shape
-        info = np.concatenate([info for info, _ in bands]).reshape(count, units)
-        differ = np.concatenate([data for _, data in bands]).reshape(count, units).sum(axis=1)
-        h_b = 1.0 - differ / (units * (length // b - 1) if average_h else units)
-        for result, measure_set in zip(results, _group_sets(info, h_b, b)):
-            result[b] = measure_set
-    return results
+        if not bands:  # no series
+            measured[b] = []
+        elif bands[0] is not None:
+            units, length = shape
+            info, differ = (np.concatenate(part).reshape(-1, units) for part in zip(*bands))
+            h_b = 1.0 - differ.sum(axis=1) / (units * (length // b - 1) if average_h else units)
+            measured[b] = _group_sets(info, h_b, b)
+    return measured
 
 
 def series_matrix_measures(
@@ -552,7 +549,8 @@ def series_matrix_measures(
     :func:`_stack_measures`, so the kernel's memory grows with neither the
     series' length nor its number of rows.
     """
-    return _stack_measures([series], scales, average_h=average_h)[0]
+    return {b: None if sets is None else sets[0]
+            for b, sets in _stack_measures([series], scales, average_h=average_h).items()}
 
 
 def streamed_measures(

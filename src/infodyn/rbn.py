@@ -12,10 +12,11 @@ same way, so validation, stacking and stepping are whole-array operations.
 from one generator per network, without a per-node loop: the in-degrees from
 one uniform draw, the inputs by Floyd's sampling run across all nodes at once
 (one draw per input position, so memory is O(n * ceil(k))), then the tables
-from one block of fair bits and the state.  A stack of networks steps as one
-padded lookup whose index is one gather of every input bit, each raised to
-its place and summed in the narrowest word that holds the index; its
-recorded block is transposed once, into each network's series.
+from one block of fair bits and the state.  A stack of such draws is one
+block-diagonal network, checked once and stepped as one padded lookup whose
+index is one gather of every input bit, each raised to its place and summed
+in the narrowest word that holds the index; its recorded block is transposed
+once, into each network's series.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .measures import MeasureSet, series_matrix_measures
-from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_run, _first_nonbit
-from .trajectory import _record_runs
+from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_count, _check_run
+from .trajectory import _first_nonbit, _record_runs
 
 __all__ = [
     "RbnConfig",
@@ -68,8 +69,7 @@ class RbnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count("n", self.n, 1)
         if not self.k >= 0:  # also false for nan
             raise ValueError(f"k must be >= 0 (got {self.k})")
         if self.k > self.n:
@@ -145,7 +145,7 @@ class BooleanNetwork:
 
     @cached_property
     def _step(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _lookup([self])
+        return _lookup(self)
 
 
 def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
@@ -155,8 +155,12 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     probability ``frac(k)``.  Inputs are drawn uniformly without replacement
     (self-inputs allowed, duplicates not); table entries are fair coins.
     """
-    n, top = config.n, math.ceil(config.k)
-    base = math.floor(config.k)
+    return BooleanNetwork(*_draw(config, rng))
+
+
+def _draw(config: RbnConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The one draw of a network, unchecked: ``(degrees, inputs, tables, state)``."""
+    n, base, top = config.n, math.floor(config.k), math.ceil(config.k)
     degrees = base + (rng.random(n) < config.k - base).astype(np.int64)
     # Floyd's sampling for every node at once: position c of a degree-d node
     # draws from 0..j with j = n - d + c and takes j if the draw repeats one
@@ -170,39 +174,37 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     block = rng.integers(0, 2, size=(n, 1 << top), dtype=np.uint8)
     tables = block[np.arange(1 << top) < (np.int64(1) << degrees)[:, None]]
     state = rng.integers(0, 2, size=n, dtype=np.uint8)
+    return degrees, inputs, tables, state
+
+
+def _block_diagonal(parts: Sequence[tuple[np.ndarray, ...]]) -> BooleanNetwork:
+    """The only code that stacks networks: the parts' ``(degrees, inputs, tables, state)``
+    as one checked network, each part's inputs offset by the nodes before it."""
+    degrees, inputs, tables, state = (np.concatenate(arrays) for arrays in zip(*parts))
+    first = np.cumsum([0] + [part[0].size for part in parts[:-1]])
+    inputs += np.repeat(first, [part[1].size for part in parts])
     return BooleanNetwork(degrees, inputs, tables, state)
 
 
-def _lookup(nets: Sequence[BooleanNetwork]) -> Callable[[np.ndarray], np.ndarray]:
-    """The synchronous update of a stack of networks as one padded lookup.
-
-    Every node reads the stack's largest in-degree ``width``: a node of
-    in-degree ``d`` reads its own inputs in the high ``d`` bits of its index
-    and dummy ones in the low ``width - d`` bits, which its table ignores
-    because each entry is repeated ``2^(width - d)`` times.  A stack whose
-    padded table (``nodes * 2^width`` bytes) exceeds the table budget is
-    refused before anything is allocated.
-    """
-    degrees = np.concatenate([net.degrees for net in nets])
-    width = int(degrees.max())
-    if degrees.size << width > _TABLE_BUDGET:
-        raise ValueError(
-            f"{degrees.size:,} nodes read in-degree {width}: the padded lookup needs"
-            f" nodes * 2^{width} = {degrees.size << width:,} bytes of tables,"
-            f" over the {_TABLE_BUDGET:,}-byte limit"
-        )
-    sizes = [net.n for net in nets]
-    offsets = np.repeat(np.cumsum([0] + sizes[:-1]), [net.inputs.size for net in nets])
+def _lookup(net: BooleanNetwork) -> Callable[[np.ndarray], np.ndarray]:
+    """The synchronous update of one network, such as a stack
+    (:func:`_block_diagonal`), as one padded lookup: every node reads the
+    largest in-degree ``width``, a node of in-degree ``d`` its own inputs in
+    the high ``d`` bits of its index and dummy ones in the low ``width - d``
+    bits, which its table ignores because each entry is repeated
+    ``2^(width - d)`` times.  A padded table (``nodes * 2^width`` bytes) over
+    the table budget is refused before anything is allocated."""
+    width = int(net.degrees.max())
+    if net.n << width > _TABLE_BUDGET:
+        raise ValueError(f"{net.n:,} nodes read in-degree {width}: the padded lookup needs"
+                         f" nodes * 2^{width} = {net.n << width:,} bytes of tables,"
+                         f" over the {_TABLE_BUDGET:,}-byte limit")
     # row c holds every node's input at position c (first input = MSB)
-    columns = np.zeros((width, degrees.size), dtype=np.intp)
-    columns.T[np.arange(width) < degrees[:, None]] = (
-        np.concatenate([net.inputs for net in nets]) + offsets
-    )
-    tables = np.repeat(
-        np.concatenate([net.tables for net in nets]),
-        np.repeat(np.int64(1) << (width - degrees), np.int64(1) << degrees),
-    )
-    base = np.arange(degrees.size, dtype=np.intp) << width
+    columns = np.zeros((width, net.n), dtype=np.intp)
+    columns.T[np.arange(width) < net.degrees[:, None]] = net.inputs
+    pads = np.repeat(np.int64(1) << (width - net.degrees), np.int64(1) << net.degrees)
+    tables = np.repeat(net.tables, pads)
+    base = np.arange(net.n, dtype=np.intp) << width
     # a node's local index in the narrowest word that holds width bits: each
     # input bit raised to its place by a multiply (numpy vectorizes a uint8
     # multiply, not a uint8 shift), then the places summed
@@ -243,7 +245,7 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     """Run one independent network per seed; ``config.seed`` is ignored.
 
     Networks are stacked as many at a time as fit the table and record
-    budgets and stepped as one block-diagonal system; a network's
+    budgets, each stack stepped as one block-diagonal network; a network's
     trajectory does not depend on the stack it shares; its series become trajectories.
     """
     return [Trajectory(series.T, config.transient)
@@ -253,14 +255,13 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[Iterator[np.ndarray]]:
     """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack at a time."""
 
+    def unstack(recorded):
+        # one transpose per stack: row block j is network j's n x window series
+        return iter(np.ascontiguousarray(recorded.T).reshape(-1, config.n, config.window))
+
     def start(chunk):
-        nets = [generate_rbn(config, np.random.default_rng(s)) for s in chunk]
-
-        def unstack(recorded):
-            # one transpose per stack: row block j is network j's n x window series
-            return iter(np.ascontiguousarray(recorded.T).reshape(len(chunk), config.n, -1))
-
-        return np.concatenate([net.state for net in nets]), _lookup(nets), unstack
+        stack = _block_diagonal([_draw(config, np.random.default_rng(s)) for s in chunk])
+        return stack.state, stack._step, unstack
 
     # RbnConfig has checked that one network fits both budgets
     batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k),

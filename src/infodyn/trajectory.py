@@ -7,8 +7,8 @@ of instances in its own layout (RBN networks side by side, ECA instances
 bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
 to the simulator, which unstacks it into each instance's bare series.  The
 loop stops stepping a stack whose state recurs and copies the cycle into the
-rest of the window.  The one binary-array check and the one bits-to-text
-encoder live here too.
+rest of the window.  The one binary-array check, the one seed and count
+validators and the one bits-to-text encoder live here too.
 """
 
 from __future__ import annotations
@@ -94,13 +94,19 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """The one count validator, in the value's own type: 2.5 is refused, not truncated."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
     """The one validator of the run parameters every simulator config has;
     ``step_bytes`` is what one stack records per step."""
-    if transient < 0:
-        raise ValueError("transient must be >= 0")
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    _check_count("transient", transient, 0)
+    _check_count("window", window, 2)
     _check_seed(seed)
     if step_bytes * window > _RECORD_BUDGET:
         raise ValueError(f"recording {window:,} steps of {step_bytes:,} bytes needs"

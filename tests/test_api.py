@@ -10,6 +10,8 @@ import argparse
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,3 +246,16 @@ def test_only_the_run_many_functions_build_trajectories():
     }
     assert builders == {("rbn.py", "run_rbn_many"), ("eca.py", "run_eca_many")}
     assert "Trajectory" not in (ROOT / "src" / "infodyn" / "experiments.py").read_text()
+
+
+def test_importing_the_cli_loads_no_heavy_module(cli_env):
+    # every command pays for what `import infodyn.cli` loads, so scipy (the
+    # rejected sparse step), a process pool or a test tool must stay out
+    code = "import sys, infodyn.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "infodyn.cli" in loaded and "numpy" in loaded
+    heavy = {"scipy", "matplotlib", "multiprocessing", "hypothesis", "pytest"}
+    assert loaded & heavy == set()

@@ -708,6 +708,35 @@ class TestSeedsAndRunSizes:
         assert re.search(r"error: recording .+ needs [\d,]+ bytes, over the [\d,]+-byte limit", err)
 
 
+class TestRepeatedListValues:
+    SIZES = ["--n", "8", "--transient", "2", "--window", "16"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "rbn", "--k-grid", "1,1.0000000001"],
+         "two grid values give the one cell rbn_sweep/k=1"),
+        (["sweep", "rbn", "--k-grid", "2,2"], "two grid values give the one cell rbn_sweep/k=2"),
+        (["sweep", "rbn", "--scales", "1,1"], "scales list '1,1' repeats 1"),
+        (["sweep", "eca", "--rules", "30,30"], "rules list '30,30' repeats 30"),
+        (["sweep", "profile", "--rules", "0,1,0"], "rules list '0,1,0' repeats 0"),
+        (["sweep", "eca", "--scales", "2,1,2"], "scales list '2,1,2' repeats 2"),
+    ])
+    def test_a_sweep_exits_2_before_it_writes(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv = [*argv, *self.SIZES, "--instances", "2", "--output-dir", str(out)]
+        assert exit_code(argv) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["measure"], ["rbn"], ["eca", "--rule", "30"]])
+    def test_a_report_exits_2_before_it_writes(self, tmp_path, capsys, command):
+        bits, out = tmp_path / "bits.txt", tmp_path / "report.csv"
+        bits.write_text(REF_BITS)
+        argv = [*command, *([str(bits)] if command == ["measure"] else self.SIZES)]
+        assert exit_code([*argv, "--scales", "1,1", "--output", str(out)]) == 2
+        assert "error: scales list '1,1' repeats 1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSingleRunFlags:
     @pytest.mark.parametrize("argv, runner, config", [
         (["rbn"], "run_rbn", RbnConfig()),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 import tracemalloc
@@ -269,6 +270,27 @@ class TestRbnSweep:
         monkeypatch.setattr(experiments, "_rbn_stacks", lambda *a: pytest.fail("a cell ran"))
         with pytest.raises(ValueError, match=rf"threads must be >= 1 \(got {threads}\)"):
             rbn_sweep(n=6, k_grid=[1.0], instances=1, transient=2, window=8, threads=threads)
+
+    @pytest.mark.parametrize("sweep, grid, message", [
+        # both K values print as 1, so they would share one CSV key and one seed list
+        (rbn_sweep, dict(k_grid=[1, 1.0000000001]), "two grid values give the one cell "
+                                                    "rbn_sweep/k=1"),
+        (rbn_sweep, dict(k_grid=[2, 3, 2.0]), "two grid values give the one cell rbn_sweep/k=2"),
+        (eca_class_survey, dict(rules=[30, 30]), "two grid values give the one cell "
+                                                 "eca_survey/rule=30"),
+        (multiscale_profiles, dict(rules=[110, 30.0, 30]), "two grid values give the one cell "
+                                                           "eca_profiles/rule=30"),
+        (rbn_sweep, dict(scales=(1, 1)), "scale 1 is listed twice"),
+        (eca_class_survey, dict(scales=(2, 1, 2)), "scale 2 is listed twice"),
+        (multiscale_profiles, dict(scales=(4, 4)), "scale 4 is listed twice"),
+    ])
+    def test_a_repeated_cell_or_scale_is_refused_before_any_cell_runs(self, monkeypatch, sweep,
+                                                                      grid, message):
+        monkeypatch.setattr(experiments, "_rbn_stacks", lambda *a: pytest.fail("a cell ran"))
+        monkeypatch.setattr(experiments, "_eca_stacks", lambda *a: pytest.fail("a cell ran"))
+        kwargs = dict(n=6, instances=1, transient=2, window=16, scales=(1,))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(**{**kwargs, **grid})
 
 
 class TestEcaSurvey:

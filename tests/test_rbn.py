@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from infodyn import eca, rbn
+from infodyn.experiments import rbn_sweep
 from infodyn.measures import (
     SymbolSequence,
     rescale,
@@ -34,6 +35,11 @@ def per_node(net):
     inputs = np.split(net.inputs, np.cumsum(net.degrees)[:-1])
     tables = np.split(net.tables, np.cumsum(1 << net.degrees)[:-1])
     return list(zip(inputs, tables))
+
+
+def parts(net):
+    """A network's arrays, as a stack takes them."""
+    return net.degrees, net.inputs, net.tables, net.state
 
 
 def network(inputs, tables, state):
@@ -270,11 +276,11 @@ class TestLookupOracle:
     @settings(max_examples=150, deadline=None)
     @given(nets=st.lists(hand_networks(), min_size=1, max_size=4), steps=st.integers(1, 6))
     def test_stacked_lookup_equals_naive_step(self, nets, steps):
-        step = rbn._lookup(nets)
-        state = np.concatenate([net.state for net in nets])
+        stack = rbn._block_diagonal([parts(net) for net in nets])
+        state = stack.state
         states = [net.state for net in nets]
         for _ in range(steps):
-            state = step(state)
+            state = rbn_step(stack, state)
             states = [naive_step(net, s) for net, s in zip(nets, states)]
             assert np.array_equal(state, np.concatenate(states))
 
@@ -353,8 +359,9 @@ class TestRun:
     def test_stacks_fit_the_table_budget(self, monkeypatch):
         # 30 nodes * 2^3 entries = 240 bytes per network: two fit in 500
         monkeypatch.setattr(rbn, "_TABLE_BUDGET", 500)
-        lookup, stacks = rbn._lookup, []
-        monkeypatch.setattr(rbn, "_lookup", lambda nets: stacks.append(len(nets)) or lookup(nets))
+        stack, stacks = rbn._block_diagonal, []
+        monkeypatch.setattr(rbn, "_block_diagonal",
+                            lambda drawn: stacks.append(len(drawn)) or stack(drawn))
         config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
         seeds = [101, 202, 303, 404, 505]
         batched = run_rbn_many(config, seeds)
@@ -365,16 +372,18 @@ class TestRun:
 
     @pytest.mark.parametrize("window, stacks", [(512, [128, 2]), (1000, [128, 2])])
     def test_desk_and_paper_networks_stack_128(self, monkeypatch, window, stacks):
-        lookup, seen = rbn._lookup, []
-        monkeypatch.setattr(rbn, "_lookup", lambda nets: seen.append(len(nets)) or lookup(nets))
+        stack, seen = rbn._block_diagonal, []
+        monkeypatch.setattr(rbn, "_block_diagonal",
+                            lambda drawn: seen.append(len(drawn)) or stack(drawn))
         run_rbn_many(RbnConfig(n=100, k=2.6, transient=0, window=window), range(130))
         assert seen == stacks
 
     def test_stacks_fit_the_record_budget(self, monkeypatch):
         # 30 nodes * 40 steps = 1,200 bytes recorded per network: two fit in 2,500
         monkeypatch.setattr(rbn, "_RECORD_BUDGET", 2500)
-        lookup, stacks = rbn._lookup, []
-        monkeypatch.setattr(rbn, "_lookup", lambda nets: stacks.append(len(nets)) or lookup(nets))
+        stack, stacks = rbn._block_diagonal, []
+        monkeypatch.setattr(rbn, "_block_diagonal",
+                            lambda drawn: stacks.append(len(drawn)) or stack(drawn))
         config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
         seeds = [101, 202, 303, 404, 505]
         batched = run_rbn_many(config, seeds)
@@ -390,6 +399,40 @@ class TestRun:
         net = network(inputs, tables, np.zeros(n, dtype=np.uint8))
         with pytest.raises(ValueError, match=r"nodes \* 2\^20 = 5,242,880,000 bytes"):
             rbn_step(net)
+
+
+class TestStack:
+    """A stack of networks is one checked block-diagonal network."""
+
+    def test_a_sweep_builds_one_network_per_stack(self, monkeypatch):
+        built, check = [], BooleanNetwork.__post_init__
+        monkeypatch.setattr(BooleanNetwork, "__post_init__",
+                            lambda net: built.append(np.size(net.degrees)) or check(net))
+        rbn_sweep(n=6, k_grid=[2.0], instances=130, transient=2, window=8, scales=(1,))
+        assert built == [128 * 6, 2 * 6]
+
+    @pytest.mark.parametrize("n, k", [
+        (n, k) for n in (1, 2, 100) for k in (0, 1, 2.6, 5) if k <= n
+    ])
+    def test_block_j_of_a_stack_is_network_j(self, monkeypatch, n, k):
+        stack, stacks = rbn._block_diagonal, []
+        monkeypatch.setattr(rbn, "_block_diagonal",
+                            lambda drawn: stacks.append(stack(drawn)) or stacks[-1])
+        config = RbnConfig(n=n, k=k, transient=0, window=2)
+        seeds = [7, 0, 2**64 - 1, 7, 12345]
+        run_rbn_many(config, seeds)
+        (net,) = stacks
+        at_input = np.concatenate([[0], np.cumsum(net.degrees)])
+        at_table = np.concatenate([[0], np.cumsum(np.int64(1) << net.degrees)])
+        for j, seed in enumerate(seeds):
+            one = generate_rbn(config, np.random.default_rng(seed))
+            first, end = j * n, (j + 1) * n
+            inputs = net.inputs[at_input[first] : at_input[end]]
+            assert ((first <= inputs) & (inputs < end)).all()
+            block = (net.degrees[first:end], inputs - first,
+                     net.tables[at_table[first] : at_table[end]], net.state[first:end])
+            for got, want in zip(block, parts(one), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestNodeSeries:

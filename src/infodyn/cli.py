@@ -267,9 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     thread_flags = argparse.ArgumentParser(add_help=False)
     thread_flags.add_argument("--threads", type=int,
                               help="sweep worker threads, at least 1 (default: "
-                                   "$INFODYN_THREADS or 1); they never change results and do "
-                                   "not shorten a sweep yet; measure reads a single stream, "
-                                   "which the flag does not change")
+                                   "$INFODYN_THREADS or 1); they never change results; "
+                                   "measure reads a single stream, which the flag does not "
+                                   "change")
 
     report_flags = argparse.ArgumentParser(add_help=False)
     report_flags.add_argument("--format", choices=("csv", "json"), default="csv",

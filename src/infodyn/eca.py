@@ -31,7 +31,7 @@ import numpy as np
 from .measures import _BLOCK_BITS
 from .rbn import BooleanNetwork, network_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _check_count, _check_run, _first_nonbit
-from .trajectory import _record_runs
+from .trajectory import _Stack, _record_runs
 
 __all__ = [
     "EcaConfig",
@@ -150,8 +150,9 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
             for stack in _eca_stacks(config, seeds) for series in stack]
 
 
-def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[Iterator[np.ndarray]]:
-    """The read-only ``n x window`` series of :func:`run_eca_many`, one stack at a time."""
+def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[_Stack]:
+    """The read-only ``n x window`` series of :func:`run_eca_many`, one stack,
+    with its cycle, at a time."""
 
     def start(chunk):
         if config.init == "random":

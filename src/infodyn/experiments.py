@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import re
 import sys
@@ -128,7 +129,10 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 def _check_threads(threads: int) -> int:
-    """The one thread-count check, shared by the sweeps and the CLI."""
+    """The one thread-count check, shared by the sweeps and the CLI: an
+    integer in its own type, as :func:`_check_count` checks one, of at least 1."""
+    if not isinstance(threads, numbers.Integral):
+        raise ValueError(f"threads must be an integer (got {threads!r})")
     if threads < 1:
         raise ValueError(f"threads must be >= 1 (got {threads})")
     return threads
@@ -157,7 +161,8 @@ def _sweep(
     """The one cell runner: per grid value, build its config (whose ``key``
     attribute is the cell's parameter), seed and run ``instances`` systems one
     stack of series at a time (``stacks(config, seeds)``), measure each stack at
-    every scale in one call and keep only the measures, then aggregate each scale.
+    every scale in one call, which reads a stack that cycles from one period
+    (its ``cycle``), and keep only the measures, then aggregate each scale.
     The sweep's size, its threads, the master seed and every config are checked,
     the window against the scales, and that no scale and no cell (named by its
     parameter as the CSV prints it) repeats, before any cell runs."""

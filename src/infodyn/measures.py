@@ -13,7 +13,8 @@ series: it reads a band of rows as column blocks and carries, per scale, a
 tail of source symbols, each row's last two symbols (or a count of changes)
 and the running ``(row, symbol, count)`` runs, and returns each row's
 information and H data; scales 2, 4 and 8 are grouped from the bits by one
-word multiply.  Its entries check their input and tile it:
+word multiply, and a block may stand for ``m`` copies of itself, so a stack
+that cycles is read from one period.  Its entries check their input and tile it:
 :func:`_stack_measures` reads a stack of equal-shape series in bands of whole
 rows of at most ``_BLOCK_BITS`` bits (a longer row in column blocks) and
 averages each series' rows, :func:`series_matrix_measures` is its one-series
@@ -24,6 +25,7 @@ grouping order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -419,6 +421,13 @@ def _measure_blocks(
     row's last two macro-states differ, from its last two symbols) or
     ``"all"`` (each row's count of changes between successive macro-states);
     with H a scale needs two groups.  A scale with too few groups is ``None``.
+
+    A block may come as a pair ``(block, m)``: the block read ``m >= 1``
+    times in a row.  Its counts, ones and groups count ``m`` times, and under
+    ``"all"`` its inner changes count ``m`` times, its left edge once and its
+    wrap (its last group, then its first) ``m - 1`` times.  Every listed scale
+    must divide the columns before it and its own width, so that no group
+    or tail crosses its edges.
     """
     measured = dict.fromkeys(map(check_scale, scales))
     sources = _group_sources(measured)
@@ -428,13 +437,14 @@ def _measure_blocks(
     tails, last = {}, {}
     ones = units = 0
     for block in blocks:
+        block, m = block if isinstance(block, tuple) else (block, 1)
         units = block.shape[0]
         fresh = {1: block}
         for b, d in sources.items():
             if b == 1:  # a uint32 sum is 3x faster than count_nonzero by row
                 grouped = block
                 wide = np.uint32 if block.shape[1] < 1 << 32 else np.uint64
-                ones += block.sum(axis=1, dtype=wide).astype(np.int64)
+                ones += m * block.sum(axis=1, dtype=wide).astype(np.int64)
             else:
                 symbols = fresh[d]
                 if b in tails:
@@ -444,17 +454,23 @@ def _measure_blocks(
                     tails[b] = symbols[:, used:].copy()
                 grouped = fresh[b] = _group_symbols(symbols, b // d, d)
                 if used:
-                    runs[b].append(_row_counts(grouped))
+                    rows, values, counts = _row_counts(grouped)
+                    counts *= m
+                    runs[b].append((rows, values, counts))
                     _merge_runs(runs[b], _MERGE_RATIO)
             if not grouped.shape[1]:
                 continue
-            groups[b] += grouped.shape[1]
+            groups[b] += m * grouped.shape[1]
             if h is not None:
                 before = last.get(b, grouped[:, :0])
                 if h == "all":  # the pairs inside the block and across its left edge
-                    changes[b] += np.count_nonzero(grouped[:, 1:] != grouped[:, :-1], axis=1)
+                    changes[b] += m * np.count_nonzero(grouped[:, 1:] != grouped[:, :-1], axis=1)
                     changes[b] += np.count_nonzero(grouped[:, :1] != before[:, -1:], axis=1)
-                last[b] = np.concatenate((before, grouped[:, -2:]), axis=1)[:, -2:]
+                    if m > 1:
+                        wrap = np.count_nonzero(grouped[:, :1] != grouped[:, -1:], axis=1)
+                        changes[b] += (m - 1) * wrap
+                ends = (before,) + (grouped[:, -2:],) * min(m, 2)
+                last[b] = np.concatenate(ends, axis=1)[:, -2:]
     for b in sources:
         if groups[b] < (1 if h is None else 2):
             continue
@@ -480,25 +496,43 @@ def _stack_measures(
     scale a :class:`MeasureSet` per series in order (``None`` if too short),
     from one kernel pass (:func:`_measure_blocks`) per band of whole rows.
 
-    While one row fits ``_BLOCK_BITS`` bits, a band is as many whole rows as
-    fit, filled from consecutive series and cut between rows; a longer row is
-    a band of its own, read in column blocks of ``_BLOCK_BITS`` bits.  A
-    series is taken from ``series`` once the bands before it are measured.
-    A series' E is the mean of its rows' clipped information and its H
-    follows from its rows' integer counts, so each value is what a pass over
-    that series alone gives.
+    While the columns read of one row fit ``_BLOCK_BITS`` bits, a band is as
+    many whole rows as fit, filled from consecutive series and cut between
+    rows; a longer row is a band of its own, read in column blocks of
+    ``_BLOCK_BITS`` bits.  A series is taken from ``series`` once the bands
+    before it are measured.  A series' E is the mean of its rows' clipped
+    information and its H follows from its rows' integer counts, so each
+    value is what a pass over that series alone gives.
+
+    A stack from the record loop carries its ``cycle``, ``(begin, period)``
+    in window columns, or ``None`` (see :func:`infodyn.trajectory._record_runs`);
+    ``series`` without one is read in full.  With ``L = lcm(period, *scales)``
+    and ``c0`` the first multiple of ``L`` at or after ``begin``, a window
+    holding ``m = (window - c0) // L >= 1`` such blocks is read as columns
+    ``[0, c0)``, then ``[c0, c0 + L)`` once as a block repeated ``m`` times,
+    then the first ``(window - c0) % L`` columns of that block: the same
+    counts and H data, from ``c0 + L`` columns of each row.  A cycle block is
+    never folded across column blocks: a stack whose ``L`` exceeds
+    ``_BLOCK_BITS`` is read in full.  Every series is still checked whole.
     """
     h = "all" if average_h else "final"
     measured = dict.fromkeys(map(check_scale, scales))
+    cycle = getattr(series, "cycle", None)
     per_band = {b: [] for b in measured}
-    band, held, shape = [], 0, None
+    band, held, shape, folded = [], 0, None, []
 
     def measure(band: list[np.ndarray]) -> None:
         rows = band[0] if len(band) == 1 else np.concatenate(band)
+        band.clear()  # the pieces, before the kernel's temporaries
         width = max(_BLOCK_BITS // len(rows), 1)
-        blocks = (rows[:, at : at + width].astype(np.uint8, copy=False)
-                  for at in range(0, rows.shape[1], width))
-        for b, result in _measure_blocks(blocks, measured, h).items():
+        cuts = [(at, min(at + width, plain), 1) for at in range(0, plain, width)] + folded
+
+        def blocks():
+            for start, stop, m in cuts:
+                block = rows[:, start:stop].astype(np.uint8, copy=False)
+                yield block if m == 1 else (block, m)
+
+        for b, result in _measure_blocks(blocks(), measured, h).items():
             per_band[b].append(result)
 
     for one in series:
@@ -509,17 +543,27 @@ def _stack_measures(
             raise ValueError("series must be binary")
         if shape is None:
             shape = one.shape
-            size = max(_BLOCK_BITS // max(shape[1], 1), 1)  # rows a band holds
+            plain = read = shape[1]  # columns read plainly, and in all
+            if cycle is not None:
+                span = math.lcm(cycle[1], *measured)
+                first = -(-cycle[0] // span) * span
+                repeats = (shape[1] - first) // span
+                if repeats >= 1 and span <= _BLOCK_BITS:
+                    plain, read = first, first + span
+                    rest = (shape[1] - first) % span
+                    folded = [(first, read, repeats), (first, first + rest, 1)]
+            size = max(_BLOCK_BITS // max(read, 1), 1)  # rows a band holds
         elif one.shape != shape:
             raise ValueError(f"the series of a stack must share a shape: {one.shape} != {shape}")
         at = 0
         while at < shape[0]:
             take = min(size - held, shape[0] - at)
-            band.append(one[at : at + take])
+            # a copy of fewer columns than the row's: a view would keep the series
+            band.append(np.ascontiguousarray(one[at : at + take, :read]))
             held, at = held + take, at + take
             if held == size:
-                measure(band)
-                band, held = [], 0
+                measure(band)  # which empties it
+                held = 0
         del one  # before the next series is made
     if band:
         measure(band)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .measures import MeasureSet, series_matrix_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_count, _check_run
-from .trajectory import _first_nonbit, _record_runs
+from .trajectory import _Stack, _first_nonbit, _record_runs
 
 __all__ = [
     "RbnConfig",
@@ -252,8 +252,9 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
             for stack in _rbn_stacks(config, seeds) for series in stack]
 
 
-def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[Iterator[np.ndarray]]:
-    """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack at a time."""
+def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[_Stack]:
+    """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack,
+    with its cycle, at a time."""
 
     def unstack(recorded):
         # one transpose per stack: row block j is network j's n x window series

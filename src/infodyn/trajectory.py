@@ -6,9 +6,11 @@ time series of node/cell ``i``, the layout every measure reads, and
 of instances in its own layout (RBN networks side by side, ECA instances
 bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
 to the simulator, which unstacks it into each instance's bare series.  The
-loop stops stepping a stack whose state recurs and copies the cycle into the
-rest of the window.  The one binary-array check, the one seed and count
-validators and the one bits-to-text encoder live here too.
+loop stops stepping a stack whose state recurs, copies the cycle into the
+rest of the window and hands the cycle's ``(begin, period)`` on with the
+stack, so the sweep measures one period of it.  The one binary-array check,
+the one seed and count validators and the one bits-to-text encoder live here
+too.
 """
 
 from __future__ import annotations
@@ -113,11 +115,30 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
                          f" {step_bytes * window:,} bytes, over the {_RECORD_BUDGET:,}-byte limit")
 
 
+class _Stack:
+    """One recorded stack: an iterator over its series, each made read-only
+    as it is taken, that carries the stack's ``cycle``: ``(begin, period)``
+    when every series satisfies ``series[:, c + period] == series[:, c]``
+    for each window column ``c >= begin``, else ``None``."""
+
+    def __init__(self, series: Iterator[np.ndarray], cycle: tuple[int, int] | None):
+        self._series, self.cycle = series, cycle
+
+    def __iter__(self) -> _Stack:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        series = next(self._series)
+        series.flags.writeable = False
+        return series
+
+
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> Iterator[Iterator[np.ndarray]]:
+) -> Iterator[_Stack]:
     """The one record loop of both simulators: one series per seed, in seed
-    order, recorded and yielded one stack (an iterator) of at most ``batch`` at a time.
+    order, recorded and yielded one stack (a :class:`_Stack`) of at most
+    ``batch`` at a time.
 
     ``start(chunk)`` returns the initial state of a stack, its update, and
     ``unstack``, which yields each instance's C-contiguous uint8 ``n x window``
@@ -134,16 +155,18 @@ def _record_runs(
     what is left of the transient shrinks to fewer than ``p`` steps, and the
     window's cycling states after its first ``p`` are copies of them, so a
     stack that settles is stepped a few times, not ``transient + window``.
+
+    This is one contract for both simulators: the stack's ``cycle`` is
+    ``(begin, p)``, ``begin`` the first window column of the cycle, or
+    ``None`` when no state recurred.  A whole stack cycles together, so ``p``
+    is a period (not always the least one) of each of its series.  The sweep
+    hands it to the measure kernel, which then reads one period instead of
+    the window (:func:`infodyn.measures._stack_measures`); every other
+    caller ignores it.
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
-    def read_only(stack: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        for series in stack:
-            series.flags.writeable = False
-            yield series
-            del series  # before the next one is made
-
-    def record(chunk: list[int]) -> Iterator[np.ndarray]:
+    def record(chunk: list[int]) -> _Stack:
         state, step, unstack = start(chunk)
         recorded = np.empty((window,) + state.shape, dtype=state.dtype)
         recorded[0] = state
@@ -172,7 +195,7 @@ def _record_runs(
                 size = min(filled - begin, window - filled)
                 recorded[filled : filled + size] = recorded[begin : begin + size]
                 filled += size
-        return read_only(unstack(recorded))
+        return _Stack(unstack(recorded), (begin, period) if period else None)
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 

@@ -767,6 +767,15 @@ class TestSingleRunFlags:
         assert exit_code(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "measure"])
+    def test_the_threads_help_claims_no_speed_limit(self, capsys, command):
+        # threads did shorten a desk ECA sweep on 2 cores, so the help no
+        # longer says they do not
+        assert exit_code([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "they never change results" in text
+        assert "do not shorten a sweep yet" not in text
+
     def test_measure_still_accepts_threads(self, tmp_path, capsys):
         path = tmp_path / "bits.txt"
         path.write_text(REF_BITS)

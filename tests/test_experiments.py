@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infodyn import experiments, measures
+from infodyn import eca, experiments, measures, rbn
 from infodyn.eca import EcaConfig, oriented_series, run_eca
 from infodyn.experiments import (
     DEFAULT_K_GRID,
@@ -271,6 +271,20 @@ class TestRbnSweep:
         with pytest.raises(ValueError, match=rf"threads must be >= 1 \(got {threads}\)"):
             rbn_sweep(n=6, k_grid=[1.0], instances=1, transient=2, window=8, threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.5, "2"])
+    def test_a_non_integer_thread_count_is_refused_before_any_cell_runs(self, monkeypatch,
+                                                                        threads):
+        # in its own type, as every count is: 2.5 is refused, not truncated
+        monkeypatch.setattr(experiments, "_rbn_stacks", lambda *a: pytest.fail("a cell ran"))
+        message = f"threads must be an integer (got {threads!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rbn_sweep(n=6, k_grid=[1.0], instances=1, transient=2, window=8, threads=threads)
+
+    def test_a_numpy_integer_thread_count_runs(self):
+        kwargs = dict(n=6, k_grid=[1.0, 2.0], instances=2, transient=2, window=8, scales=(1,),
+                      master_seed=2)
+        assert rbn_sweep(threads=np.int64(2), **kwargs) == rbn_sweep(threads=1, **kwargs)
+
     @pytest.mark.parametrize("sweep, grid, message", [
         # both K values print as 1, so they would share one CSV key and one seed list
         (rbn_sweep, dict(k_grid=[1, 1.0000000001]), "two grid values give the one cell "
@@ -291,6 +305,46 @@ class TestRbnSweep:
         kwargs = dict(n=6, instances=1, transient=2, window=16, scales=(1,))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(**{**kwargs, **grid})
+
+
+class TestCycleFold:
+    @pytest.mark.parametrize("sweep, grid, stacks, config", [
+        # rule 18 on 16 cells cycles from window column 32 with period 14,
+        # not at a multiple of its 56-column block; 20 networks of K = 1
+        # cycle together from column 8
+        (eca_class_survey, dict(rules=[18], n=16), eca._eca_stacks,
+         EcaConfig(rule=18, n=16, transient=0, window=256)),
+        (rbn_sweep, dict(k_grid=[1.0], n=8), rbn._rbn_stacks,
+         RbnConfig(n=8, k=1.0, transient=0, window=256)),
+    ], ids=["eca", "rbn"])
+    def test_a_folded_sweep_writes_the_bytes_of_a_full_read(self, tmp_path, monkeypatch, sweep,
+                                                             grid, stacks, config):
+        kwargs = dict(grid, instances=20, transient=0, window=256, scales=(1, 2, 4, 8),
+                      master_seed=4)
+        kernel, repeats = measures._measure_blocks, []
+
+        def spy(blocks, scales, h):
+            blocks = list(blocks)
+            repeats.extend(block[1] for block in blocks if isinstance(block, tuple))
+            return kernel(blocks, scales, h)
+
+        monkeypatch.setattr(measures, "_measure_blocks", spy)
+        results = sweep(**kwargs)
+        write_sweep_files(results, tmp_path / "folded", "fold")
+        (cycle,) = [stack.cycle for stack in stacks(config, results[0].seeds)]
+        assert cycle is not None and (sweep is rbn_sweep or cycle[0] > 0)
+        assert repeats and min(repeats) >= 2  # every band folded its cycle block
+
+        # the fold off: a list of the stack's series carries no cycle
+        stack_measures = experiments._stack_measures
+        monkeypatch.setattr(experiments, "_stack_measures",
+                            lambda stack, scales: stack_measures(list(stack), scales))
+        repeats.clear()
+        write_sweep_files(sweep(**kwargs), tmp_path / "full", "fold")
+        assert not repeats
+        for name in ("fold_instances.csv", "fold_aggregate.csv"):
+            assert (tmp_path / "folded" / name).read_bytes() == (
+                tmp_path / "full" / name).read_bytes()
 
 
 class TestEcaSurvey:

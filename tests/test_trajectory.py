@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -29,6 +30,7 @@ from infodyn.eca import EcaConfig, _eca_stacks, oriented_series, run_eca, run_ec
 from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
+    _Stack,
     _record_runs,
     trajectory_csv,
     trajectory_pbm,
@@ -287,6 +289,88 @@ def test_a_stack_measures_as_its_series_one_by_one(case, block_bits, average_h):
     expected = {b: None if None in sets else sets for b, sets in per_scale.items()}
     with mock.patch.object(measures, "_BLOCK_BITS", block_bits):
         assert _stack_measures(iter(series), scales, average_h=average_h) == expected
+
+
+@st.composite
+def cycling_stacks(draw):
+    """(series, cycle, scales, span, repeats): 1..3 equal-shape bit series of
+    1..4 rows whose columns from ``begin`` on repeat with ``period``; the
+    window holds ``repeats`` whole cycle blocks of ``span = lcm(period,
+    *scales)`` columns after the first multiple of ``span`` at or after ``begin``."""
+    scales = draw(st.sampled_from([(1, 2, 4, 8), (1, 2, 4, 8, 16), (3, 6), tuple(range(1, 17))]))
+    period = draw(st.integers(1, 24))  # below and above the largest scale
+    begin = draw(st.integers(0, 40))
+    span = math.lcm(period, *scales)
+    first = -(-begin // span) * span
+    # lcm(1..16) = 720,720 columns: no window here holds such a block
+    repeats = draw(st.integers(0, 3 if span < 1000 else 0))
+    if repeats:
+        window = first + repeats * span + draw(st.integers(0, span - 1))
+    else:
+        window = draw(st.integers(2, first + min(span, 400) - 1))
+    units, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    series = []
+    for _ in range(count):
+        head = draw(arrays(np.uint8, (units, begin + period), elements=st.integers(0, 1)))
+        cycle = head[:, begin + (np.arange(max(window - begin, 0)) % period)]
+        whole = np.concatenate((head[:, :begin], cycle), axis=1)[:, :window]
+        series.append(np.ascontiguousarray(whole))
+    return series, (begin, period), scales, span, repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cycling_stacks(), average_h=st.booleans(), band_rows=st.integers(1, 5),
+       narrow=st.booleans())
+def test_a_cycling_stack_measures_as_its_full_read(case, average_h, band_rows, narrow):
+    # bands of ``band_rows`` whole rows of the columns read, cut between and
+    # inside series; or a block narrower than the cycle block, which is then
+    # read in full, in column blocks
+    series, cycle, scales, span, repeats = case
+    full = _stack_measures(iter(series), scales, average_h=average_h)
+    window, first = series[0].shape[1], -(-cycle[0] // span) * span
+    read = first + span if repeats else window
+    block_bits = span - 1 if narrow and span > 1 else band_rows * read
+    kernel, given = measures._measure_blocks, []
+
+    def spy(blocks, scales, h):
+        blocks = list(blocks)
+        given.append(blocks)
+        return kernel(blocks, scales, h)
+
+    with mock.patch.object(measures, "_BLOCK_BITS", block_bits), \
+            mock.patch.object(measures, "_measure_blocks", spy):
+        folded = _stack_measures(_Stack(iter(series), cycle), scales, average_h=average_h)
+    assert folded == full
+    fold = repeats >= 1 and span <= block_bits
+    for blocks in given:
+        cut = [block if isinstance(block, np.ndarray) else block[0] for block in blocks]
+        assert sum(block.shape[1] for block in cut) == (
+            read + (window - first) % span if fold else window)
+        assert any(isinstance(block, tuple) for block in blocks) == (fold and repeats >= 2)
+
+
+def test_a_settled_desk_stack_is_read_from_one_cycle_block():
+    # rule 0 clears every cell at its first step, so a desk stack (50
+    # instances of 256 cells, 1,024 + 1,024 steps) cycles with period 1 from
+    # its first recorded column: one band of 8 columns a row, not 50 bands of
+    # 1,024
+    (stack,) = _eca_stacks(EcaConfig(rule=0, n=256, transient=1024, window=1024), range(50))
+    assert stack.cycle == (0, 1)
+    kernel, given = measures._measure_blocks, []
+
+    def spy(blocks, scales, h):
+        blocks = list(blocks)
+        given.append([(block if isinstance(block, np.ndarray) else block[0]).shape
+                      for block in blocks])
+        return kernel(blocks, scales, h)
+
+    scales = (1, 2, 4, 8)
+    with mock.patch.object(measures, "_measure_blocks", spy):
+        folded = _stack_measures(stack, scales)
+    assert len(given) == 1
+    assert all(rows == 50 * 256 for rows, _ in given[0])
+    assert sum(columns for _, columns in given[0]) <= 8 + 8
+    assert folded == _stack_measures([np.zeros((256, 1024), dtype=np.uint8)] * 50, scales)
 
 
 def test_a_stack_of_unequal_series_is_refused():

@@ -25,7 +25,6 @@ from .experiments import (
     MEASURE_FIELDS,
     ProfileResult,
     _check_rows,
-    _check_threads,
     _repeat,
     csv_text,
     eca_class_survey,
@@ -37,7 +36,7 @@ from .experiments import (
 )
 from .measures import SymbolSequence, check_scale, series_matrix_measures, streamed_measures
 from .rbn import RbnConfig, generate_rbn, run_rbn, serialize_network
-from .trajectory import trajectory_csv, trajectory_pbm
+from .trajectory import _check_count, trajectory_csv, trajectory_pbm
 
 __all__ = ["main"]
 
@@ -77,7 +76,7 @@ def _resolve_threads(value: int | None) -> int:
         threads = value if value is not None else int(env)
     except ValueError as exc:
         raise ValueError(f"bad INFODYN_THREADS value: {env!r}") from exc
-    return _check_threads(threads)
+    return _check_count("threads", threads, 1)
 
 
 # bytes (raw) or characters (ascii01, csv) read at a time: 2^20 raw bits

@@ -31,7 +31,7 @@ import numpy as np
 from .measures import _BLOCK_BITS
 from .rbn import BooleanNetwork, network_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _check_count, _check_run, _first_nonbit
-from .trajectory import _Stack, _record_runs
+from .trajectory import _record_runs
 
 __all__ = [
     "EcaConfig",
@@ -53,11 +53,9 @@ _BATCH = 64  # instances stepped together, one bit of a word each; never a resul
 def rule_table(number: int) -> np.ndarray:
     """The 8-entry uint8 output table of a rule (0..255), ``table[4l + 2c + r]``.
 
-    This is the one place a rule number is validated.
+    Every rule number is validated here, by the one integer validator.
     """
-    number = int(number)
-    if not 0 <= number <= 255:
-        raise ValueError(f"rule out of range: {number} (must be in 0..255)")
+    number = _check_count("rule", number, 0, 255)
     return ((number >> np.arange(8)) & 1).astype(np.uint8)
 
 
@@ -147,12 +145,12 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
     result does not depend on the batch it shares.  A stack holds as many rows
     as the widest word whose block fits the record budget; its series become trajectories."""
     return [Trajectory(series.T, config.transient)
-            for stack in _eca_stacks(config, seeds) for series in stack]
+            for stack, _ in _eca_stacks(config, seeds) for series in stack]
 
 
-def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[_Stack]:
+def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[tuple]:
     """The read-only ``n x window`` series of :func:`run_eca_many`, one stack,
-    with its cycle, at a time."""
+    with its cycle, at a time: the record loop's ``(series, cycle)`` pairs."""
 
     def start(chunk):
         if config.init == "random":

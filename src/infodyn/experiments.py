@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import re
 import sys
@@ -128,16 +127,6 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _check_threads(threads: int) -> int:
-    """The one thread-count check, shared by the sweeps and the CLI: an
-    integer in its own type, as :func:`_check_count` checks one, of at least 1."""
-    if not isinstance(threads, numbers.Integral):
-        raise ValueError(f"threads must be an integer (got {threads!r})")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
-    return threads
-
-
 def _check_rows(rows: int, detail: str) -> None:
     """The one bound on a sweep's size, checked before its grid or seeds exist."""
     if rows > _ROW_LIMIT:
@@ -160,15 +149,18 @@ def _sweep(
 ) -> list[SweepResult]:
     """The one cell runner: per grid value, build its config (whose ``key``
     attribute is the cell's parameter), seed and run ``instances`` systems one
-    stack of series at a time (``stacks(config, seeds)``), measure each stack at
-    every scale in one call, which reads a stack that cycles from one period
-    (its ``cycle``), and keep only the measures, then aggregate each scale.
-    The sweep's size, its threads, the master seed and every config are checked,
-    the window against the scales, and that no scale and no cell (named by its
-    parameter as the CSV prints it) repeats, before any cell runs."""
+    stack of series at a time (``stacks(config, seeds)`` yields ``(series,
+    cycle)`` pairs), measure each stack at every scale in one call, which reads
+    a stack that cycles from one period (its ``cycle``), and keep only the
+    measures, then aggregate each scale.  The sweep's size, its threads, the
+    master seed and every config are checked, the window against the scales,
+    that at least one scale is listed, and that no scale and no cell (named by
+    its parameter as the CSV prints it) repeats, before any cell runs."""
     _check_count("instances", instances, 1)
-    _check_threads(threads)
+    _check_count("threads", threads, 1)
     scales = [check_scale(scale) for scale in scales]
+    if not scales:
+        raise ValueError("no scales listed")
     if (twice := _repeat(scales)) is not None:
         raise ValueError(f"scale {twice} is listed twice")
     _check_rows(len(grid) * len(scales) * instances,
@@ -178,7 +170,7 @@ def _sweep(
     ids = [f"{experiment}/{key}={_fmt(getattr(config, key))}" for config in configs]
     if (twice := _repeat(ids)) is not None:
         raise ValueError(f"two grid values give the one cell {twice}")
-    top = max(scales, default=1)
+    top = max(scales)
     if any(config.window < 2 * top for config in configs):
         raise ValueError(f"window too short for scale {top}")
 
@@ -188,8 +180,8 @@ def _sweep(
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
 
         per_scale = {b: [] for b in scales}
-        for stack in stacks(config, seeds):
-            for b, measured in _stack_measures(stack, scales).items():
+        for series, cycle in stacks(config, seeds):
+            for b, measured in _stack_measures(series, cycle, scales).items():
                 per_scale[b] += measured
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]
@@ -257,10 +249,12 @@ def multiscale_profiles(
 ) -> ProfileResult:
     """Measure trajectories across scales for a few rules, with the
     uncorrelated-H reference value per scale."""
+    scales = [check_scale(b) for b in scales]  # read once, so an iterator serves both
+    # first, so an unknown form is refused before any cell runs
+    baseline = {b: uncorrelated_homeostasis(b, baseline_form) for b in scales}
     sweeps = _rule_survey(
         "eca_profiles", rules, n, instances, transient, window, scales, master_seed, threads
     )
-    baseline = {int(b): uncorrelated_homeostasis(int(b), form=baseline_form) for b in scales}
     return ProfileResult(sweeps, baseline)
 
 

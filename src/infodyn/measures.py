@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .trajectory import _bit_text, _first_nonbit
+from .trajectory import _bit_text, _check_count, _first_nonbit
 
 __all__ = [
     "SymbolSequence",
@@ -74,11 +74,8 @@ _BLOCK_BITS = 1 << 18
 
 
 def check_scale(scale: int) -> int:
-    """The one scale validator: ``scale`` as an int in ``1..62``."""
-    scale = int(scale)
-    if not 1 <= scale <= _MAX_SCALE:
-        raise ValueError(f"scale must be in 1..{_MAX_SCALE} (got {scale})")
-    return scale
+    """The one scale validator: ``scale``, an integer in ``1..62``, as an int."""
+    return _check_count("scale", scale, 1, _MAX_SCALE)
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class MeasureSet:
     scale: int
 
     def __post_init__(self):
-        check_scale(self.scale)
+        object.__setattr__(self, "scale", check_scale(self.scale))
         for name in ("emergence", "self_organization", "complexity", "homeostasis"):
             value = getattr(self, name)
             if value is None:
@@ -490,7 +487,8 @@ def _measure_blocks(
 
 
 def _stack_measures(
-    series: Iterable[np.ndarray], scales: Iterable[int], *, average_h: bool = False
+    series: Iterable[np.ndarray], cycle: tuple[int, int] | None, scales: Iterable[int], *,
+    average_h: bool = False,
 ) -> dict[int, list[MeasureSet] | None]:
     """:func:`series_matrix_measures` of a stack of equal-shape series, per
     scale a :class:`MeasureSet` per series in order (``None`` if too short),
@@ -504,9 +502,9 @@ def _stack_measures(
     information and its H follows from its rows' integer counts, so each
     value is what a pass over that series alone gives.
 
-    A stack from the record loop carries its ``cycle``, ``(begin, period)``
-    in window columns, or ``None`` (see :func:`infodyn.trajectory._record_runs`);
-    ``series`` without one is read in full.  With ``L = lcm(period, *scales)``
+    ``cycle`` is the stack's ``(begin, period)`` in window columns, as the
+    record loop gives it (see :func:`infodyn.trajectory._record_runs`), or
+    ``None``, which reads every series in full.  With ``L = lcm(period, *scales)``
     and ``c0`` the first multiple of ``L`` at or after ``begin``, a window
     holding ``m = (window - c0) // L >= 1`` such blocks is read as columns
     ``[0, c0)``, then ``[c0, c0 + L)`` once as a block repeated ``m`` times,
@@ -517,7 +515,6 @@ def _stack_measures(
     """
     h = "all" if average_h else "final"
     measured = dict.fromkeys(map(check_scale, scales))
-    cycle = getattr(series, "cycle", None)
     per_band = {b: [] for b in measured}
     band, held, shape, folded = [], 0, None, []
 
@@ -594,7 +591,7 @@ def series_matrix_measures(
     series' length nor its number of rows.
     """
     return {b: None if sets is None else sets[0]
-            for b, sets in _stack_measures([series], scales, average_h=average_h).items()}
+            for b, sets in _stack_measures([series], None, scales, average_h=average_h).items()}
 
 
 def streamed_measures(
@@ -629,7 +626,7 @@ def uncorrelated_homeostasis(scale: int, form: str = "exact") -> float:
     convention sometimes used for this reference line; the two coincide at
     scales 1 and 2.
     """
-    check_scale(scale)
+    scale = check_scale(scale)
     if form == "exact":
         return 2.0 ** -scale
     if form == "inv2b":

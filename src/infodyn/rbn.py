@@ -31,7 +31,7 @@ import numpy as np
 
 from .measures import MeasureSet, series_matrix_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_count, _check_run
-from .trajectory import _Stack, _first_nonbit, _record_runs
+from .trajectory import _first_nonbit, _record_runs
 
 __all__ = [
     "RbnConfig",
@@ -249,12 +249,12 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
     trajectory does not depend on the stack it shares; its series become trajectories.
     """
     return [Trajectory(series.T, config.transient)
-            for stack in _rbn_stacks(config, seeds) for series in stack]
+            for stack, _ in _rbn_stacks(config, seeds) for series in stack]
 
 
-def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[_Stack]:
+def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[tuple]:
     """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack,
-    with its cycle, at a time."""
+    with its cycle, at a time: the record loop's ``(series, cycle)`` pairs."""
 
     def unstack(recorded):
         # one transpose per stack: row block j is network j's n x window series

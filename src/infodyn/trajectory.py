@@ -9,8 +9,8 @@ to the simulator, which unstacks it into each instance's bare series.  The
 loop stops stepping a stack whose state recurs, copies the cycle into the
 rest of the window and hands the cycle's ``(begin, period)`` on with the
 stack, so the sweep measures one period of it.  The one binary-array check,
-the one seed and count validators and the one bits-to-text encoder live here
-too.
+the one seed validator, the one integer validator (of every size, scale,
+rule and thread count) and the one bits-to-text encoder live here too.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class Trajectory:
             raise ValueError("states must be a 2-D (time x nodes) matrix")
         if _first_nonbit(states) is not None:
             raise ValueError("states must be binary")
-        if self.transient_length < 0:
-            raise ValueError("transient_length must be >= 0")
+        _check_count("transient_length", self.transient_length, 0)
         # no copy when ``states`` is already the transpose of a contiguous
         # series; the read-only flag is set on a view, never on a caller's array
         series = np.ascontiguousarray(states.T, dtype=np.uint8).view()
@@ -96,12 +95,16 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_count(name: str, value: int, minimum: int) -> None:
-    """The one count validator, in the value's own type: 2.5 is refused, not truncated."""
+def _check_count(name: str, value: int, minimum: int, maximum: int | None = None) -> int:
+    """The one integer validator (sizes, scales, rules, threads), in the
+    value's own type: 2.5 is refused, not truncated.  Returns ``int(value)``."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer (got {value!r})")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ValueError(f"{name} must be in {minimum}..{maximum} (got {value})")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+        raise ValueError(f"{name} must be >= {minimum} (got {value})")
+    return int(value)
 
 
 def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
@@ -115,38 +118,20 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
                          f" {step_bytes * window:,} bytes, over the {_RECORD_BUDGET:,}-byte limit")
 
 
-class _Stack:
-    """One recorded stack: an iterator over its series, each made read-only
-    as it is taken, that carries the stack's ``cycle``: ``(begin, period)``
-    when every series satisfies ``series[:, c + period] == series[:, c]``
-    for each window column ``c >= begin``, else ``None``."""
-
-    def __init__(self, series: Iterator[np.ndarray], cycle: tuple[int, int] | None):
-        self._series, self.cycle = series, cycle
-
-    def __iter__(self) -> _Stack:
-        return self
-
-    def __next__(self) -> np.ndarray:
-        series = next(self._series)
-        series.flags.writeable = False
-        return series
-
-
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> Iterator[_Stack]:
+) -> Iterator[tuple[Iterator[np.ndarray], tuple[int, int] | None]]:
     """The one record loop of both simulators: one series per seed, in seed
-    order, recorded and yielded one stack (a :class:`_Stack`) of at most
-    ``batch`` at a time.
+    order, recorded and yielded one stack of at most ``batch`` at a time, as
+    the pair ``(series, cycle)``.
 
     ``start(chunk)`` returns the initial state of a stack, its update, and
     ``unstack``, which yields each instance's C-contiguous uint8 ``n x window``
-    series, in chunk order, from the recorded ``window x state`` block; each
-    is yielded read-only.  The stack runs ``transient`` steps, then ``window``
-    states are recorded.  Every seed is checked before this returns, so before
-    any stack runs.  A stack is recorded only when the one before it has been
-    taken, and the loop keeps nothing of a stack it has yielded.
+    series, in chunk order, from the recorded ``window x state`` block.  The
+    stack runs ``transient`` steps, then ``window`` states are recorded.
+    Every seed is checked before this returns, so before any stack runs.  A
+    stack is recorded only when the one before it has been taken, and the
+    loop keeps nothing of a stack it has yielded.
 
     The state is a 1-D array, and the update must be a pure function of the
     whole stack state that returns a new array, so a state that recurs starts
@@ -156,7 +141,8 @@ def _record_runs(
     window's cycling states after its first ``p`` are copies of them, so a
     stack that settles is stepped a few times, not ``transient + window``.
 
-    This is one contract for both simulators: the stack's ``cycle`` is
+    This is one contract for both simulators: ``series`` is a generator of
+    the stack's series, each made read-only as it is taken, and ``cycle`` is
     ``(begin, p)``, ``begin`` the first window column of the cycle, or
     ``None`` when no state recurred.  A whole stack cycles together, so ``p``
     is a period (not always the least one) of each of its series.  The sweep
@@ -166,7 +152,13 @@ def _record_runs(
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
-    def record(chunk: list[int]) -> _Stack:
+    def read_only(series: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for one in series:
+            one.flags.writeable = False
+            yield one
+            del one  # before the next one is made
+
+    def record(chunk: list[int]) -> tuple[Iterator[np.ndarray], tuple[int, int] | None]:
         state, step, unstack = start(chunk)
         recorded = np.empty((window,) + state.shape, dtype=state.dtype)
         recorded[0] = state
@@ -195,7 +187,7 @@ def _record_runs(
                 size = min(filled - begin, window - filled)
                 recorded[filled : filled + size] = recorded[begin : begin + size]
                 filled += size
-        return _Stack(unstack(recorded), (begin, period) if period else None)
+        return read_only(unstack(recorded)), (begin, period) if period else None
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 

@@ -166,6 +166,16 @@ def test_only_trajectory_spells_the_seed_bound():
     assert spelled == {"trajectory.py"}
 
 
+def test_only_trajectory_checks_for_an_integer():
+    # one integer validator (and the seed's): no other module tests numbers.Integral
+    checked = {
+        path.name
+        for path in (ROOT / "src" / "infodyn").glob("*.py")
+        if "numbers.Integral" in path.read_text()
+    }
+    assert checked == {"trajectory.py"}
+
+
 def test_package_reexports_at_most_38_names():
     # one name per job: the top-level surface may not grow back unnoticed
     tree = ast.parse((ROOT / "src" / "infodyn" / "__init__.py").read_text())

@@ -174,7 +174,7 @@ class TestRun:
             EcaConfig(rule=30, n=2)
         with pytest.raises(ValueError):
             EcaConfig(rule=30, init="bogus")
-        with pytest.raises(ValueError, match="rule out of range"):
+        with pytest.raises(ValueError, match="rule must be in 0..255"):
             EcaConfig(rule=300)
         assert EcaConfig(rule=np.uint8(30)).rule == 30
 

@@ -171,6 +171,24 @@ class TestRbnSweep:
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             sweep(n=10, instances=1, transient=1, window=4, scales=(1,), master_seed=seed)
 
+    @pytest.mark.parametrize("sweep", [rbn_sweep, eca_class_survey, multiscale_profiles])
+    def test_an_empty_scale_list_is_refused_before_any_cell_runs(self, monkeypatch, sweep):
+        monkeypatch.setattr(experiments, "_rbn_stacks", lambda *a: pytest.fail("a cell ran"))
+        monkeypatch.setattr(experiments, "_eca_stacks", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="^no scales listed$"):
+            sweep(n=10, instances=1, transient=1, window=4, scales=())
+
+    def test_a_profile_takes_its_scales_from_an_iterator(self):
+        kwargs = dict(rules=[30], n=8, instances=1, transient=1, window=16)
+        expected = multiscale_profiles(scales=[1, 2], **kwargs)
+        assert multiscale_profiles(scales=iter([1, 2]), **kwargs) == expected
+
+    def test_an_unknown_baseline_form_is_refused_before_any_cell_runs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_eca_stacks", lambda *a: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="^unknown baseline form: 'bogus'$"):
+            multiscale_profiles(n=10, instances=1, transient=1, window=4, scales=(1,),
+                                baseline_form="bogus")
+
     def test_a_sweep_over_the_row_limit_is_refused_before_its_grid_is_built(self, monkeypatch):
         def never(config, seeds):
             raise AssertionError("a cell ran")
@@ -203,9 +221,9 @@ class TestRbnSweep:
         stacked, passes = [], []
         stack_measures, kernel = experiments._stack_measures, measures._measure_blocks
 
-        def stack(series, scales):
+        def stack(series, cycle, scales):  # the fold off: every band reads whole rows
             stacked.append(list(series))
-            return stack_measures(stacked[-1], scales)
+            return stack_measures(stacked[-1], None, scales)
 
         def band(blocks, scales, h):
             passes.append(list(blocks))
@@ -292,8 +310,8 @@ class TestRbnSweep:
         (rbn_sweep, dict(k_grid=[2, 3, 2.0]), "two grid values give the one cell rbn_sweep/k=2"),
         (eca_class_survey, dict(rules=[30, 30]), "two grid values give the one cell "
                                                  "eca_survey/rule=30"),
-        (multiscale_profiles, dict(rules=[110, 30.0, 30]), "two grid values give the one cell "
-                                                           "eca_profiles/rule=30"),
+        (multiscale_profiles, dict(rules=[110, np.int64(30), 30]),
+         "two grid values give the one cell eca_profiles/rule=30"),
         (rbn_sweep, dict(scales=(1, 1)), "scale 1 is listed twice"),
         (eca_class_survey, dict(scales=(2, 1, 2)), "scale 2 is listed twice"),
         (multiscale_profiles, dict(scales=(4, 4)), "scale 4 is listed twice"),
@@ -331,14 +349,14 @@ class TestCycleFold:
         monkeypatch.setattr(measures, "_measure_blocks", spy)
         results = sweep(**kwargs)
         write_sweep_files(results, tmp_path / "folded", "fold")
-        (cycle,) = [stack.cycle for stack in stacks(config, results[0].seeds)]
+        (cycle,) = [cycle for _, cycle in stacks(config, results[0].seeds)]
         assert cycle is not None and (sweep is rbn_sweep or cycle[0] > 0)
         assert repeats and min(repeats) >= 2  # every band folded its cycle block
 
-        # the fold off: a list of the stack's series carries no cycle
+        # the fold off: each stack is measured without its cycle
         stack_measures = experiments._stack_measures
         monkeypatch.setattr(experiments, "_stack_measures",
-                            lambda stack, scales: stack_measures(list(stack), scales))
+                            lambda series, cycle, scales: stack_measures(series, None, scales))
         repeats.clear()
         write_sweep_files(sweep(**kwargs), tmp_path / "full", "fold")
         assert not repeats
@@ -442,7 +460,7 @@ class TestEcaSurvey:
         assert peak <= 1.2 * n * window, peak / (n * window)
 
     def test_rule_out_of_range(self):
-        with pytest.raises(ValueError, match="rule out of range"):
+        with pytest.raises(ValueError, match="rule must be in 0..255"):
             eca_class_survey(rules=[999], n=16, instances=1, transient=1, window=8)
 
     def test_rule_18_more_complex_than_rule_30_at_higher_scales(self):

@@ -30,7 +30,6 @@ from infodyn.eca import EcaConfig, _eca_stacks, oriented_series, run_eca, run_ec
 from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
-    _Stack,
     _record_runs,
     trajectory_csv,
     trajectory_pbm,
@@ -288,7 +287,7 @@ def test_a_stack_measures_as_its_series_one_by_one(case, block_bits, average_h):
     per_scale = {b: [one[b] for one in alone] for b in scales}
     expected = {b: None if None in sets else sets for b, sets in per_scale.items()}
     with mock.patch.object(measures, "_BLOCK_BITS", block_bits):
-        assert _stack_measures(iter(series), scales, average_h=average_h) == expected
+        assert _stack_measures(iter(series), None, scales, average_h=average_h) == expected
 
 
 @st.composite
@@ -326,7 +325,7 @@ def test_a_cycling_stack_measures_as_its_full_read(case, average_h, band_rows, n
     # inside series; or a block narrower than the cycle block, which is then
     # read in full, in column blocks
     series, cycle, scales, span, repeats = case
-    full = _stack_measures(iter(series), scales, average_h=average_h)
+    full = _stack_measures(iter(series), None, scales, average_h=average_h)
     window, first = series[0].shape[1], -(-cycle[0] // span) * span
     read = first + span if repeats else window
     block_bits = span - 1 if narrow and span > 1 else band_rows * read
@@ -339,7 +338,7 @@ def test_a_cycling_stack_measures_as_its_full_read(case, average_h, band_rows, n
 
     with mock.patch.object(measures, "_BLOCK_BITS", block_bits), \
             mock.patch.object(measures, "_measure_blocks", spy):
-        folded = _stack_measures(_Stack(iter(series), cycle), scales, average_h=average_h)
+        folded = _stack_measures(iter(series), cycle, scales, average_h=average_h)
     assert folded == full
     fold = repeats >= 1 and span <= block_bits
     for blocks in given:
@@ -354,8 +353,9 @@ def test_a_settled_desk_stack_is_read_from_one_cycle_block():
     # instances of 256 cells, 1,024 + 1,024 steps) cycles with period 1 from
     # its first recorded column: one band of 8 columns a row, not 50 bands of
     # 1,024
-    (stack,) = _eca_stacks(EcaConfig(rule=0, n=256, transient=1024, window=1024), range(50))
-    assert stack.cycle == (0, 1)
+    ((stack, cycle),) = _eca_stacks(EcaConfig(rule=0, n=256, transient=1024, window=1024),
+                                    range(50))
+    assert cycle == (0, 1)
     kernel, given = measures._measure_blocks, []
 
     def spy(blocks, scales, h):
@@ -366,16 +366,16 @@ def test_a_settled_desk_stack_is_read_from_one_cycle_block():
 
     scales = (1, 2, 4, 8)
     with mock.patch.object(measures, "_measure_blocks", spy):
-        folded = _stack_measures(stack, scales)
+        folded = _stack_measures(stack, cycle, scales)
     assert len(given) == 1
     assert all(rows == 50 * 256 for rows, _ in given[0])
     assert sum(columns for _, columns in given[0]) <= 8 + 8
-    assert folded == _stack_measures([np.zeros((256, 1024), dtype=np.uint8)] * 50, scales)
+    assert folded == _stack_measures([np.zeros((256, 1024), dtype=np.uint8)] * 50, None, scales)
 
 
 def test_a_stack_of_unequal_series_is_refused():
     with pytest.raises(ValueError, match="must share a shape"):
-        _stack_measures([np.zeros((2, 8), np.uint8), np.zeros((3, 8), np.uint8)], [1])
+        _stack_measures([np.zeros((2, 8), np.uint8), np.zeros((3, 8), np.uint8)], None, [1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +451,7 @@ def test_the_record_loop_copies_a_cycle_exactly(tail, period):
     for transient in (0, 1, 3, 8, 30):
         for window in (2, 3, 5, 17, 40):
             start, steps = orbit(tail, period)
-            (stack,) = _record_runs([0], 1, start, transient, window)
+            ((stack, _),) = _record_runs([0], 1, start, transient, window)
             (recorded,) = stack
             s = np.arange(transient, transient + window)
             expected = np.where(s < tail, s, tail + (s - tail) % period)
@@ -521,8 +521,8 @@ def test_stacks_yield_read_only_series_in_seed_order(config, stacks, run):
     yielded = list(stacks(config, seeds))
     assert len(yielded) == (2 if run is run_rbn else 3)
     # each stack is an iterator: its series are unstacked as they are taken
-    assert all(iter(stack) is stack for stack in yielded)
-    series = [s for stack in yielded for s in stack]
+    assert all(iter(stack) is stack for stack, _ in yielded)
+    series = [s for stack, _ in yielded for s in stack]
     assert len(series) == len(seeds)
     for s in series:
         assert (s.dtype, s.shape) == (np.uint8, (config.n, config.window))

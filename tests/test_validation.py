@@ -1,18 +1,28 @@
-"""Library refusals: the one count validator, and each ValueError branch that
-no other test reaches."""
+"""Library refusals: the one integer validator, and each ValueError branch
+that no other test reaches."""
+
+import re
 
 import numpy as np
 import pytest
 
 from infodyn.eca import EcaConfig, as_boolean_network, eca_step, oriented_series, rule_table
-from infodyn.experiments import eca_class_survey, rbn_sweep
-from infodyn.measures import SymbolSequence, series_matrix_measures
+from infodyn.experiments import eca_class_survey, multiscale_profiles, rbn_sweep
+from infodyn.measures import (
+    MeasureSet,
+    SymbolSequence,
+    check_scale,
+    rescale,
+    series_matrix_measures,
+    uncorrelated_homeostasis,
+)
 from infodyn.rbn import RbnConfig, parse_network, rbn_step, run_rbn
 from infodyn.trajectory import Trajectory
 
 SMALL = dict(n=8, transient=2, window=8)
+WIDE = dict(SMALL, window=16)  # room for two groups at scale 8
 
-# (what, build): each counts through _check_count, by the name it reports
+# (what, build): each integer goes through _check_count, by the name it reports
 COUNTS = [
     ("n", lambda v: RbnConfig(**{**SMALL, "n": v, "k": 1.0})),
     ("n", lambda v: EcaConfig(rule=30, **{**SMALL, "n": v})),
@@ -22,6 +32,22 @@ COUNTS = [
     ("window", lambda v: EcaConfig(rule=30, **{**SMALL, "window": v})),
     ("instances", lambda v: rbn_sweep(k_grid=[1.0], instances=v, scales=(1,), **SMALL)),
     ("instances", lambda v: eca_class_survey(rules=[30], instances=v, scales=(1,), **SMALL)),
+    ("scale", check_scale),
+    ("scale", lambda v: SymbolSequence([0, 1], v)),
+    ("scale", lambda v: rescale(SymbolSequence.from_bits("01" * 8), v)),
+    ("scale", lambda v: MeasureSet(0.5, 0.5, 1.0, None, v)),
+    ("scale", uncorrelated_homeostasis),
+    ("scale", lambda v: series_matrix_measures(np.zeros((2, 16), np.uint8), [v])),
+    ("scale", lambda v: rbn_sweep(k_grid=[1.0], instances=1, scales=(v,), **WIDE)),
+    ("scale", lambda v: multiscale_profiles(rules=[30], instances=1, scales=(v,), **WIDE)),
+    ("rule", rule_table),
+    ("rule", lambda v: EcaConfig(rule=v, **SMALL)),
+    ("rule", lambda v: as_boolean_network(v, 3, [0, 1, 0])),
+    ("rule", lambda v: eca_class_survey(rules=[v], instances=1, scales=(1,), **SMALL)),
+    ("threads", lambda v: rbn_sweep(k_grid=[1.0], instances=1, scales=(1,), threads=v, **SMALL)),
+    ("threads", lambda v: eca_class_survey(rules=[30], instances=1, scales=(1,), threads=v,
+                                           **SMALL)),
+    ("transient_length", lambda v: Trajectory(np.zeros((2, 2), np.uint8), v)),
 ]
 
 
@@ -39,20 +65,36 @@ def test_a_numpy_integer_count_is_accepted(name, build):
     assert build(np.int64(8)) is not None
 
 
+@pytest.mark.parametrize("build, value, message", [
+    (check_scale, 0, "scale must be in 1..62 (got 0)"),
+    (check_scale, 63, "scale must be in 1..62 (got 63)"),
+    (rule_table, -1, "rule must be in 0..255 (got -1)"),
+    (lambda v: EcaConfig(rule=v), 256, "rule must be in 0..255 (got 256)"),
+])
+def test_an_integer_outside_its_range_is_refused(build, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+def test_a_measure_set_keeps_its_scale_as_an_int():
+    assert type(MeasureSet(0.5, 0.5, 1.0, None, np.int64(8)).scale) is int
+
+
 def test_a_run_of_numpy_integer_sizes_records_its_window():
     config = RbnConfig(n=np.int64(6), k=2.0, transient=np.int64(3), window=np.int64(5))
     assert run_rbn(config).series.shape == (6, 5)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: RbnConfig(n=0), "n must be >= 1"),
-    (lambda: EcaConfig(rule=30, n=2), "n must be >= 3"),
-    (lambda: RbnConfig(transient=-1), "transient must be >= 0"),
-    (lambda: EcaConfig(rule=30, window=1), "window must be >= 2"),
-    (lambda: rbn_sweep(instances=0), "instances must be >= 1"),
-])
+    (lambda: RbnConfig(n=0), "n must be >= 1 (got 0)"),
+    (lambda: EcaConfig(rule=30, n=2), "n must be >= 3 (got 2)"),
+    (lambda: RbnConfig(transient=-1), "transient must be >= 0 (got -1)"),
+    (lambda: EcaConfig(rule=30, window=1), "window must be >= 2 (got 1)"),
+    (lambda: rbn_sweep(instances=0), "instances must be >= 1 (got 0)"),
+], ids=lambda value: value.partition(" (got")[0] if isinstance(value, str) else None)
 def test_a_count_below_its_minimum_is_refused(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # the ids leave out the refused value, which each message names
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -34,9 +34,9 @@ from .experiments import (
     write_sweep_files,
     write_text,
 )
-from .measures import SymbolSequence, check_scale, series_matrix_measures, streamed_measures
+from .measures import check_scale, series_matrix_measures, streamed_measures
 from .rbn import RbnConfig, generate_rbn, run_rbn, serialize_network
-from .trajectory import _check_count, trajectory_csv, trajectory_pbm
+from .trajectory import _check_count, _text_bits, trajectory_csv, trajectory_pbm
 
 __all__ = ["main"]
 
@@ -88,43 +88,24 @@ def _chunks(fh):
         yield chunk
 
 
-# the characters that end a CSV token: a comma and whatever str.isspace() accepts
-_ASCII_SEPARATORS = np.array([c == "," or c.isspace() for c in map(chr, range(128))])
-
-
-def _csv_blocks(fh):
-    """The bits of a CSV text, chunk by chunk.  Every token between
-    separators must be the single character ``0`` or ``1``, so one array
-    check reads a chunk: no other character, no two token characters side by
-    side, and no token character first when the last chunk ended in a token.
-    That one bool is all that is carried between chunks, and any other token
-    is refused in the chunk where it is found."""
-    open_token = False
+def _text_blocks(fh, csv: bool):
+    """The bits of an open text, decoded chunk by chunk by :func:`_text_bits`."""
+    in_token = False
     for chunk in _chunks(fh):
-        codes = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        sep = _ASCII_SEPARATORS[np.minimum(codes, 127)]
-        wide = np.flatnonzero(codes > 127)
-        sep[wide] = [chunk[i].isspace() for i in wide.tolist()]
-        # unsigned: a character below "0" wraps past 1 too
-        bits = codes[~sep] - ord("0")
-        if (open_token and not sep[0]) or not (sep[1:] | sep[:-1]).all() or (bits > 1).any():
-            raise ValueError("symbol CSV must contain only bits (0 or 1)")
-        open_token = not sep[-1]
-        yield bits.astype(np.uint8)
+        bits, in_token = _text_bits(chunk, csv, in_token)
+        yield bits
 
 
 def _bit_blocks(fh, fmt: str):
     """The bits of an open input, one block per read of ``_BLOCK`` bytes or
-    characters.  raw bytes unpack MSB first; ascii01 drops whitespace chunk
-    by chunk, which is exact because a text read never splits a character;
-    csv reads one-character tokens (:func:`_csv_blocks`).  An empty input is
-    an error once the last block has been read."""
+    characters: raw bytes unpack MSB first, ascii01 and csv text decode
+    through :func:`_text_blocks`, which is exact because a text read never
+    splits a character.  An empty input is an error once the last block has
+    been read."""
     if fmt == "raw":
         blocks = (np.unpackbits(np.frombuffer(c, dtype=np.uint8)) for c in _chunks(fh))
-    elif fmt == "ascii01":
-        blocks = (SymbolSequence.from_bits(c).symbols for c in _chunks(fh))
     else:
-        blocks = _csv_blocks(fh)
+        blocks = _text_blocks(fh, fmt == "csv")
     empty = True
     for bits in blocks:
         empty = empty and bits.size == 0

@@ -202,7 +202,7 @@ def rbn_sweep(
 ) -> list[SweepResult]:
     """Connectivity sweep: `instances` independent networks per K value."""
     return _sweep("rbn_sweep", "k", k_grid,
-                  lambda k: RbnConfig(n=n, k=float(k), transient=transient, window=window),
+                  lambda k: RbnConfig(n=n, k=k, transient=transient, window=window),
                   _rbn_stacks, instances, scales, master_seed, threads)
 
 

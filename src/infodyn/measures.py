@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .trajectory import _bit_text, _check_count, _first_nonbit
+from .trajectory import _bit_text, _check_count, _first_nonbit, _text_bits
 
 __all__ = [
     "SymbolSequence",
@@ -124,15 +124,7 @@ class SymbolSequence:
         Accepts a string of ``'0'``/``'1'`` characters (whitespace ignored)
         or any iterable of 0/1 integers.
         """
-        if isinstance(bits, str):
-            cleaned = bits.split()
-            joined = "".join(cleaned)
-            if set(joined) - {"0", "1"}:
-                raise ValueError("bit string may only contain '0', '1', and whitespace")
-            values = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
-        else:
-            values = list(bits)
-        return cls(values, 1)
+        return cls(_text_bits(bits)[0] if isinstance(bits, str) else list(bits), 1)
 
     def to_bitstring(self) -> str:
         """Canonical '0'/'1' text form; only defined for ``b=1`` sequences."""

@@ -22,16 +22,18 @@ once, into each network's series.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MeasureSet, series_matrix_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_count, _check_run
-from .trajectory import _first_nonbit, _record_runs
+from .trajectory import _first_nonbit, _record_runs, _text_bits
 
 __all__ = [
     "RbnConfig",
@@ -48,18 +50,33 @@ _BATCH = 128  # networks stepped together at most; never changes a result
 # bytes of lookup table a stack of networks may take; RbnConfig rejects a
 # network that alone needs more (n * 2^ceil(k) bytes)
 _TABLE_BUDGET = 1 << 28
+# bytes that drawing, checking and looking up a stack of networks may peak at
+# (:func:`_node_bytes`); RbnConfig rejects a network that alone needs more
+_NODE_BUDGET = 1 << 30
 
 
 def _table_bytes(n: int, k: float) -> int:
     return n << math.ceil(k)
 
 
+def _node_bytes(n: int, k: float) -> int:
+    """An upper bound on the bytes that drawing, checking and looking up ``n``
+    nodes of mean in-degree ``k`` peak at, with ``t = ceil(k)``: 64 + 64 t +
+    4 * 2^t a node.  The checked constructor of a stack peaks highest, at
+    27 + 57 t + 3 * 2^t bytes a node (tracemalloc, t = 0..8, one network or a
+    stack of 128): its integer arrays hold words per input, and the drawn,
+    stacked and stored tables are three copies."""
+    top = math.ceil(k)
+    return n * (64 + 64 * top + (4 << top))
+
+
 @dataclass(frozen=True)
 class RbnConfig:
     """Parameters of one network run.
 
-    ``k`` is the mean in-degree and may be fractional; ``transient`` steps are
-    discarded before ``window`` states are recorded.
+    ``k`` is the mean in-degree, any real number (stored as a float), and may
+    be fractional; ``transient`` steps are discarded before ``window`` states
+    are recorded.
     """
 
     n: int = 100
@@ -70,6 +87,8 @@ class RbnConfig:
 
     def __post_init__(self):
         _check_count("n", self.n, 1)
+        if not isinstance(self.k, numbers.Real):
+            raise ValueError(f"k must be a number (got {self.k!r})")
         if not self.k >= 0:  # also false for nan
             raise ValueError(f"k must be >= 0 (got {self.k})")
         if self.k > self.n:
@@ -79,7 +98,12 @@ class RbnConfig:
                 f"k={self.k} needs n * 2^ceil(k) = {_table_bytes(self.n, self.k):,} bytes"
                 f" of lookup tables per network, over the {_TABLE_BUDGET:,}-byte limit"
             )
+        if _node_bytes(self.n, self.k) > _NODE_BUDGET:
+            raise ValueError(f"{self.n:,} nodes of in-degree up to {math.ceil(self.k)} need about"
+                             f" {_node_bytes(self.n, self.k):,} bytes to draw, check and look up,"
+                             f" over the {_NODE_BUDGET:,}-byte limit")
         _check_run(self.transient, self.window, self.seed, self.n)
+        object.__setattr__(self, "k", float(self.k))
 
 
 @dataclass(frozen=True)
@@ -202,8 +226,15 @@ def _lookup(net: BooleanNetwork) -> Callable[[np.ndarray], np.ndarray]:
     # row c holds every node's input at position c (first input = MSB)
     columns = np.zeros((width, net.n), dtype=np.intp)
     columns.T[np.arange(width) < net.degrees[:, None]] = net.inputs
-    pads = np.repeat(np.int64(1) << (width - net.degrees), np.int64(1) << net.degrees)
-    tables = np.repeat(net.tables, pads)
+    # padded a degree at a time, so no temporary takes a word per table entry
+    tables = np.empty((net.n, 1 << width), dtype=np.uint8)
+    starts = np.cumsum(np.int64(1) << net.degrees)
+    starts -= np.int64(1) << net.degrees
+    for d in range(width + 1):
+        nodes = net.degrees == d
+        rows = sliding_window_view(net.tables, 1 << d)[starts[nodes]]
+        tables[nodes] = rows if d == width else np.repeat(rows, 1 << (width - d), axis=1)
+    tables = tables.ravel()
     base = np.arange(net.n, dtype=np.intp) << width
     # a node's local index in the narrowest word that holds width bits: each
     # input bit raised to its place by a multiply (numpy vectorizes a uint8
@@ -264,8 +295,9 @@ def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[tuple]:
         stack = _block_diagonal([_draw(config, np.random.default_rng(s)) for s in chunk])
         return stack.state, stack._step, unstack
 
-    # RbnConfig has checked that one network fits both budgets
+    # RbnConfig has checked that one network fits every budget
     batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k),
+                _NODE_BUDGET // _node_bytes(config.n, config.k),
                 _RECORD_BUDGET // (config.n * config.window))
     return _record_runs(seeds, batch, start, config.transient, config.window)
 
@@ -274,7 +306,7 @@ def network_measures(traj: Trajectory, scale: int) -> MeasureSet:
     """One scale of :func:`series_matrix_measures` over ``traj.series``; a
     too-short window raises ValueError.  Not exported: it exists only for the
     traced sweep replica in ``perfbench/worker.py`` (also as
-    ``eca.eca_measures``), until ROADMAP item 1 moves it onto the kernel."""
+    ``eca.eca_measures``), until ROADMAP item 6 retires the replica."""
     measured = series_matrix_measures(traj.series, [scale])[scale]
     if measured is None:
         raise ValueError(f"window too short for scale {scale}")
@@ -303,9 +335,12 @@ _NODE_LINE = re.compile(r"^(\d+):\s*inputs=([\d,]*)\s+table=([01]+)$")
 def parse_network(text: str) -> BooleanNetwork:
     """Parse :func:`serialize_network` output; the state loads as all zeros."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("rbn n="):
-        raise ValueError("missing 'rbn n=<N>' header")
-    n = int(lines[0].removeprefix("rbn n="))
+    try:
+        if not lines[0].startswith("rbn n="):
+            raise ValueError
+        n = int(lines[0].removeprefix("rbn n="))
+    except (IndexError, ValueError):
+        raise ValueError("missing 'rbn n=<N>' header") from None
     nodes: dict[int, tuple[list[int], str]] = {}
     for line in lines[1:]:
         m = _NODE_LINE.match(line)
@@ -318,13 +353,13 @@ def parse_network(text: str) -> BooleanNetwork:
         if len(m.group(3)) != 1 << len(srcs):
             raise ValueError(f"node {i}: table must have 2^in-degree entries")
         nodes[i] = srcs, m.group(3)
-    if sorted(nodes) != list(range(n)):
+    # counted first, so a header claiming more nodes than there are lines builds nothing
+    if len(nodes) != len(range(n)) or sorted(nodes) != list(range(n)):
         raise ValueError("node lines must cover 0..n-1 exactly once")
     srcs = [nodes[i][0] for i in range(n)]
-    bits = "".join(nodes[i][1] for i in range(n))
     return BooleanNetwork(
         np.array([len(s) for s in srcs], dtype=np.int64),
         np.array([x for s in srcs for x in s], dtype=np.int64),
-        np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"),
+        _text_bits("".join(nodes[i][1] for i in range(n)))[0],
         np.zeros(len(srcs), dtype=np.uint8),
     )

@@ -10,7 +10,8 @@ loop stops stepping a stack whose state recurs, copies the cycle into the
 rest of the window and hands the cycle's ``(begin, period)`` on with the
 stack, so the sweep measures one period of it.  The one binary-array check,
 the one seed validator, the one integer validator (of every size, scale,
-rule and thread count) and the one bits-to-text encoder live here too.
+rule and thread count), the one bits-to-text encoder and the one
+text-to-bits decoder live here too.
 """
 
 from __future__ import annotations
@@ -200,6 +201,30 @@ def _bit_text(bits: np.ndarray, sep: str = "") -> str:
         text = np.stack([text, np.full_like(text, ord(sep))], axis=-1)
         text[:, -1:, 1] = ord("\n")
     return text.tobytes().decode()
+
+
+# code points below 256 that end a token: str.isspace(), and in CSV (row 1) a comma
+_SEPARATORS = np.array([[c.isspace() or csv and c == "," for c in map(chr, range(256))]
+                        for csv in (False, True)], dtype=bool)
+
+
+def _text_bits(text: str, csv: bool = False, in_token: bool = False) -> tuple[np.ndarray, bool]:
+    """The one text-to-bits decoder: the uint8 bits of the ``0``/``1`` tokens
+    of ``text`` between separators, and whether it ends inside a token.  A CSV
+    token is one character, so a token character needs a separator next to
+    it; the character before ``text`` is one unless ``in_token``, the one flag
+    a chunked reader carries.  One array check reads the text."""
+    wide = not text.isascii()  # O(1); an ASCII text is read one byte a character
+    codes = np.frombuffer(text.encode("utf-32-le" if wide else "ascii", "surrogatepass"),
+                          dtype=np.uint32 if wide else np.uint8)
+    sep = _SEPARATORS[int(csv)][np.minimum(codes, 255) if wide else codes]
+    above = np.flatnonzero(codes > 255).tolist() if wide else []
+    sep[above] = [text[i].isspace() for i in above]
+    bits = codes[~sep] - ord("0")  # unsigned: a character below "0" wraps past 1 too
+    if (bits > 1).any() or csv and not (sep | np.append(not in_token, sep[:-1])).all():
+        raise ValueError("symbol CSV must contain only bits (0 or 1)" if csv else
+                         "bit string may only contain '0', '1', and whitespace")
+    return bits.astype(np.uint8, copy=False), (not sep[-1]) if sep.size else in_token
 
 
 def trajectory_csv(traj: Trajectory) -> str:

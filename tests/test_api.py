@@ -208,6 +208,18 @@ def test_only_the_replica_adapter_names_itself():
     assert named == {"rbn.py", "eca.py"}
 
 
+def test_only_trajectory_turns_bits_and_text_into_each_other():
+    # one encoder and one decoder: no other module offsets characters by ord("0")
+    call = ast.dump(ast.parse('ord("0")', mode="eval").body)
+    offsetting = {
+        path.name
+        for path in (ROOT / "src" / "infodyn").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if ast.dump(node) == call
+    }
+    assert offsetting == {"trajectory.py"}
+
+
 def test_each_shared_flag_is_declared_once():
     # a flag several commands read lives in one parent parser, not in each command
     shared = ("--seed", "--n", "--transient", "--window", "--average-h", "--dump-trajectory",

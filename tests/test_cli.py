@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infodyn import cli
+from infodyn import cli, rbn
 from infodyn.cli import main
 from infodyn.eca import EcaConfig, eca_step, rule_table
 from infodyn.experiments import DEFAULT_K_GRID
@@ -153,6 +153,15 @@ class TestRbnCommand:
         proc = run_cli(["rbn", "--k", "35"], cli_env)
         assert proc.returncode == 2
         assert b"= 3,435,973,836,800 bytes of lookup tables" in proc.stderr
+
+    def test_node_budget_exits_2_before_anything_is_drawn(self, monkeypatch, capsys):
+        # 2^27 nodes of in-degree 1 fit the table and record budgets, not the node budget
+        monkeypatch.setattr(rbn, "_draw", lambda *args: pytest.fail("a network was drawn"))
+        assert main(["rbn", "--n", "134217728", "--k", "1", "--transient", "0",
+                     "--window", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 134,217,728 nodes of in-degree up to 1 need about 18,253,611,008 bytes"
+            " to draw, check and look up, over the 1,073,741,824-byte limit\n")
 
     def test_nan_k_exits_2_with_the_value(self, capsys):
         # nan passes every comparison-based check, so it used to reach the

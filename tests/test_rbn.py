@@ -1,6 +1,8 @@
 import inspect
+import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -186,6 +188,44 @@ class TestGeneration:
             RbnConfig(n=5, k=-1)
         with pytest.raises(ValueError):
             RbnConfig(n=5, k=1, window=1)
+
+    @pytest.mark.parametrize("k", ["2", None, 2 + 0j, b"2"])
+    def test_k_must_be_a_real_number(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be a number (got {k!r})")):
+            RbnConfig(k=k)
+        with pytest.raises(ValueError, match=re.escape(f"k must be a number (got {k!r})")):
+            rbn_sweep(k_grid=[k], instances=1, transient=0, window=8, scales=(1,))
+
+    @pytest.mark.parametrize("k", [2, True, np.int64(2), np.float32(2.5), Fraction(5, 2)])
+    def test_k_is_stored_as_a_float(self, k):
+        config = RbnConfig(n=5, k=k)
+        assert type(config.k) is float and config.k == float(k)
+
+    def test_node_arrays_are_refused_with_their_estimate(self):
+        # 2^27 nodes of in-degree 1 fit the table and record budgets, but
+        # drawing, checking and looking them up would take about 18 GB
+        with pytest.raises(ValueError, match=r"134,217,728 nodes of in-degree up to 1 need about"
+                                             r" 18,253,611,008 bytes to draw, check and look up"):
+            RbnConfig(n=1 << 27, k=1, transient=0, window=2)
+        # 2^25 nodes at k = 3, the table budget's limit, also fail it
+        with pytest.raises(ValueError, match="to draw, check and look up"):
+            RbnConfig(n=1 << 25, k=3, transient=0, window=2)
+        RbnConfig(n=100, k=21)  # 839 MB: the table budget's largest network fits
+
+    @pytest.mark.parametrize("k", [0, 1, 2.5, 3, 5, 8])
+    def test_node_arrays_peak_within_their_estimate(self, k):
+        # the slope of the traced peak between two small runs, per node
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_rbn(RbnConfig(n=n, k=k, transient=0, window=2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)  # first-call allocations are not the run's
+        slope = (peak(8000) - peak(2000)) / 6000
+        assert rbn._node_bytes(1, k) / 3 < slope <= rbn._node_bytes(1, k)
 
 
 class TestStep:
@@ -391,6 +431,19 @@ class TestRun:
         for seed, traj in zip(seeds, batched):
             assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
+    def test_stacks_fit_the_node_budget(self, monkeypatch):
+        # 30 nodes at k = 2.5 are estimated at 30 * (64 + 192 + 32) = 8,640 bytes
+        monkeypatch.setattr(rbn, "_NODE_BUDGET", 3 * 8640 - 1)
+        stack, stacks = rbn._block_diagonal, []
+        monkeypatch.setattr(rbn, "_block_diagonal",
+                            lambda drawn: stacks.append(len(drawn)) or stack(drawn))
+        config = RbnConfig(n=30, k=2.5, transient=20, window=40, seed=0)
+        seeds = [101, 202, 303, 404, 505]
+        batched = run_rbn_many(config, seeds)
+        assert stacks == [2, 2, 1]
+        for seed, traj in zip(seeds, batched):
+            assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
+
     def test_padded_lookup_over_budget_is_refused(self):
         # one degree-20 node pads all 5,000 nodes to 2^20 entries (5.2 GB)
         n = 5000
@@ -573,6 +626,22 @@ class TestSerialization:
             parse_network("rbn n=2\n0: inputs= table=1")
         with pytest.raises(ValueError, match="node 1: table must have 2"):
             parse_network("rbn n=2\n0: inputs= table=1\n1: inputs=0 table=1")
+
+    @pytest.mark.parametrize("header", ["rbn n=abc", "rbn n=", "rbn n=1.5", "rbn n=" + "9" * 5000])
+    def test_a_header_without_a_count_is_missing(self, header):
+        with pytest.raises(ValueError, match=re.escape("missing 'rbn n=<N>' header")):
+            parse_network(f"{header}\n0: inputs= table=0\n")
+
+    def test_node_lines_are_counted_before_n_is_believed(self):
+        # a one-line text claiming 10^6 nodes is refused in constant memory,
+        # not after building a 36 MB list of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cover 0..n-1 exactly once"):
+                parse_network("rbn n=1000000\n0: inputs= table=0\n")
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestNetworkValidation:

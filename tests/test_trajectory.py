@@ -31,6 +31,7 @@ from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
     _record_runs,
+    _text_bits,
     trajectory_csv,
     trajectory_pbm,
 )
@@ -591,3 +592,64 @@ def test_symbol_dtype_boundaries_match_int64_reference(scale, kind, average_h):
     assert measured == int64_reference_measures(series, scale, average_h)
     symbols = _group_symbols(series, scale)
     assert symbols.dtype.itemsize * 8 == (16 if scale <= 16 else 32 if scale <= 32 else 64)
+
+
+# token characters, separators of either grammar, Unicode whitespace that
+# str.split() also splits on, other characters and lone surrogates
+TEXT_CHARS = st.sampled_from(
+    list("01,") + [" ", "\t", "\n", "\r", "\x0b", "\x0c"]
+    + ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+    + ["2", "a", "/", "\x00", "\xff", "\u0661", "\u200b", "\ud800", "\udfff", "\U0001d7ce"]
+)
+texts = st.lists(TEXT_CHARS, max_size=40).map("".join)
+
+
+def reference_text_bits(text, csv, in_token=False):
+    """Character by character: ``(bits, in_token)``, or None where the text is refused."""
+    bits = []
+    for c in text:
+        if c.isspace() or csv and c == ",":
+            in_token = False
+        elif c in "01" and not (csv and in_token):
+            bits.append(int(c))
+            in_token = True
+        else:
+            return None
+    return bits, in_token
+
+
+MESSAGES = {False: "bit string may only contain '0', '1', and whitespace",
+            True: "symbol CSV must contain only bits (0 or 1)"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts, csv=st.booleans(), in_token=st.booleans())
+def test_text_bits_match_a_per_character_reference(text, csv, in_token):
+    want = reference_text_bits(text, csv, in_token)
+    if want is None:
+        with pytest.raises(ValueError) as refused:
+            _text_bits(text, csv, in_token)
+        assert str(refused.value) == MESSAGES[csv]
+        return
+    bits, ends_in_token = _text_bits(text, csv, in_token)
+    assert bits.dtype == np.uint8
+    assert (bits.tolist(), ends_in_token) == want
+    if not csv:  # ascii01 text decodes as str.split() and a join would
+        assert bits.tolist() == [int(c) for c in "".join(text.split())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts, csv=st.booleans(), data=st.data())
+def test_text_bits_of_chunks_carry_only_in_token(text, csv, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    chunks = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+    want = reference_text_bits(text, csv)
+    decoded, in_token = [], False
+    try:
+        for chunk in chunks:
+            bits, in_token = _text_bits(chunk, csv, in_token)
+            decoded += bits.tolist()
+    except ValueError as exc:
+        assert want is None and str(exc) == MESSAGES[csv]
+    else:
+        assert (decoded, in_token) == want

@@ -149,8 +149,8 @@ def run_eca_many(config: EcaConfig, seeds: Sequence[int]) -> list[Trajectory]:
 
 
 def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    """The read-only ``n x window`` series of :func:`run_eca_many`, one stack,
-    with its cycle, at a time: the record loop's ``(series, cycle)`` pairs."""
+    """The read-only ``n x window`` series of :func:`run_eca_many` as the record
+    loop's ``(series, cycles)`` pairs, a stack at a time; each has the stack's cycle."""
 
     def start(chunk):
         if config.init == "random":
@@ -164,25 +164,21 @@ def _eca_stacks(config: EcaConfig, seeds: Sequence[int]) -> Iterator[tuple]:
         def unstack(recorded):
             # byte k of the words holds instances 8k..8k+7: copy it out once,
             # as n x window, and shift each of them out of that one copy as
-            # it is taken
+            # it is taken.  No name here holds a series it has yielded
             planes = recorded.view(np.uint8).reshape(config.window, config.n, -1)
             for first in range(0, len(chunk), 8):
                 # gathered in memory order, then transposed: a transpose of
                 # the 8-byte-strided byte reads each cache line once per cell
-                plane = np.ascontiguousarray(planes[:, :, first // 8]).T.copy()
+                plane = [np.ascontiguousarray(planes[:, :, first // 8]).T.copy()]
                 last = min(8, len(chunk) - first) - 1
                 for j in range(last):
-                    series = plane >> j
-                    series &= 1
-                    yield series
-                    del series  # before the next one is made
-                plane >>= last  # in place: the copy is the byte's last instance
-                plane &= 1
-                yield plane
-                del plane  # before the next byte is gathered
+                    yield (plane[0] >> j) & 1
+                plane[0] >>= last  # in place: the copy becomes the last instance
+                yield np.bitwise_and(plane[0], 1, out=plane.pop())
 
-        words = _pack(states)
-        return words, _sliced_step(config.rule, words), unstack
+        words = _pack(states)  # one member: the stack cycles whole, so it is never narrowed
+        step = _sliced_step(config.rule, words)
+        return words[None], lambda keep: step, unstack
 
     # the widest word (in bytes) whose block fits, so no stack's rounded-up word
     # outgrows the budget; EcaConfig has checked that one byte fits

@@ -150,9 +150,9 @@ def _sweep(
     """The one cell runner: per grid value, build its config (whose ``key``
     attribute is the cell's parameter), seed and run ``instances`` systems one
     stack of series at a time (``stacks(config, seeds)`` yields ``(series,
-    cycle)`` pairs), measure each stack at every scale in one call, which reads
-    a stack that cycles from one period (its ``cycle``), and keep only the
-    measures, then aggregate each scale.  The sweep's size, its threads, the
+    cycles)`` pairs), measure each stack at every scale in one call, which reads
+    each series that cycles from one period (its entry of ``cycles``), and keep
+    only the measures, then aggregate each scale.  The sweep's size, its threads, the
     master seed and every config are checked, the window against the scales,
     that at least one scale is listed, and that no scale and no cell (named by
     its parameter as the CSV prints it) repeats, before any cell runs."""
@@ -180,8 +180,8 @@ def _sweep(
         seeds = [schedule.seed_for(experiment_id, i) for i in range(instances)]
 
         per_scale = {b: [] for b in scales}
-        for series, cycle in stacks(config, seeds):
-            for b, measured in _stack_measures(series, cycle, scales).items():
+        for series, cycles in stacks(config, seeds):
+            for b, measured in _stack_measures(series, cycles, scales).items():
                 per_scale[b] += measured
         return [SweepResult(experiment, parameter, b, seeds, per_scale[b], aggregate(per_scale[b]))
                 for b in scales]

@@ -26,8 +26,9 @@ grouping order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,10 @@ _MERGE_RATIO = 2
 # of a block.  At 2^20 bits four desk ECA series share a block, and the
 # kernel's peak was 3.5 times this one's for at most a fifth less time
 _BLOCK_BITS = 1 << 18
+
+# a fold plan fewer series than this share, in a larger stack, is read in full: its own
+# kernel pass and merge of column-block counts cost about three 100 x 512 full reads
+_FOLD_SERIES = 4
 
 
 def check_scale(scale: int) -> int:
@@ -479,40 +484,43 @@ def _measure_blocks(
 
 
 def _stack_measures(
-    series: Iterable[np.ndarray], cycle: tuple[int, int] | None, scales: Iterable[int], *,
-    average_h: bool = False,
+    series: Iterable[np.ndarray], cycles: Sequence[tuple[int, int] | None] | None,
+    scales: Iterable[int], *, average_h: bool = False,
 ) -> dict[int, list[MeasureSet] | None]:
     """:func:`series_matrix_measures` of a stack of equal-shape series, per
     scale a :class:`MeasureSet` per series in order (``None`` if too short),
     from one kernel pass (:func:`_measure_blocks`) per band of whole rows.
 
-    While the columns read of one row fit ``_BLOCK_BITS`` bits, a band is as
-    many whole rows as fit, filled from consecutive series and cut between
-    rows; a longer row is a band of its own, read in column blocks of
-    ``_BLOCK_BITS`` bits.  A series is taken from ``series`` once the bands
-    before it are measured.  A series' E is the mean of its rows' clipped
-    information and its H follows from its rows' integer counts, so each
-    value is what a pass over that series alone gives.
+    ``cycles`` holds each series' ``(begin, period)`` in window columns from
+    the record loop (:func:`infodyn.trajectory._record_runs`), or is ``None``
+    (no cycles).  With ``L = lcm(period, *scales)`` and ``c0`` the first
+    multiple of ``L`` at or after ``begin``, a window of ``m = (window - c0)
+    // L >= 2`` such blocks has the plan ``(c0, L)``: columns ``[0, c0)``,
+    then ``[c0, c0 + L)`` as a block repeated ``m`` times, then its first
+    ``(window - c0) % L`` columns give the counts and H data of a full read.
+    A plan whose ``L`` exceeds ``_BLOCK_BITS``, or that fewer than
+    ``_FOLD_SERIES`` series of a larger stack share, is read in full.
 
-    ``cycle`` is the stack's ``(begin, period)`` in window columns, as the
-    record loop gives it (see :func:`infodyn.trajectory._record_runs`), or
-    ``None``, which reads every series in full.  With ``L = lcm(period, *scales)``
-    and ``c0`` the first multiple of ``L`` at or after ``begin``, a window
-    holding ``m = (window - c0) // L >= 1`` such blocks is read as columns
-    ``[0, c0)``, then ``[c0, c0 + L)`` once as a block repeated ``m`` times,
-    then the first ``(window - c0) % L`` columns of that block: the same
-    counts and H data, from ``c0 + L`` columns of each row.  A cycle block is
-    never folded across column blocks: a stack whose ``L`` exceeds
-    ``_BLOCK_BITS`` is read in full.  Every series is still checked whole.
+    Series of one plan share bands: as many whole rows of the columns read
+    as fit ``_BLOCK_BITS`` bits; a longer row is a band of its own, read in
+    column blocks.  A series is taken once the bands before it are measured,
+    and a band it fills is measured once it is let go.  The held rows of
+    whole series, once a few thousand, become their sets: E is the mean of a
+    series' rows' clipped information and H follows from their integer
+    counts, so each value is what one pass over that series gives.
     """
     h = "all" if average_h else "final"
     measured = dict.fromkeys(map(check_scale, scales))
-    per_band = {b: [] for b in measured}
-    band, held, shape, folded = [], 0, None, []
+    bands, shape, index = {}, None, -1  # plan (or None) -> its band
 
-    def measure(band: list[np.ndarray]) -> None:
-        rows = band[0] if len(band) == 1 else np.concatenate(band)
-        band.clear()  # the pieces, before the kernel's temporaries
+    def measure(key: tuple[int, int] | None, band: dict) -> None:
+        rows = band["pieces"][0] if len(band["pieces"]) == 1 else np.concatenate(band["pieces"])
+        band["pieces"], band["rows"] = [], 0  # before the kernel's temporaries
+        plain, folded = shape[1], []
+        if key is not None:
+            plain, span = key
+            folded = [(plain, plain + span, (shape[1] - plain) // span),
+                      (plain, plain + (shape[1] - plain) % span, 1)]
         width = max(_BLOCK_BITS // len(rows), 1)
         cuts = [(at, min(at + width, plain), 1) for at in range(0, plain, width)] + folded
 
@@ -522,7 +530,23 @@ def _stack_measures(
                 yield block if m == 1 else (block, m)
 
         for b, result in _measure_blocks(blocks(), measured, h).items():
-            per_band[b].append(result)
+            if result is not None:
+                band["held"].setdefault(b, []).append(result)
+        band["unset"] += len(rows)
+        settle(band)
+
+    def settle(band: dict, last: bool = False) -> None:
+        if not last and band["unset"] < _BLOCK_BITS // 128:
+            return
+        units, length = shape
+        whole, band["unset"] = band["unset"] - band["unset"] % units, band["unset"] % units
+        for b, held in band["held"].items():
+            info, differ = (np.concatenate(p) for p in zip(*held))
+            held[:] = [(info[whole:], differ[whole:])]
+            changed = differ[:whole].reshape(-1, units).sum(axis=1)
+            h_b = 1.0 - changed / (units * (length // b - 1) if average_h else units)
+            band["sets"].setdefault(b, []).extend(
+                _group_sets(info[:whole].reshape(-1, units), h_b, b))
 
     for one in series:
         one = np.asarray(one)
@@ -532,38 +556,45 @@ def _stack_measures(
             raise ValueError("series must be binary")
         if shape is None:
             shape = one.shape
-            plain = read = shape[1]  # columns read plainly, and in all
-            if cycle is not None:
-                span = math.lcm(cycle[1], *measured)
-                first = -(-cycle[0] // span) * span
-                repeats = (shape[1] - first) // span
-                if repeats >= 1 and span <= _BLOCK_BITS:
-                    plain, read = first, first + span
-                    rest = (shape[1] - first) % span
-                    folded = [(first, read, repeats), (first, first + rest, 1)]
-            size = max(_BLOCK_BITS // max(read, 1), 1)  # rows a band holds
+            plans = []
+            for cycle in cycles or ():
+                span = math.lcm(cycle[1], *measured) if cycle else _BLOCK_BITS + 1
+                first = -(-cycle[0] // span) * span if cycle else 0
+                fold = span <= _BLOCK_BITS and shape[1] - first >= 2 * span
+                plans.append((first, span) if fold else None)
+            shared = Counter(plans)
+            folds = {i: key for i, key in enumerate(plans)
+                     if key is not None and shared[key] >= min(_FOLD_SERIES, len(plans))}
         elif one.shape != shape:
             raise ValueError(f"the series of a stack must share a shape: {one.shape} != {shape}")
+        index += 1
+        key = folds.get(index)
+        band = bands.setdefault(key, dict(series=[], pieces=[], rows=0, unset=0, held={}, sets={}))
+        band["series"].append(index)
+        read = shape[1] if key is None else sum(key)
+        size = max(_BLOCK_BITS // max(read, 1), 1)  # rows a band holds
         at = 0
         while at < shape[0]:
-            take = min(size - held, shape[0] - at)
+            if band["rows"] == size:  # filled by this series, whose next rows need a band
+                measure(key, band)
+            take = min(size - band["rows"], shape[0] - at)
             # a copy of fewer columns than the row's: a view would keep the series
-            band.append(np.ascontiguousarray(one[at : at + take, :read]))
-            held, at = held + take, at + take
-            if held == size:
-                measure(band)  # which empties it
-                held = 0
-        del one  # before the next series is made
-    if band:
-        measure(band)
-    for b, bands in per_band.items():
-        if not bands:  # no series
-            measured[b] = []
-        elif bands[0] is not None:
-            units, length = shape
-            info, differ = (np.concatenate(part).reshape(-1, units) for part in zip(*bands))
-            h_b = 1.0 - differ.sum(axis=1) / (units * (length // b - 1) if average_h else units)
-            measured[b] = _group_sets(info, h_b, b)
+            band["pieces"].append(np.ascontiguousarray(one[at : at + take, :read]))
+            band["rows"], at = band["rows"] + take, at + take
+        del one  # before a band it filled is measured
+        if band["rows"] == size:
+            measure(key, band)
+    if cycles is not None and len(cycles) != index + 1:
+        raise ValueError(f"{len(cycles)} cycles for {index + 1} series")
+    for key, band in bands.items():
+        if band["pieces"]:
+            measure(key, band)
+        settle(band, last=True)
+    order = np.argsort([i for band in bands.values() for i in band["series"]])
+    for b in measured:
+        sets = [one for band in bands.values() for one in band["sets"].get(b, [])]
+        if sets or not bands:  # no sets from a series: too short for b
+            measured[b] = [sets[i] for i in order]
     return measured
 
 

@@ -93,11 +93,11 @@ class RbnConfig:
             raise ValueError(f"k must be >= 0 (got {self.k})")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
-        if _table_bytes(self.n, self.k) > _TABLE_BUDGET:
-            raise ValueError(
-                f"k={self.k} needs n * 2^ceil(k) = {_table_bytes(self.n, self.k):,} bytes"
-                f" of lookup tables per network, over the {_TABLE_BUDGET:,}-byte limit"
-            )
+        top = math.ceil(self.k)  # checked first: a shift by a huge k builds a huge integer
+        if top > _TABLE_BUDGET.bit_length() or _table_bytes(self.n, self.k) > _TABLE_BUDGET:
+            size = f"{self.n << top:,}" if top <= 64 else f"{self.n:,} * 2^{top:,}"
+            raise ValueError(f"k={self.k} needs n * 2^ceil(k) = {size} bytes of lookup tables"
+                             f" per network, over the {_TABLE_BUDGET:,}-byte limit")
         if _node_bytes(self.n, self.k) > _NODE_BUDGET:
             raise ValueError(f"{self.n:,} nodes of in-degree up to {math.ceil(self.k)} need about"
                              f" {_node_bytes(self.n, self.k):,} bytes to draw, check and look up,"
@@ -169,7 +169,7 @@ class BooleanNetwork:
 
     @cached_property
     def _step(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _lookup(self)
+        return _lookup(self)()
 
 
 def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
@@ -210,21 +210,23 @@ def _block_diagonal(parts: Sequence[tuple[np.ndarray, ...]]) -> BooleanNetwork:
     return BooleanNetwork(degrees, inputs, tables, state)
 
 
-def _lookup(net: BooleanNetwork) -> Callable[[np.ndarray], np.ndarray]:
-    """The synchronous update of one network, such as a stack
-    (:func:`_block_diagonal`), as one padded lookup: every node reads the
-    largest in-degree ``width``, a node of in-degree ``d`` its own inputs in
-    the high ``d`` bits of its index and dummy ones in the low ``width - d``
-    bits, which its table ignores because each entry is repeated
-    ``2^(width - d)`` times.  A padded table (``nodes * 2^width`` bytes) over
-    the table budget is refused before anything is allocated."""
+def _lookup(net: BooleanNetwork, members: int = 1) -> Callable:
+    """The synchronous update of one network, such as a stack of ``members``
+    networks of equal size (:func:`_block_diagonal`), as one padded lookup:
+    every node reads the largest in-degree ``width``, a node of in-degree
+    ``d`` its own inputs in the high ``d`` bits of its index and dummy ones in
+    the low ``width - d`` bits, which its table ignores because each entry is
+    repeated ``2^(width - d)`` times.  A padded table (``nodes * 2^width``
+    bytes) over the table budget is refused before anything is allocated.
+    Returns the record loop's ``update(keep)``, which cuts out the networks kept."""
     width = int(net.degrees.max())
     if net.n << width > _TABLE_BUDGET:
         raise ValueError(f"{net.n:,} nodes read in-degree {width}: the padded lookup needs"
                          f" nodes * 2^{width} = {net.n << width:,} bytes of tables,"
                          f" over the {_TABLE_BUDGET:,}-byte limit")
-    # row c holds every node's input at position c (first input = MSB)
-    columns = np.zeros((width, net.n), dtype=np.intp)
+    # row c holds every node's input at position c (first input = MSB); a
+    # dummy input is the node itself, so it stays in its network
+    columns = np.tile(np.arange(net.n, dtype=np.intp), (width, 1))
     columns.T[np.arange(width) < net.degrees[:, None]] = net.inputs
     # padded a degree at a time, so no temporary takes a word per table entry
     tables = np.empty((net.n, 1 << width), dtype=np.uint8)
@@ -234,20 +236,31 @@ def _lookup(net: BooleanNetwork) -> Callable[[np.ndarray], np.ndarray]:
         nodes = net.degrees == d
         rows = sliding_window_view(net.tables, 1 << d)[starts[nodes]]
         tables[nodes] = rows if d == width else np.repeat(rows, 1 << (width - d), axis=1)
-    tables = tables.ravel()
-    base = np.arange(net.n, dtype=np.intp) << width
     # a node's local index in the narrowest word that holds width bits: each
     # input bit raised to its place by a multiply (numpy vectorizes a uint8
     # multiply, not a uint8 shift), then the places summed
     dtype = np.uint8 if width <= 8 else np.intp
     places = (1 << np.arange(width - 1, -1, -1)).astype(dtype)[:, None]
+    size = net.n // members
 
-    def step(state: np.ndarray) -> np.ndarray:
-        bits = state.astype(dtype, copy=False).take(columns)
-        bits *= places
-        return tables.take(base + bits.sum(axis=0, dtype=dtype))
+    def update(keep: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+        nonlocal columns, tables
+        if keep is not None:  # network keep[i] becomes network i
+            columns = columns.reshape(width, columns.shape[1] // size, size)[:, keep]
+            columns -= ((keep - np.arange(keep.size)) * size)[:, None]
+            columns = columns.reshape(width, keep.size * size)
+            tables = tables.reshape(-1, size << width)[keep]
+        inputs, table = columns, tables.ravel()
+        base = np.arange(inputs.shape[1], dtype=np.intp) << width
 
-    return step
+        def step(state: np.ndarray) -> np.ndarray:
+            bits = state.astype(dtype, copy=False).take(inputs)
+            bits *= places
+            return table.take(base + bits.sum(axis=0, dtype=dtype))
+
+        return step
+
+    return update
 
 
 def rbn_step(net: BooleanNetwork, state: np.ndarray | None = None) -> np.ndarray:
@@ -284,16 +297,17 @@ def run_rbn_many(config: RbnConfig, seeds: Sequence[int]) -> list[Trajectory]:
 
 
 def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[tuple]:
-    """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack,
-    with its cycle, at a time: the record loop's ``(series, cycle)`` pairs."""
+    """The read-only ``n x window`` series of :func:`run_rbn_many`, one stack at
+    a time, as the record loop's ``(series, cycles)`` pairs: each network is a
+    member, stepped until it repeats, and its cycle is its own."""
 
     def unstack(recorded):
-        # one transpose per stack: row block j is network j's n x window series
-        return iter(np.ascontiguousarray(recorded.T).reshape(-1, config.n, config.window))
+        # one transpose per stack: block j is network j's n x window series
+        return iter(np.ascontiguousarray(recorded.transpose(1, 2, 0)))
 
     def start(chunk):
         stack = _block_diagonal([_draw(config, np.random.default_rng(s)) for s in chunk])
-        return stack.state, stack._step, unstack
+        return stack.state.reshape(len(chunk), -1), _lookup(stack, len(chunk)), unstack
 
     # RbnConfig has checked that one network fits every budget
     batch = min(_BATCH, _TABLE_BUDGET // _table_bytes(config.n, config.k),

@@ -4,14 +4,14 @@ A :class:`Trajectory` is stored series-major: row ``i`` of ``series`` is the
 time series of node/cell ``i``, the layout every measure reads, and
 ``states`` is its time-major view.  A simulator may step and record a stack
 of instances in its own layout (RBN networks side by side, ECA instances
-bit-sliced into 8- to 64-bit words); the record loop hands the recorded block back
-to the simulator, which unstacks it into each instance's bare series.  The
-loop stops stepping a stack whose state recurs, copies the cycle into the
-rest of the window and hands the cycle's ``(begin, period)`` on with the
-stack, so the sweep measures one period of it.  The one binary-array check,
-the one seed validator, the one integer validator (of every size, scale,
-rule and thread count), the one bits-to-text encoder and the one
-text-to-bits decoder live here too.
+bit-sliced into 8- to 64-bit words); the record loop hands the recorded
+block back to the simulator, which unstacks it into each instance's bare
+series.  The loop stops stepping each member of a stack (an RBN network)
+once its state recurs, copies its cycle through its window and hands each
+series' ``(begin, period)`` on, so the sweep measures one period of it.  The
+one binary-array check, the one seed validator, the one integer validator
+(of every size, scale, rule and thread count), the one bits-to-text encoder
+and the one text-to-bits decoder live here too.
 """
 
 from __future__ import annotations
@@ -121,74 +121,91 @@ def _check_run(transient: int, window: int, seed: int, step_bytes: int) -> None:
 
 def _record_runs(
     seeds: Sequence[int], batch: int, start: Callable, transient: int, window: int
-) -> Iterator[tuple[Iterator[np.ndarray], tuple[int, int] | None]]:
+) -> Iterator[tuple[Iterator[np.ndarray], list[tuple[int, int] | None]]]:
     """The one record loop of both simulators: one series per seed, in seed
     order, recorded and yielded one stack of at most ``batch`` at a time, as
-    the pair ``(series, cycle)``.
+    the pair ``(series, cycles)``.
 
-    ``start(chunk)`` returns the initial state of a stack, its update, and
-    ``unstack``, which yields each instance's C-contiguous uint8 ``n x window``
-    series, in chunk order, from the recorded ``window x state`` block.  The
-    stack runs ``transient`` steps, then ``window`` states are recorded.
-    Every seed is checked before this returns, so before any stack runs.  A
-    stack is recorded only when the one before it has been taken, and the
-    loop keeps nothing of a stack it has yielded.
+    ``start(chunk)`` returns the stack's initial ``members x width`` state,
+    ``update`` and ``unstack``.  ``update(keep)`` returns the step of the flat
+    state of the members at positions ``keep`` of those it last stepped (all
+    for ``None``); a member's next state is a pure function of its own, in a
+    new array.  ``unstack`` yields each instance's C-contiguous uint8 ``n x
+    window`` series, in chunk order, from the recorded ``window x members x
+    width`` block.  An RBN network is a member; an ECA stack is one.  After
+    ``transient`` steps, ``window`` states are recorded.  Every seed is checked
+    first, and a stack is recorded only when the one before it is taken.
 
-    The state is a 1-D array, and the update must be a pure function of the
-    whole stack state that returns a new array, so a state that recurs starts
-    a cycle.  Each state is compared with a mark, the state at step 0, 1, 2,
-    4, ... (Brent, *BIT* 20, 1980).  Once the stack cycles with period ``p``,
-    what is left of the transient shrinks to fewer than ``p`` steps, and the
-    window's cycling states after its first ``p`` are copies of them, so a
-    stack that settles is stepped a few times, not ``transient + window``.
+    At steps t < 8 and t % 8 == 0, each member is compared with its part of
+    one mark, the stack state at step 0, 1, 2, 4, ... (Brent, *BIT* 20,
+    1980); a member equal to it repeats with period ``t - marked``.  From the
+    first repeat or the window on, step t is recorded in column ``(t -
+    transient) mod window``, so a member is done once its last period is.
+    When at least half the members stepped are done, the step is narrowed to
+    the rest, and each member dropped has its last period moved into its
+    cycle's columns and copied through its window.
 
-    This is one contract for both simulators: ``series`` is a generator of
-    the stack's series, each made read-only as it is taken, and ``cycle`` is
-    ``(begin, p)``, ``begin`` the first window column of the cycle, or
-    ``None`` when no state recurred.  A whole stack cycles together, so ``p``
-    is a period (not always the least one) of each of its series.  The sweep
-    hands it to the measure kernel, which then reads one period instead of
-    the window (:func:`infodyn.measures._stack_measures`); every other
-    caller ignores it.
+    ``series`` yields the stack's series, each made read-only, and ``cycles``
+    holds each series' ``(begin, p)``, ``begin`` the first window column of
+    its cycle and ``p`` a period (not always the least), or ``None``.  The
+    sweep's measure kernel reads each series from its own period
+    (:func:`infodyn.measures._stack_measures`); other callers ignore cycles.
     """
     seeds = [_check_seed(seed) for seed in seeds]
 
-    def read_only(series: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        for one in series:
-            one.flags.writeable = False
-            yield one
-            del one  # before the next one is made
-
-    def record(chunk: list[int]) -> tuple[Iterator[np.ndarray], tuple[int, int] | None]:
-        state, step, unstack = start(chunk)
-        recorded = np.empty((window,) + state.shape, dtype=state.dtype)
-        recorded[0] = state
+    def record(chunk: list[int]) -> tuple[Iterator[np.ndarray], list]:
+        state, update, unstack = start(chunk)
+        members, width = state.shape
+        recorded = np.empty((window, members, width), dtype=state.dtype)
+        rows = recorded.reshape(window, -1)
+        state, step, row = state.ravel(), update(None), np.dtype((np.void, width * state.itemsize))
         end = transient + window - 1  # the step of the last recorded state
-        mark, marked, period, t = state, 0, 0, 0  # `state` is the state at step t
-        while t < end and not period:
+        live = np.arange(members)  # the members still stepped, in stack order
+        ready = np.full(members, end + 2)  # by when its last period is recorded (end + 2: unseen)
+        cycles, stopped, found = [None] * members, [], 0
+        mark, marked, t, since = state, 0, 0, transient  # every step from `since` on is recorded
+        rows[-transient % window] = state  # with a transient, a later step overwrites it first
+        while t < end and live.size:
             state, t = step(state), t + 1
-            if t >= transient:
-                recorded[t - transient] = state
-            # one element first, so a stack that does not repeat seldom compares arrays
-            if state[0] == mark[0] and np.array_equal(state, mark):
-                period = t - marked  # every state from step `marked` on repeats
-            elif t & (t - 1) == 0:
-                mark, marked = state, t
-        if period:
-            if t < transient:  # the state at step `transient` is one a whole period on
-                for _ in range((transient - t) % period):
-                    state = step(state)
-                recorded[0], t = state, transient
-            begin = max(marked - transient, 0)  # the first recorded state of the cycle
-            filled = min(begin + period, window)
-            while t - transient < filled - 1:
-                state, t = step(state), t + 1
-                recorded[t - transient] = state
-            while filled < window:  # each copy doubles the whole periods recorded
-                size = min(filled - begin, window - filled)
-                recorded[filled : filled + size] = recorded[begin : begin + size]
-                filled += size
-        return read_only(unstack(recorded)), (begin, period) if period else None
+            if t >= since:
+                if live.size == members:
+                    rows[(t - transient) % window] = state
+                else:
+                    recorded[(t - transient) % window, live] = state.reshape(-1, width)
+            if t < 8 or not t % 8:
+                same = state.view(row) == mark.view(row)  # each member's row as one value
+                if same.any() and (same := same & (ready > end + 1)).any():
+                    since, period = min(since, t + 1), t - marked
+                    ready[same] = max(since, marked) + period - 1 if period <= window else end + 1
+                    found += np.count_nonzero(same)
+                    for member in live[same].tolist():
+                        cycles[member] = (max(marked - transient, 0), period)
+                if not t & (t - 1):
+                    mark, marked = state, t
+                done = ready <= t if 2 * found >= live.size else None
+                if done is not None and 2 * np.count_nonzero(done) >= live.size:
+                    stopped += [(member, t) for member in live[done].tolist()]
+                    keep = np.flatnonzero(~done)
+                    found -= live.size - keep.size
+                    live, ready = live[keep], ready[keep]
+                    state, mark = (a.reshape(-1, width)[keep].ravel() for a in (state, mark))
+                    step = update(keep) if keep.size else step
+        moves, fills = {}, {}  # the stopped members by cycle and last step, and by cycle
+        for member, last in stopped:
+            moves.setdefault((*cycles[member], last), []).append(member)
+            fills.setdefault(cycles[member], []).append(member)
+        for (begin, period, last), group in moves.items():  # last period into the cycle's columns
+            steps = np.arange(last - period + 1, last + 1) - transient
+            cycle, written = begin + (steps - begin) % period, steps % window
+            recorded[np.ix_(cycle, group)] = recorded[np.ix_(written, group)]
+        for (begin, period), group in fills.items():  # then copied through the window
+            group = group if len(group) < members else slice(None)  # a slice copies faster
+            copies, rest = divmod(window - begin, period)
+            tiled = recorded[begin : begin + copies * period].reshape(copies, period, members, -1)
+            tiled[1:, :, group] = recorded[begin : begin + period, group]
+            recorded[window - rest :, group] = recorded[begin : begin + rest, group]
+        read_only = map(lambda one: one.setflags(write=False) or one, unstack(recorded))
+        return read_only, [c for c in cycles for _ in chunk[::members]]
 
     return (record(seeds[first : first + batch]) for first in range(0, len(seeds), batch))
 

@@ -163,6 +163,17 @@ class TestRbnCommand:
             "error: 134,217,728 nodes of in-degree up to 1 need about 18,253,611,008 bytes"
             " to draw, check and look up, over the 1,073,741,824-byte limit\n")
 
+    def test_a_huge_k_exits_2_before_any_table_is_sized(self, monkeypatch, capsys):
+        # n << ceil(k) would build a 10^17-bit integer (a MemoryError, so exit
+        # 1); ceil(k) is bounded first, so the refusal allocates nothing
+        monkeypatch.setattr(rbn, "_draw", lambda *args: pytest.fail("a network was drawn"))
+        assert main(["rbn", "--n", "1000000000000000000", "--k", "1e17", "--transient", "0",
+                     "--window", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k=1e+17 needs n * 2^ceil(k) = 1,000,000,000,000,000,000"
+            " * 2^100,000,000,000,000,000 bytes of lookup tables per network,"
+            " over the 268,435,456-byte limit\n")
+
     def test_nan_k_exits_2_with_the_value(self, capsys):
         # nan passes every comparison-based check, so it used to reach the
         # table estimate's math.ceil

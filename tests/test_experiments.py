@@ -221,7 +221,7 @@ class TestRbnSweep:
         stacked, passes = [], []
         stack_measures, kernel = experiments._stack_measures, measures._measure_blocks
 
-        def stack(series, cycle, scales):  # the fold off: every band reads whole rows
+        def stack(series, cycles, scales):  # the fold off: every band reads whole rows
             stacked.append(list(series))
             return stack_measures(stacked[-1], None, scales)
 
@@ -349,14 +349,15 @@ class TestCycleFold:
         monkeypatch.setattr(measures, "_measure_blocks", spy)
         results = sweep(**kwargs)
         write_sweep_files(results, tmp_path / "folded", "fold")
-        (cycle,) = [cycle for _, cycle in stacks(config, results[0].seeds)]
-        assert cycle is not None and (sweep is rbn_sweep or cycle[0] > 0)
+        (cycles,) = [cycles for _, cycles in stacks(config, results[0].seeds)]
+        assert None not in cycles and (sweep is rbn_sweep or cycles == [cycles[0]] * 20)
+        assert sweep is rbn_sweep or cycles[0][0] > 0
         assert repeats and min(repeats) >= 2  # every band folded its cycle block
 
         # the fold off: each stack is measured without its cycle
         stack_measures = experiments._stack_measures
         monkeypatch.setattr(experiments, "_stack_measures",
-                            lambda series, cycle, scales: stack_measures(series, None, scales))
+                            lambda series, cycles, scales: stack_measures(series, None, scales))
         repeats.clear()
         write_sweep_files(sweep(**kwargs), tmp_path / "full", "fold")
         assert not repeats

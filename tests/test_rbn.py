@@ -362,6 +362,55 @@ class TestLookupOracle:
                     state = rbn_step(net, state)
 
 
+    def test_each_network_of_a_stack_stops_on_its_own_as_naive_stepping_agrees(self,
+                                                                                monkeypatch):
+        # K = 1, 2 and 3 stacks of 24 networks whose first repeat lies in the
+        # transient, across its edge into the window, inside the window, or
+        # past the run; the step is narrowed to the networks still stepped,
+        # and some found periods are multiples of the least one
+        lookup, narrowed = rbn._lookup, []
+
+        def counted(net, members=1):
+            update = lookup(net, members)
+            return lambda keep=None: narrowed.append(keep is not None) or update(keep)
+
+        monkeypatch.setattr(rbn, "_lookup", counted)
+        kinds, multiples = set(), 0
+        for k in (1, 2, 3):
+            for n, transient, window in ((5, 0, 40), (8, 6, 30), (10, 20, 24), (12, 3, 64),
+                                         (30, 10, 40)):
+                config = RbnConfig(n=n, k=k, transient=transient, window=window)
+                seeds = list(range(100 * n + k, 100 * n + k + 24))
+                ((stack, cycles),) = rbn._rbn_stacks(config, seeds)
+                for seed, series, cycle in zip(seeds, stack, cycles, strict=True):
+                    net = generate_rbn(config, np.random.default_rng(seed))
+                    states = [net.state]
+                    for _ in range(transient + window - 1):
+                        states.append(rbn_step(net, states[-1]))
+                    assert np.array_equal(series, np.array(states[transient:]).T)
+                    seen, first = {}, None  # the first repeat: step `first` repeats step `tail`
+                    for t, state in enumerate(states):
+                        if state.tobytes() in seen:
+                            tail, first = seen[state.tobytes()], t
+                            break
+                        seen[state.tobytes()] = t
+                    if first is None:
+                        kinds.add("never")
+                        assert cycle is None
+                        continue
+                    least = first - tail
+                    kinds.add("transient" if first <= transient else
+                              "edge" if tail < transient else "window")
+                    if cycle is not None:
+                        begin, period = cycle
+                        assert period % least == 0 and begin >= tail - transient
+                        assert np.array_equal(series[:, begin + period :],
+                                              series[:, begin : window - period])
+                        multiples += period > least
+        assert kinds == {"transient", "edge", "window", "never"}
+        assert multiples and any(narrowed)
+
+
 class TestRun:
     def test_frozen_after_transient_with_zero_k(self):
         traj = run_rbn(RbnConfig(n=10, k=0, transient=1, window=50, seed=5))

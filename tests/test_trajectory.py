@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -27,6 +28,7 @@ from infodyn.measures import (
     simplified_measures,
 )
 from infodyn.eca import EcaConfig, _eca_stacks, oriented_series, run_eca, run_eca_many
+from infodyn.experiments import SeedSchedule
 from infodyn.rbn import RbnConfig, _rbn_stacks, run_rbn, run_rbn_many
 from infodyn.trajectory import (
     Trajectory,
@@ -339,7 +341,8 @@ def test_a_cycling_stack_measures_as_its_full_read(case, average_h, band_rows, n
 
     with mock.patch.object(measures, "_BLOCK_BITS", block_bits), \
             mock.patch.object(measures, "_measure_blocks", spy):
-        folded = _stack_measures(iter(series), cycle, scales, average_h=average_h)
+        folded = _stack_measures(iter(series), [cycle] * len(series), scales,
+                                 average_h=average_h)
     assert folded == full
     fold = repeats >= 1 and span <= block_bits
     for blocks in given:
@@ -349,14 +352,84 @@ def test_a_cycling_stack_measures_as_its_full_read(case, average_h, band_rows, n
         assert any(isinstance(block, tuple) for block in blocks) == (fold and repeats >= 2)
 
 
+@st.composite
+def mixed_cycles(draw):
+    """(series, cycles, scales): 1..8 equal-shape bit series of 1..3 rows, each
+    repeating from its own ``begin`` with its own ``period``, its cycle given
+    as ``(begin, period)`` or, at random, as ``None``; begins and periods come
+    from short lists, so that some series share a fold plan."""
+    scales = draw(st.sampled_from([(1, 2, 4, 8), (1, 3), (2, 5, 6)]))
+    window, units = draw(st.integers(2, 160)), draw(st.integers(1, 3))
+    series, cycles = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        begin, period = draw(st.sampled_from([0, 3, 24])), draw(st.sampled_from([1, 2, 3, 8, 12]))
+        head = draw(arrays(np.uint8, (units, begin + period), elements=st.integers(0, 1)))
+        columns = np.arange(window)
+        columns = np.where(columns < begin, columns, begin + (columns - begin) % period)
+        series.append(np.ascontiguousarray(head[:, columns]))
+        cycles.append(draw(st.sampled_from([(begin, period), None])))
+    return series, cycles, scales
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mixed_cycles(), average_h=st.booleans(), fold_series=st.integers(1, 4),
+       block_bits=st.sampled_from([24, 100, 1 << 18]))
+def test_per_series_cycles_measure_as_a_full_read(case, average_h, fold_series, block_bits):
+    # series of several plans and none share one stack; each plan gets bands
+    # of its own (or joins the full reads when too few series share it), the
+    # bands are cut inside and between series, and results keep series order
+    series, cycles, scales = case
+    full = _stack_measures(iter(series), None, scales, average_h=average_h)
+    with mock.patch.object(measures, "_FOLD_SERIES", fold_series), \
+            mock.patch.object(measures, "_BLOCK_BITS", block_bits):
+        assert _stack_measures(iter(series), cycles, scales, average_h=average_h) == full
+
+
+def test_a_stack_needs_one_cycle_per_series():
+    series = [np.zeros((2, 8), np.uint8)] * 3
+    for cycles in ([None, None], [None] * 4):
+        with pytest.raises(ValueError, match=f"{len(cycles)} cycles for 3 series"):
+            _stack_measures(iter(series), cycles, [1])
+
+
+def test_a_band_is_measured_once_the_series_that_filled_it_is_let_go():
+    # rule 2 shifts a ring of 16 cells: every instance of the stack cycles,
+    # each series fills a band of its own, and by the time the band is
+    # measured nothing holds the series, neither the measuring loop nor the
+    # stack's unstacking generator
+    ((stack, cycles),) = _eca_stacks(EcaConfig(rule=2, n=16, transient=64, window=64),
+                                     range(12))
+    assert None not in cycles
+    taken, kernel, passes = [], measures._measure_blocks, []
+
+    def spy(blocks, scales, h):
+        passes.append([ref() is None for ref in taken])
+        return kernel(blocks, scales, h)
+
+    watched = map(lambda one: taken.append(weakref.ref(one)) or one, stack)
+    read = sum(_stack_measures_plan(cycles[0], 64, (1, 2, 4, 8)))
+    with mock.patch.object(measures, "_measure_blocks", spy), \
+            mock.patch.object(measures, "_BLOCK_BITS", 16 * read):
+        _stack_measures(watched, cycles, (1, 2, 4, 8))
+    assert len(passes) == 12 and all(all(gone) for gone in passes)
+
+
+def _stack_measures_plan(cycle, window, scales):
+    """The ``(c0, L)`` fold plan of a series' cycle, as :func:`_stack_measures` makes it."""
+    span = math.lcm(cycle[1], *scales)
+    first = -(-cycle[0] // span) * span
+    assert window - first >= 2 * span
+    return first, span
+
+
 def test_a_settled_desk_stack_is_read_from_one_cycle_block():
     # rule 0 clears every cell at its first step, so a desk stack (50
     # instances of 256 cells, 1,024 + 1,024 steps) cycles with period 1 from
     # its first recorded column: one band of 8 columns a row, not 50 bands of
     # 1,024
-    ((stack, cycle),) = _eca_stacks(EcaConfig(rule=0, n=256, transient=1024, window=1024),
-                                    range(50))
-    assert cycle == (0, 1)
+    ((stack, cycles),) = _eca_stacks(EcaConfig(rule=0, n=256, transient=1024, window=1024),
+                                     range(50))
+    assert cycles == [(0, 1)] * 50
     kernel, given = measures._measure_blocks, []
 
     def spy(blocks, scales, h):
@@ -367,7 +440,7 @@ def test_a_settled_desk_stack_is_read_from_one_cycle_block():
 
     scales = (1, 2, 4, 8)
     with mock.patch.object(measures, "_measure_blocks", spy):
-        folded = _stack_measures(stack, cycle, scales)
+        folded = _stack_measures(stack, cycles, scales)
     assert len(given) == 1
     assert all(rows == 50 * 256 for rows, _ in given[0])
     assert sum(columns for _, columns in given[0]) <= 8 + 8
@@ -439,7 +512,8 @@ def orbit(tail, period):
             value = int(state[0]) + 1
             return np.array([value if value < tail + period else tail])
 
-        return np.array([0]), step, lambda recorded: iter([recorded.T.astype(np.uint8)])
+        unstack = lambda recorded: iter([recorded[:, 0].T.astype(np.uint8)])  # noqa: E731
+        return np.array([[0]]), lambda keep: step, unstack
 
     return start, steps
 
@@ -530,6 +604,27 @@ def test_stacks_yield_read_only_series_in_seed_order(config, stacks, run):
         assert s.flags.c_contiguous and not s.flags.writeable
     for seed in (0, 63, 64, 127, 128, 129):
         assert np.array_equal(series[seed], run(replace(config, seed=seed)).series)
+
+
+def test_a_network_records_and_measures_alike_alone_and_in_a_desk_stack():
+    # a desk K = 2 stack of 100 networks, most of which settle at their own
+    # step and are dropped from the step while the rest go on: a network's
+    # series, cycle and measures do not depend on the 99 others
+    config, scales = RbnConfig(n=100, k=2.0, transient=512, window=512), (1, 2, 4, 8)
+    seeds = [SeedSchedule(0).seed_for("rbn_sweep/k=2", i) for i in range(100)]
+    ((stack, cycles),) = _rbn_stacks(config, seeds)
+    stack = list(stack)
+    together = _stack_measures(stack, cycles, scales)
+    plans = {}  # a network that never repeats, and one of each distinct cycle
+    for i, cycle in enumerate(cycles):
+        plans.setdefault(cycle, i)
+    assert None in plans and len(plans) >= 5
+    for i in plans.values():
+        ((alone, cycle),) = _rbn_stacks(config, [seeds[i]])
+        (alone,) = alone
+        assert np.array_equal(alone, stack[i]) and cycle == [cycles[i]]
+        assert _stack_measures([alone], cycle, scales) == {
+            b: [sets[i]] for b, sets in together.items()}
 
 
 def test_csv_layout():

@@ -404,7 +404,7 @@ class TestStreamedMeasures:
         bits, blocks = case
         # with and without 1, chains three deep, and shuffled with duplicates
         for scales in [(1, 2, 3, 4, 8, 12, 16, 17, 33), (3, 6, 12, 24), (5, 10, 40),
-                       (16, 4, 12, 2, 4, 33, 8, 16, 1, 3)]:
+                       (16, 4, 12, 2, 4, 33, 8, 16, 1, 3), (1, 2, 4, 8, 12, 16)]:
             measured = streamed_measures(blocks, scales)
             assert list(measured) == list(dict.fromkeys(scales))
             for b in scales:

@@ -238,21 +238,31 @@ def test_every_scale_matches_its_own_regrouping(bits, scales, average_h):
 
 
 @st.composite
-def column_cuts(draw):
+def column_cuts(draw, fold=0):
     """(bits, blocks): a 1..9-row bit series, and the same series cut into
-    column blocks at random columns, empty blocks included."""
+    column blocks at random columns, empty blocks included.  With ``fold``,
+    some cuts are moved down to a multiple of ``fold``, and a block that
+    starts and ends on one may come as ``(block, m)``, read ``m`` times."""
     units = draw(st.integers(1, 9))
     length = draw(st.integers(0, 400))
     bits = draw(arrays(np.uint8, (units, length), elements=st.integers(0, 1)))
-    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=12)))
-    return bits, np.split(bits, cuts, axis=1)
+    cuts = draw(st.lists(st.integers(0, length), max_size=12))
+    if fold:
+        cuts = [cut - cut % fold if draw(st.booleans()) else cut for cut in cuts]
+    cuts = sorted(cuts)
+    blocks = np.split(bits, cuts, axis=1)
+    if fold:
+        blocks = [(block, draw(st.integers(1, 3)))
+                  if start % fold == 0 and block.shape[1] % fold == 0 else block
+                  for start, block in zip([0] + cuts, blocks)]
+    return bits, blocks
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     case=column_cuts(),
     scales=st.sampled_from([(1, 2, 4, 8), (3, 6, 12, 24), (2, 31, 62), (62, 1, 31, 5, 10),
-                            (40, 5, 10, 20)]),
+                            (40, 5, 10, 20), (1, 2, 4, 8, 12, 16)]),
     h=st.sampled_from([None, "final", "all"]),
 )
 def test_block_cuts_do_not_change_the_measures(case, scales, h):
@@ -266,6 +276,52 @@ def test_block_cuts_do_not_change_the_measures(case, scales, h):
                 for b, result in measured.items()}
 
     assert per_row(_measure_blocks(blocks, scales, h)) == per_row(_measure_blocks([bits], scales, h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    scales=st.sampled_from([(1, 2), (1, 2, 4, 8), (2, 4, 8, 16), (1, 2, 3, 4, 8, 16),
+                            (1, 2, 4, 8, 12, 16)]),
+    h=st.sampled_from([None, "final", "all"]),
+)
+def test_a_scale_counts_alike_from_its_double_and_alone(data, scales, h):
+    # listed with its double, b <= 4 is counted from the double's counts
+    # (b = 1 then sums no ones); alone it is sorted, or its ones summed.  Odd
+    # widths leave a last b-symbol that is no half of a 2b-symbol, and folds
+    # start and end on a multiple of every listed scale, as the kernel asks
+    _, blocks = data.draw(column_cuts(fold=math.lcm(*scales)))
+    together = _measure_blocks(blocks, scales, h)
+    for b in scales:
+        alone = _measure_blocks(blocks, [b], h)[b]
+        if alone is None:
+            assert together[b] is None
+            continue
+        (info, data_h), (expected, expected_h) = together[b], alone
+        assert info.dtype == expected.dtype and info.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(info), np.signbit(expected))
+        if expected_h is None:
+            assert data_h is None
+        else:
+            assert data_h.dtype == expected_h.dtype and np.array_equal(data_h, expected_h)
+
+
+@pytest.mark.parametrize("length, sorted_peak", [(8, 5919), (64, 2699), (1024, 1405)])
+def test_counting_from_the_double_costs_at_most_its_table(length, sorted_peak):
+    # sorted_peak: the kernel's peak, in KiB, when every scale was sorted (b = 1
+    # summed); counting 1, 2 and 4 from their doubles may add one b = 4 table
+    # of units x 16 float64 cells, never a second table or a key per cell
+    rows = np.random.default_rng(0).integers(0, 2, size=((1 << 18) // length, length),
+                                             dtype=np.uint8)
+    table = rows.shape[0] * 16 * 8
+    tracemalloc.start()
+    try:
+        measured = _measure_blocks([rows], (1, 2, 4, 8), "final")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measured[4] is not None
+    assert peak <= sorted_peak * 1024 + table
 
 
 @st.composite

@@ -61,13 +61,12 @@ def _table_bytes(n: int, k: float) -> int:
 
 def _node_bytes(n: int, k: float) -> int:
     """An upper bound on the bytes that drawing, checking and looking up ``n``
-    nodes of mean in-degree ``k`` peak at, with ``t = ceil(k)``: 64 + 64 t +
-    4 * 2^t a node.  The checked constructor of a stack peaks highest, at
-    27 + 57 t + 3 * 2^t bytes a node (tracemalloc, t = 0..8, one network or a
-    stack of 128): its integer arrays hold words per input, and the drawn,
-    stacked and stored tables are three copies."""
+    nodes of mean in-degree ``k`` peak at: 64 + 40 t + 4 * 2^t a node, with
+    ``t = ceil(k)``.  A stack's constructor peaks highest, at 28 + 32 t + 3 * 2^t
+    (tracemalloc, t = 0..8): four words per input, its padded matrix one, and
+    three copies of the tables.  Peak RSS grows by under 0.8 times this bound."""
     top = math.ceil(k)
-    return n * (64 + 64 * top + (4 << top))
+    return n * (64 + 40 * top + (4 << top))
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class RbnConfig:
                              f" {_node_bytes(self.n, self.k):,} bytes to draw, check and look up,"
                              f" over the {_NODE_BUDGET:,}-byte limit")
         _check_run(self.transient, self.window, self.seed, self.n)
-        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "k", float(self.k) + 0.0)  # -0.0 is the cell k=0
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,10 @@ class BooleanNetwork:
 
     ``degrees[i]`` is node ``i``'s in-degree.  ``inputs`` holds every node's
     input indices and ``tables`` every node's ``2^degrees[i]``-entry table,
-    each concatenated in node order.  Each array is stored as a read-only
-    copy, so the update built from them once can never go stale.
+    each concatenated in node order and stored as a read-only copy, so the
+    update built from them once can never go stale.  The inputs are checked in
+    the one layout :func:`_lookup` steps, kept read-only as ``_columns``: row
+    ``c`` holds each node's input at position ``c``, or the node past its inputs.
     """
 
     degrees: np.ndarray
@@ -129,7 +130,6 @@ class BooleanNetwork:
             if values.size and values.dtype.kind not in "biu":
                 raise ValueError(f"{name} must be integers")
         degrees = degrees.astype(np.int64, copy=False)
-        inputs = inputs.astype(np.int64, copy=False)
         tables = np.asarray(self.tables).ravel()
         n = degrees.size
         if n < 1:
@@ -138,17 +138,24 @@ class BooleanNetwork:
             raise ValueError("in-degrees must be >= 0")
         if inputs.size != degrees.sum():
             raise ValueError("inputs must hold one entry per input of every node")
-        owner = np.repeat(np.arange(n), degrees)
-        bad = (inputs < 0) | (inputs >= n)
-        if bad.any():
-            raise ValueError(f"node {owner[bad.argmax()]}: input indices out of range")
-        order = np.lexsort((inputs, owner))
-        owners, srcs = owner[order], inputs[order]
-        same = (owners[1:] == owners[:-1]) & (srcs[1:] == srcs[:-1])
+        if inputs.size and (inputs.min() < 0 or inputs.max() >= n):
+            node = np.repeat(np.arange(n), degrees)[((inputs < 0) | (inputs >= n)).argmax()]
+            raise ValueError(f"node {node}: input indices out of range")
+        width = int(degrees.max())
+        if width >= tables.size.bit_length():  # no 2^width entries: refused before padding
+            raise ValueError("tables must have 2^in-degree entries per node")
+        # row c holds every node's input at position c (first input = MSB); a
+        # pad is the node itself, so it stays in its network when a stack is cut
+        read = np.arange(width) < degrees[:, None]
+        columns = np.tile(np.arange(n, dtype=np.intp), (width, 1))
+        columns.T[read] = inputs
+        rows = np.where(read, columns.T, ~np.arange(width))  # pads made distinct negatives
+        rows.sort()
+        same = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if same.any():
-            raise ValueError(f"node {owners[1:][same.argmax()]}: duplicate input")
-        # float sizes stay exact below 2^53 entries and never overflow
-        if np.ldexp(1.0, degrees).sum() != tables.size:
+            raise ValueError(f"node {same.argmax()}: duplicate input")
+        del read, rows  # before the copies below, so they do not peak on top
+        if np.ldexp(1.0, degrees).sum() != tables.size:  # float sizes: exact below 2^53
             raise ValueError("tables must have 2^in-degree entries per node")
         bad = _first_nonbit(tables)
         if bad is not None:
@@ -162,6 +169,8 @@ class BooleanNetwork:
             values = np.array(values, dtype=dtype)  # a copy: no caller holds it
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)  # not a field: what _lookup reads
 
     @property
     def n(self) -> int:
@@ -213,21 +222,18 @@ def _block_diagonal(parts: Sequence[tuple[np.ndarray, ...]]) -> BooleanNetwork:
 def _lookup(net: BooleanNetwork, members: int = 1) -> Callable:
     """The synchronous update of one network, such as a stack of ``members``
     networks of equal size (:func:`_block_diagonal`), as one padded lookup:
-    every node reads the largest in-degree ``width``, a node of in-degree
-    ``d`` its own inputs in the high ``d`` bits of its index and dummy ones in
-    the low ``width - d`` bits, which its table ignores because each entry is
-    repeated ``2^(width - d)`` times.  A padded table (``nodes * 2^width``
-    bytes) over the table budget is refused before anything is allocated.
+    every node reads the ``width`` rows of the network's input matrix, a node
+    of in-degree ``d`` its own inputs in the high ``d`` bits of its index and
+    itself in the low ``width - d`` bits, which its table ignores because each
+    entry is repeated ``2^(width - d)`` times.  A padded table (``nodes *
+    2^width`` bytes) over the table budget is refused before it is allocated.
     Returns the record loop's ``update(keep)``, which cuts out the networks kept."""
-    width = int(net.degrees.max())
+    columns = net._columns
+    width = len(columns)
     if net.n << width > _TABLE_BUDGET:
         raise ValueError(f"{net.n:,} nodes read in-degree {width}: the padded lookup needs"
                          f" nodes * 2^{width} = {net.n << width:,} bytes of tables,"
                          f" over the {_TABLE_BUDGET:,}-byte limit")
-    # row c holds every node's input at position c (first input = MSB); a
-    # dummy input is the node itself, so it stays in its network
-    columns = np.tile(np.arange(net.n, dtype=np.intp), (width, 1))
-    columns.T[np.arange(width) < net.degrees[:, None]] = net.inputs
     # padded a degree at a time, so no temporary takes a word per table entry
     tables = np.empty((net.n, 1 << width), dtype=np.uint8)
     starts = np.cumsum(np.int64(1) << net.degrees)
@@ -254,7 +260,8 @@ def _lookup(net: BooleanNetwork, members: int = 1) -> Callable:
         base = np.arange(inputs.shape[1], dtype=np.intp) << width
 
         def step(state: np.ndarray) -> np.ndarray:
-            bits = state.astype(dtype, copy=False).take(inputs)
+            # indexed, not take(): take copies a read-only index array every call
+            bits = state.astype(dtype, copy=False)[inputs]
             bits *= places
             return table.take(base + bits.sum(axis=0, dtype=dtype))
 

@@ -160,7 +160,7 @@ class TestRbnCommand:
         assert main(["rbn", "--n", "134217728", "--k", "1", "--transient", "0",
                      "--window", "2"]) == 2
         assert capsys.readouterr().err == (
-            "error: 134,217,728 nodes of in-degree up to 1 need about 18,253,611,008 bytes"
+            "error: 134,217,728 nodes of in-degree up to 1 need about 15,032,385,536 bytes"
             " to draw, check and look up, over the 1,073,741,824-byte limit\n")
 
     def test_a_huge_k_exits_2_before_any_table_is_sized(self, monkeypatch, capsys):
@@ -739,6 +739,8 @@ class TestRepeatedListValues:
         (["sweep", "eca", "--rules", "30,30"], "rules list '30,30' repeats 30"),
         (["sweep", "profile", "--rules", "0,1,0"], "rules list '0,1,0' repeats 0"),
         (["sweep", "eca", "--scales", "2,1,2"], "scales list '2,1,2' repeats 2"),
+        (["sweep", "rbn", "--k-grid", "0,-0.0"],
+         "two grid values give the one cell rbn_sweep/k=0"),
     ])
     def test_a_sweep_exits_2_before_it_writes(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -746,6 +748,13 @@ class TestRepeatedListValues:
         assert exit_code(argv) == 2
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_negative_zero_k_is_written_as_k_0(self, tmp_path):
+        out = tmp_path / "out"
+        assert exit_code(["sweep", "rbn", "--k-grid=-0.0", *self.SIZES, "--instances", "2",
+                          "--scales", "1", "--output-dir", str(out)]) == 0
+        rows = (out / "rbn_sweep_instances.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "0" for row in rows)
 
     @pytest.mark.parametrize("command", [["measure"], ["rbn"], ["eca", "--rule", "30"]])
     def test_a_report_exits_2_before_it_writes(self, tmp_path, capsys, command):

@@ -315,6 +315,8 @@ class TestRbnSweep:
         (rbn_sweep, dict(scales=(1, 1)), "scale 1 is listed twice"),
         (eca_class_survey, dict(scales=(2, 1, 2)), "scale 2 is listed twice"),
         (multiscale_profiles, dict(scales=(4, 4)), "scale 4 is listed twice"),
+        # -0.0 is stored as 0.0, so it is the cell k=0 and its seeds, not a cell k=-0
+        (rbn_sweep, dict(k_grid=[0, -0.0]), "two grid values give the one cell rbn_sweep/k=0"),
     ])
     def test_a_repeated_cell_or_scale_is_refused_before_any_cell_runs(self, monkeypatch, sweep,
                                                                       grid, message):

@@ -1,6 +1,8 @@
 import inspect
+import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -29,7 +31,7 @@ from infodyn.rbn import (
     run_rbn_many,
     serialize_network,
 )
-from infodyn.trajectory import Trajectory
+from infodyn.trajectory import Trajectory, _first_nonbit
 
 
 def per_node(net):
@@ -201,11 +203,16 @@ class TestGeneration:
         config = RbnConfig(n=5, k=k)
         assert type(config.k) is float and config.k == float(k)
 
+    def test_negative_zero_k_is_stored_as_zero(self):
+        # a -0.0 would be a cell of its own, printed and seeded as k=-0
+        k = RbnConfig(n=5, k=-0.0).k
+        assert k == 0.0 and math.copysign(1.0, k) == 1.0
+
     def test_node_arrays_are_refused_with_their_estimate(self):
         # 2^27 nodes of in-degree 1 fit the table and record budgets, but
-        # drawing, checking and looking them up would take about 18 GB
+        # drawing, checking and looking them up would take about 15 GB
         with pytest.raises(ValueError, match=r"134,217,728 nodes of in-degree up to 1 need about"
-                                             r" 18,253,611,008 bytes to draw, check and look up"):
+                                             r" 15,032,385,536 bytes to draw, check and look up"):
             RbnConfig(n=1 << 27, k=1, transient=0, window=2)
         # 2^25 nodes at k = 3, the table budget's limit, also fail it
         with pytest.raises(ValueError, match="to draw, check and look up"):
@@ -254,6 +261,19 @@ class TestStep:
                 array[0] = 0
         with pytest.raises(AttributeError):
             net.tables = tables
+
+    def test_a_step_does_not_copy_the_kept_input_matrix(self):
+        # the matrix is read-only, and take() would copy such an index array on every call
+        net = rbn._block_diagonal([rbn._draw(RbnConfig(n=100, k=3), np.random.default_rng(s))
+                                   for s in range(128)])
+        step = rbn._lookup(net, 128)()
+        state = step(net.state)
+        tracemalloc.start()
+        try:
+            step(state)
+            assert tracemalloc.get_traced_memory()[1] < net._columns.nbytes
+        finally:
+            tracemalloc.stop()
 
     def test_constant_zero_tables(self):
         net = network(
@@ -481,8 +501,8 @@ class TestRun:
             assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
     def test_stacks_fit_the_node_budget(self, monkeypatch):
-        # 30 nodes at k = 2.5 are estimated at 30 * (64 + 192 + 32) = 8,640 bytes
-        monkeypatch.setattr(rbn, "_NODE_BUDGET", 3 * 8640 - 1)
+        # 30 nodes at k = 2.5 are estimated at 30 * (64 + 120 + 32) = 6,480 bytes
+        monkeypatch.setattr(rbn, "_NODE_BUDGET", 3 * 6480 - 1)
         stack, stacks = rbn._block_diagonal, []
         monkeypatch.setattr(rbn, "_block_diagonal",
                             lambda drawn: stacks.append(len(drawn)) or stack(drawn))
@@ -693,6 +713,88 @@ class TestSerialization:
             tracemalloc.stop()
 
 
+TABLES = "tables must have 2^in-degree entries per node"
+
+
+def flat_check(degrees, inputs, tables, state):
+    """The flat check the padded one replaced, as a reference: one owner per
+    input and one lexsort of (owner, input).  The first refusal's message, or None."""
+    degrees, inputs = np.asarray(degrees).ravel(), np.asarray(inputs).ravel()
+    for name, values in (("in-degrees", degrees), ("input indices", inputs)):
+        if values.size and values.dtype.kind not in "biu":
+            return f"{name} must be integers"
+    degrees, inputs = degrees.astype(np.int64), inputs.astype(np.int64)
+    tables = np.asarray(tables).ravel()
+    n = degrees.size
+    if n < 1:
+        return "n must be >= 1"
+    if degrees.min() < 0:
+        return "in-degrees must be >= 0"
+    if inputs.size != degrees.sum():
+        return "inputs must hold one entry per input of every node"
+    owner = np.repeat(np.arange(n), degrees)
+    bad = (inputs < 0) | (inputs >= n)
+    if bad.any():
+        return f"node {owner[bad.argmax()]}: input indices out of range"
+    order = np.lexsort((inputs, owner))
+    owners, srcs = owner[order], inputs[order]
+    same = (owners[1:] == owners[:-1]) & (srcs[1:] == srcs[:-1])
+    if same.any():
+        return f"node {owners[1:][same.argmax()]}: duplicate input"
+    if np.ldexp(1.0, degrees).sum() != tables.size:
+        return TABLES
+    bad = _first_nonbit(tables)
+    if bad is not None:
+        node = np.repeat(np.arange(n), np.int64(1) << degrees)[bad]
+        return f"node {node}: table entries must be bits"
+    state = np.asarray(state).ravel()
+    if state.size != n or _first_nonbit(state) is not None:
+        return "state must be an n-bit vector"
+    return None
+
+
+@st.composite
+def checked_arrays(draw):
+    """Constructor arrays with in-degrees 0..5 and self-inputs, and one or two
+    of: duplicate inputs (adjacent or not), inputs out of range (negative, >= n,
+    or a uint64 near 2^64), a table entry that is not a bit, tables of the
+    wrong length, a state that is not n bits.  A fault may draw no change."""
+    n = draw(st.integers(1, 8))
+    faults = draw(st.sets(st.sampled_from(["duplicate", "range", "bit", "length", "state"]),
+                          min_size=1, max_size=2))
+    top = 5 if "duplicate" in faults else min(n, 5)
+    degrees = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    inputs = []
+    for d in degrees:  # distinct where d <= n, so a node may read itself
+        row = draw(st.permutations(range(n)))[:d]
+        inputs.append(row + draw(st.lists(st.integers(0, n - 1), min_size=d - len(row),
+                                          max_size=d - len(row))))
+    if "duplicate" in faults:
+        for i in draw(st.sets(st.sampled_from(range(n)), min_size=1)):
+            if degrees[i] >= 2:
+                a, b = draw(st.lists(st.integers(0, degrees[i] - 1), min_size=2, max_size=2,
+                                     unique=True))
+                inputs[i][b] = inputs[i][a]
+    unsigned = draw(st.booleans())
+    if "range" in faults:
+        bad = [2**64 - 1, 2**64 - n, 2**63] if unsigned else [-1, -n, n, n + 7]
+        for i in draw(st.sets(st.sampled_from(range(n)), min_size=1)):
+            if degrees[i]:
+                inputs[i][draw(st.integers(0, degrees[i] - 1))] = draw(st.sampled_from(bad))
+    flat = np.array([x for row in inputs for x in row], dtype=np.uint64 if unsigned else np.int64)
+    tables = draw(st.lists(st.integers(0, 1), min_size=sum(1 << d for d in degrees),
+                           max_size=sum(1 << d for d in degrees)))
+    if "bit" in faults:
+        tables[draw(st.integers(0, len(tables) - 1))] = draw(st.sampled_from([2, 255, -1]))
+    if "length" in faults:  # a short one may leave the widest node no 2^width entries
+        size = draw(st.integers(0, len(tables) + 3).filter(lambda size: size != len(tables)))
+        tables = (tables + [0] * 3)[:size]
+    state = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if "state" in faults:
+        state = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n + 1))
+    return np.array(degrees, dtype=np.int64), flat, np.array(tables, dtype=np.int64), state
+
+
 class TestNetworkValidation:
     def test_duplicate_input_rejected(self):
         with pytest.raises(ValueError, match="node 0: duplicate input"):
@@ -749,3 +851,67 @@ class TestNetworkValidation:
             BooleanNetwork([-1, 1], [0], [0, 1, 0, 1], zeros)
         with pytest.raises(ValueError, match="n must be >= 1"):
             BooleanNetwork([], [], [], [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays=st.one_of(checked_arrays(), hand_networks().map(parts)))
+    def test_the_padded_check_decides_as_the_flat_one(self, arrays):
+        want = flat_check(*arrays)
+        try:
+            net = BooleanNetwork(*arrays)
+        except ValueError as error:
+            got = str(error)
+        else:
+            got = None
+            # the kept matrix: read-only intp, each node's inputs in order, then itself
+            width = int(net.degrees.max())
+            padded = np.array([[*src, *[i] * (width - src.size)]
+                               for i, (src, _) in enumerate(per_node(net))], dtype=np.intp)
+            assert net._columns.dtype == np.intp and not net._columns.flags.writeable
+            assert np.array_equal(net._columns, padded.reshape(net.n, width).T)
+        assert (got is None) == (want is None)
+        degrees, tables = arrays[0], np.asarray(arrays[2])
+        if degrees.max() < tables.size.bit_length():
+            assert got == want
+        else:  # refused before anything is padded, so before any duplicate is looked for
+            assert got == (TABLES if "duplicate input" in want else want)
+
+    def test_a_node_wider_than_the_tables_is_refused_before_anything_is_padded(self):
+        # one node reads the other 4,999 with a 2-entry table: padding every
+        # node to that width would take 200 MB, and 2^4,999 overflows a float
+        n = 5000
+        degrees, inputs = np.array([n - 1] + [0] * (n - 1)), np.arange(1, n)
+        tables, state = np.zeros(2, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(TABLES)):
+                    BooleanNetwork(degrees, inputs, tables, state)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+
+    def test_a_duplicate_in_a_node_wider_than_the_tables_gets_the_tables_message(self):
+        # node 0 reads node 1 twice, and needs 4 of the 3 table entries
+        with pytest.raises(ValueError, match=re.escape(TABLES)):
+            BooleanNetwork([2, 0], [1, 1], [0, 1, 0], [0, 0])
+        with pytest.raises(ValueError, match="node 0: duplicate input"):
+            BooleanNetwork([2, 0], [1, 1], [0, 1, 0, 1, 0], [0, 0])
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_the_constructor_peaks_at_most_twice_what_it_keeps(self, k):
+        # slopes between two sizes, per node; the kept arrays include the padded matrix
+        def traced(n):
+            drawn = rbn._draw(RbnConfig(n=n, k=k), np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                net = BooleanNetwork(*drawn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = (net.degrees, net.inputs, net.tables, net.state, net._columns)
+            return peak, sum(a.nbytes for a in arrays)
+
+        traced(300)  # first-call allocations are not the constructor's
+        (small, kept_small), (large, kept_large) = traced(20_000), traced(80_000)
+        assert large - small <= 2 * (kept_large - kept_small)

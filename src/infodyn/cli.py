@@ -83,31 +83,18 @@ def _resolve_threads(value: int | None) -> int:
 _BLOCK = 1 << 17
 
 
-def _chunks(fh):
-    while chunk := fh.read(_BLOCK):
-        yield chunk
-
-
-def _text_blocks(fh, csv: bool):
-    """The bits of an open text, decoded chunk by chunk by :func:`_text_bits`."""
-    in_token = False
-    for chunk in _chunks(fh):
-        bits, in_token = _text_bits(chunk, csv, in_token)
-        yield bits
-
-
 def _bit_blocks(fh, fmt: str):
     """The bits of an open input, one block per read of ``_BLOCK`` bytes or
-    characters: raw bytes unpack MSB first, ascii01 and csv text decode
-    through :func:`_text_blocks`, which is exact because a text read never
-    splits a character.  An empty input is an error once the last block has
-    been read."""
-    if fmt == "raw":
-        blocks = (np.unpackbits(np.frombuffer(c, dtype=np.uint8)) for c in _chunks(fh))
-    else:
-        blocks = _text_blocks(fh, fmt == "csv")
-    empty = True
-    for bits in blocks:
+    characters: raw bytes unpack MSB first, and ascii01 and csv text decode
+    through :func:`_text_bits`, which is exact because a text read never
+    splits a character; whether a read ends inside a token is carried to the
+    next.  An empty input is an error once the last block has been read."""
+    empty, in_token = True, False
+    while chunk := fh.read(_BLOCK):
+        if fmt == "raw":
+            bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
+        else:
+            bits, in_token = _text_bits(chunk, fmt == "csv", in_token)
         empty = empty and bits.size == 0
         yield bits
     if empty:

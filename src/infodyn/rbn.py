@@ -13,10 +13,10 @@ from one generator per network, without a per-node loop: the in-degrees from
 one uniform draw, the inputs by Floyd's sampling run across all nodes at once
 (one draw per input position, so memory is O(n * ceil(k))), then the tables
 from one block of fair bits and the state.  A stack of such draws is one
-block-diagonal network, checked once and stepped as one padded lookup whose
-index is one gather of every input bit, each raised to its place and summed
-in the narrowest word that holds the index; its recorded block is transposed
-once, into each network's series.
+block-diagonal network, checked once and stepped by one gather of every input
+bit, each raised to its place and summed, in the narrowest word that holds the
+widest index, into its node's index in its own table; its recorded block is
+transposed once, into each network's series.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MeasureSet, series_matrix_measures
 from .trajectory import _RECORD_BUDGET, Trajectory, _bit_text, _check_count, _check_run
@@ -64,7 +63,8 @@ def _node_bytes(n: int, k: float) -> int:
     nodes of mean in-degree ``k`` peak at: 64 + 40 t + 4 * 2^t a node, with
     ``t = ceil(k)``.  A stack's constructor peaks highest, at 28 + 32 t + 3 * 2^t
     (tracemalloc, t = 0..8): four words per input, its padded matrix one, and
-    three copies of the tables.  Peak RSS grows by under 0.8 times this bound."""
+    three copies of the tables; its lookup and a step then take 17 + 2 t + 2^t,
+    with a copy of the tables.  Peak RSS grows by under 0.8 times this bound."""
     top = math.ceil(k)
     return n * (64 + 40 * top + (4 << top))
 
@@ -166,7 +166,8 @@ class BooleanNetwork:
             raise ValueError("state must be an n-bit vector")
         for name, values, dtype in (("degrees", degrees, np.int64), ("inputs", inputs, np.int64),
                                     ("tables", tables, np.uint8), ("state", state, np.uint8)):
-            values = np.array(values, dtype=dtype)  # a copy: no caller holds it
+            # a copy: a caller may still hold and change what it passed; the step is built from it
+            values = np.array(values, dtype=dtype)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         columns.flags.writeable = False
@@ -221,49 +222,40 @@ def _block_diagonal(parts: Sequence[tuple[np.ndarray, ...]]) -> BooleanNetwork:
 
 def _lookup(net: BooleanNetwork, members: int = 1) -> Callable:
     """The synchronous update of one network, such as a stack of ``members``
-    networks of equal size (:func:`_block_diagonal`), as one padded lookup:
-    every node reads the ``width`` rows of the network's input matrix, a node
-    of in-degree ``d`` its own inputs in the high ``d`` bits of its index and
-    itself in the low ``width - d`` bits, which its table ignores because each
-    entry is repeated ``2^(width - d)`` times.  A padded table (``nodes *
-    2^width`` bytes) over the table budget is refused before it is allocated.
-    Returns the record loop's ``update(keep)``, which cuts out the networks kept."""
-    columns = net._columns
+    networks of equal size (:func:`_block_diagonal`): each row of the input
+    matrix has a weight per node, ``2^(d-1-c)`` for input ``c`` of a node of
+    in-degree ``d`` and 0 for a pad, so a node's weighted input bits sum to
+    its index in its own table of the flat ``tables``.  Returns the record
+    loop's ``update(keep)``, which cuts the networks kept out of the input
+    rows, weights and table offsets, not out of the tables."""
+    # a copy made once the constructor's temporaries are freed: net.tables,
+    # allocated among them, held a desk sweep's peak RSS 0.4-0.9 MB higher
+    columns, tables = net._columns, net.tables.copy()
     width = len(columns)
-    if net.n << width > _TABLE_BUDGET:
-        raise ValueError(f"{net.n:,} nodes read in-degree {width}: the padded lookup needs"
-                         f" nodes * 2^{width} = {net.n << width:,} bytes of tables,"
-                         f" over the {_TABLE_BUDGET:,}-byte limit")
-    # padded a degree at a time, so no temporary takes a word per table entry
-    tables = np.empty((net.n, 1 << width), dtype=np.uint8)
-    starts = np.cumsum(np.int64(1) << net.degrees)
-    starts -= np.int64(1) << net.degrees
-    for d in range(width + 1):
-        nodes = net.degrees == d
-        rows = sliding_window_view(net.tables, 1 << d)[starts[nodes]]
-        tables[nodes] = rows if d == width else np.repeat(rows, 1 << (width - d), axis=1)
-    # a node's local index in the narrowest word that holds width bits: each
-    # input bit raised to its place by a multiply (numpy vectorizes a uint8
-    # multiply, not a uint8 shift), then the places summed
+    # the index in the narrowest word that holds width bits, each bit raised to its
+    # place by a multiply (numpy vectorizes a uint8 multiply, not a uint8 shift)
     dtype = np.uint8 if width <= 8 else np.intp
-    places = (1 << np.arange(width - 1, -1, -1)).astype(dtype)[:, None]
+    weights = np.zeros(columns.shape, dtype=dtype)
+    for d in range(1, width + 1):  # a degree at a time: no width x n word temporary
+        weights[:d, net.degrees == d] = (1 << np.arange(d - 1, -1, -1)).astype(dtype)[:, None]
+    starts = np.cumsum(np.int64(1) << net.degrees) - (np.int64(1) << net.degrees)
     size = net.n // members
 
     def update(keep: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-        nonlocal columns, tables
+        nonlocal columns, weights, starts
         if keep is not None:  # network keep[i] becomes network i
-            columns = columns.reshape(width, columns.shape[1] // size, size)[:, keep]
-            columns -= ((keep - np.arange(keep.size)) * size)[:, None]
-            columns = columns.reshape(width, keep.size * size)
-            tables = tables.reshape(-1, size << width)[keep]
-        inputs, table = columns, tables.ravel()
-        base = np.arange(inputs.shape[1], dtype=np.intp) << width
+            shift = np.repeat((keep - np.arange(keep.size)) * size, size)
+            columns, weights = (rows.reshape(width, rows.shape[1] // size, size)[:, keep]
+                                .reshape(width, shift.size) for rows in (columns, weights))
+            columns -= shift
+            starts = starts.reshape(-1, size)[keep].ravel()
+        inputs, places, offsets = columns, weights, starts
 
         def step(state: np.ndarray) -> np.ndarray:
             # indexed, not take(): take copies a read-only index array every call
             bits = state.astype(dtype, copy=False)[inputs]
             bits *= places
-            return table.take(base + bits.sum(axis=0, dtype=dtype))
+            return tables.take(offsets + bits.sum(axis=0, dtype=dtype))
 
         return step
 

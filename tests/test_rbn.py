@@ -330,6 +330,17 @@ def hand_networks(draw):
     return network(inputs, tables, np.array(state, dtype=np.uint8))
 
 
+@st.composite
+def wide_networks(draw, n):
+    """A hand-built ``n``-node network of in-degrees 0..12, so its index may
+    need intp; the tables come from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    inputs = [draw(st.permutations(range(n)))[: draw(st.integers(0, min(n, 12)))]
+              for _ in range(n)]
+    tables = [rng.integers(0, 2, 1 << len(src), dtype=np.uint8) for src in inputs]
+    return network(inputs, tables, rng.integers(0, 2, n, dtype=np.uint8))
+
+
 class TestLookupOracle:
     """The stacked lookup behind rbn_step and run_rbn_many against naive_step."""
 
@@ -343,6 +354,29 @@ class TestLookupOracle:
             state = rbn_step(stack, state)
             states = [naive_step(net, s) for net, s in zip(nets, states)]
             assert np.array_equal(state, np.concatenate(states))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_stack_narrowed_by_update_equals_naive_steps(self, data):
+        # in-degrees 0..12; the stack is cut to a drawn subset after each round
+        n = data.draw(st.integers(1, 14))
+        nets = data.draw(st.lists(wide_networks(n), min_size=1, max_size=5))
+        for net in nets:
+            assert np.array_equal(rbn_step(net), naive_step(net, net.state))
+        stack = rbn._block_diagonal([parts(net) for net in nets])
+        update, live, state = rbn._lookup(stack, len(nets)), np.arange(len(nets)), stack.state
+        states, keep = [net.state for net in nets], None
+        for _ in range(data.draw(st.integers(1, 3))):
+            if keep is not None:
+                live, state = live[keep], state.reshape(-1, n)[keep].ravel()
+            step = update(keep)
+            for _ in range(data.draw(st.integers(1, 3))):
+                state = step(state)
+                states = [naive_step(nets[i], states[i]) if i in live else s
+                          for i, s in enumerate(states)]
+                assert np.array_equal(state, np.concatenate([states[i] for i in live]))
+            keep = np.array(sorted(data.draw(st.sets(st.sampled_from(range(live.size)),
+                                                     min_size=1))))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -513,14 +547,20 @@ class TestRun:
         for seed, traj in zip(seeds, batched):
             assert np.array_equal(traj.states, run_rbn(replace(config, seed=seed)).states)
 
-    def test_padded_lookup_over_budget_is_refused(self):
-        # one degree-20 node pads all 5,000 nodes to 2^20 entries (5.2 GB)
-        n = 5000
+    def test_a_wide_node_steps_from_its_own_table(self):
+        # one degree-20 node among 4,999 of degree 1: tables padded to its
+        # width would take 5,000 * 2^20 bytes (5.2 GB)
+        n, rng = 5000, np.random.default_rng(20)
         inputs = [np.arange(20)] + [np.array([i]) for i in range(1, n)]
-        tables = [np.zeros(1 << 20, dtype=np.uint8)] + [np.array([0, 1])] * (n - 1)
-        net = network(inputs, tables, np.zeros(n, dtype=np.uint8))
-        with pytest.raises(ValueError, match=r"nodes \* 2\^20 = 5,242,880,000 bytes"):
-            rbn_step(net)
+        tables = [rng.integers(0, 2, 1 << 20, dtype=np.uint8)] + [np.array([1, 0])] * (n - 1)
+        net = network(inputs, tables, rng.integers(0, 2, n, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            state = rbn_step(net)  # builds the lookup, then steps
+            assert tracemalloc.get_traced_memory()[1] < 4 << 20
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(state, naive_step(net, net.state))
 
 
 class TestStack:

@@ -12,11 +12,11 @@ same way, so validation, stacking and stepping are whole-array operations.
 from one generator per network, without a per-node loop: the in-degrees from
 one uniform draw, the inputs by Floyd's sampling run across all nodes at once
 (one draw per input position, so memory is O(n * ceil(k))), then the tables
-from one block of fair bits and the state.  A stack of such draws is one
-block-diagonal network, checked once and stepped by one gather of every input
-bit, each raised to its place and summed, in the narrowest word that holds the
-widest index, into its node's index in its own table; its recorded block is
-transposed once, into each network's series.
+from one block of fair bits and the state.  A stack is one block-diagonal
+network, drawn in place, checked once, kept without a copy and stepped by one
+gather of every input bit, each raised to its place and summed, in the
+narrowest word that holds the widest index, into its node's index in its own
+table; its recorded block is transposed once, into each network's series.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def _table_bytes(n: int, k: float) -> int:
 
 def _node_bytes(n: int, k: float) -> int:
     """An upper bound on the bytes that drawing, checking and looking up ``n``
-    nodes of mean in-degree ``k`` peak at: 64 + 40 t + 4 * 2^t a node, with
-    ``t = ceil(k)``.  A stack's constructor peaks highest, at 28 + 32 t + 3 * 2^t
-    (tracemalloc, t = 0..8): four words per input, its padded matrix one, and
-    three copies of the tables; its lookup and a step then take 17 + 2 t + 2^t,
-    with a copy of the tables.  Peak RSS grows by under 0.8 times this bound."""
+    nodes of mean in-degree ``k`` peak at: 48 + 24 t + 4 * 2^t a node, with
+    ``t = ceil(k)``.  A lone network peaks highest, while its drawn bits are
+    selected into its tables; a stack, drawn in place and kept without a copy,
+    peaks within 30 bytes a node of what it keeps, 9 + 16 t + 2^t.  Peak RSS
+    grows by under 0.8 times this bound."""
     top = math.ceil(k)
-    return n * (64 + 40 * top + (4 << top))
+    return n * (48 + 24 * top + (4 << top))
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,12 @@ class BooleanNetwork:
 
     ``degrees[i]`` is node ``i``'s in-degree.  ``inputs`` holds every node's
     input indices and ``tables`` every node's ``2^degrees[i]``-entry table,
-    each concatenated in node order and stored as a read-only copy, so the
-    update built from them once can never go stale.  The inputs are checked in
-    the one layout :func:`_lookup` steps, kept read-only as ``_columns``: row
-    ``c`` holds each node's input at position ``c``, or the node past its inputs.
+    each concatenated in node order and stored read-only, so the update built
+    from them once can never go stale: an array passed read-only that owns its
+    memory (as :func:`_draw` returns it) is kept, any other copied.  The inputs
+    are checked in the one layout :func:`_lookup` steps, kept read-only as
+    ``_columns``: row ``c`` holds each node's input at position ``c``, or the
+    node past its inputs.
     """
 
     degrees: np.ndarray
@@ -123,8 +125,11 @@ class BooleanNetwork:
     state: np.ndarray
 
     def __post_init__(self):
-        degrees = np.asarray(self.degrees).ravel()
-        inputs = np.asarray(self.inputs).ravel()
+        # the step is built from what is stored: a caller may change any array but one
+        # passed read-only that owns its memory, so that is kept and any other copied
+        kept = {name for name, array in vars(self).items() if isinstance(array, np.ndarray)
+                and array.flags.owndata and not array.flags.writeable}
+        degrees, inputs = np.asarray(self.degrees).ravel(), np.asarray(self.inputs).ravel()
         # checked in the input's own dtype: an int64 cast would truncate 1.9 to 1
         for name, values in (("in-degrees", degrees), ("input indices", inputs)):
             if values.size and values.dtype.kind not in "biu":
@@ -146,16 +151,14 @@ class BooleanNetwork:
             raise ValueError("tables must have 2^in-degree entries per node")
         # row c holds every node's input at position c (first input = MSB); a
         # pad is the node itself, so it stays in its network when a stack is cut
-        read = np.arange(width) < degrees[:, None]
         columns = np.tile(np.arange(n, dtype=np.intp), (width, 1))
-        columns.T[read] = inputs
-        rows = np.where(read, columns.T, ~np.arange(width))  # pads made distinct negatives
-        rows.sort()
-        same = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        columns.T[np.arange(width) < degrees[:, None]] = inputs
+        same = np.zeros(n, dtype=bool)  # an input equal to one before it; rows past d are pads
+        for c in range(1, width):
+            same |= (columns[:c] == columns[c]).any(axis=0) & (degrees > c)
         if same.any():
             raise ValueError(f"node {same.argmax()}: duplicate input")
-        del read, rows  # before the copies below, so they do not peak on top
-        if np.ldexp(1.0, degrees).sum() != tables.size:  # float sizes: exact below 2^53
+        if sum(int(count) << d for d, count in enumerate(np.bincount(degrees))) != tables.size:
             raise ValueError("tables must have 2^in-degree entries per node")
         bad = _first_nonbit(tables)
         if bad is not None:
@@ -166,8 +169,7 @@ class BooleanNetwork:
             raise ValueError("state must be an n-bit vector")
         for name, values, dtype in (("degrees", degrees, np.int64), ("inputs", inputs, np.int64),
                                     ("tables", tables, np.uint8), ("state", state, np.uint8)):
-            # a copy: a caller may still hold and change what it passed; the step is built from it
-            values = np.array(values, dtype=dtype)
+            values = values.astype(dtype, copy=name not in kept)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         columns.flags.writeable = False
@@ -189,49 +191,49 @@ def generate_rbn(config: RbnConfig, rng: np.random.Generator) -> BooleanNetwork:
     probability ``frac(k)``.  Inputs are drawn uniformly without replacement
     (self-inputs allowed, duplicates not); table entries are fair coins.
     """
-    return BooleanNetwork(*_draw(config, rng))
+    return BooleanNetwork(*_draw(config, [rng]))
 
 
-def _draw(config: RbnConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The one draw of a network, unchecked: ``(degrees, inputs, tables, state)``."""
+def _draw(config: RbnConfig, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """The one draw, and the only code that stacks networks: network ``j`` from
+    ``rngs[j]``, in place in one unchecked read-only ``(degrees, inputs, tables,
+    state)``, its inputs offset by the nodes before it.  The in-degrees size the
+    arrays, so each phase runs over every generator, in a lone network's order."""
     n, base, top = config.n, math.floor(config.k), math.ceil(config.k)
-    degrees = base + (rng.random(n) < config.k - base).astype(np.int64)
-    # Floyd's sampling for every node at once: position c of a degree-d node
-    # draws from 0..j with j = n - d + c and takes j if the draw repeats one
-    # of its earlier positions, which leaves a uniform d-subset of 0..n-1
-    chosen = np.empty((n, top), dtype=np.int64)
-    for c in range(top):
-        j = n - degrees + c
-        draw = rng.integers(0, j + 1)
-        chosen[:, c] = np.where((chosen[:, :c] == draw[:, None]).any(axis=1), j, draw)
-    inputs = chosen[np.arange(top) < degrees[:, None]]
-    block = rng.integers(0, 2, size=(n, 1 << top), dtype=np.uint8)
-    tables = block[np.arange(1 << top) < (np.int64(1) << degrees)[:, None]]
-    state = rng.integers(0, 2, size=n, dtype=np.uint8)
+    degrees = np.concatenate([base + (rng.random(n) < config.k - base) for rng in rngs])
+    wide = np.count_nonzero(degrees.reshape(-1, n) > base, axis=1)  # nodes of in-degree top
+    at_input, at_table = np.cumsum([0, *(n * base + wide)]), np.cumsum([0, *((n + wide) << base)])
+    inputs, tables = np.empty(at_input[-1], dtype=np.int64), np.empty(at_table[-1], dtype=np.uint8)
+    for j, (rng, own) in enumerate(zip(rngs, degrees.reshape(-1, n))):
+        # Floyd's sampling for every node at once: position c of a degree-d node
+        # draws from 0..i with i = n - d + c and takes i if the draw repeats one
+        # of its earlier positions, which leaves a uniform d-subset of 0..n-1
+        chosen = np.empty((n, top), dtype=np.int64)
+        for c in range(top):
+            i = n - own + c
+            draw = rng.integers(0, i + 1)
+            chosen[:, c] = np.where((chosen[:, :c] == draw[:, None]).any(axis=1), i, draw)
+        into = inputs[at_input[j] : at_input[j + 1]]
+        np.add(chosen[np.arange(top) < own[:, None]], j * n, out=into)
+        # a node's 2^top drawn bits as one or two rows of 2^base; in-degree top takes both
+        rows = rng.integers(0, 2, size=(n, 1 << top), dtype=np.uint8).reshape(-1, 1 << base)
+        pick = np.arange(top - base + 1) <= (own - base)[:, None]
+        tables[at_table[j] : at_table[j + 1]] = rows[pick.ravel()].ravel()
+    state = np.concatenate([rng.integers(0, 2, size=n, dtype=np.uint8) for rng in rngs])
+    for array in (degrees, inputs, tables, state):
+        array.flags.writeable = False
     return degrees, inputs, tables, state
-
-
-def _block_diagonal(parts: Sequence[tuple[np.ndarray, ...]]) -> BooleanNetwork:
-    """The only code that stacks networks: the parts' ``(degrees, inputs, tables, state)``
-    as one checked network, each part's inputs offset by the nodes before it."""
-    degrees, inputs, tables, state = (np.concatenate(arrays) for arrays in zip(*parts))
-    first = np.cumsum([0] + [part[0].size for part in parts[:-1]])
-    inputs += np.repeat(first, [part[1].size for part in parts])
-    return BooleanNetwork(degrees, inputs, tables, state)
 
 
 def _lookup(net: BooleanNetwork, members: int = 1) -> Callable:
     """The synchronous update of one network, such as a stack of ``members``
-    networks of equal size (:func:`_block_diagonal`): each row of the input
+    networks of equal size (:func:`_draw`): each row of the input
     matrix has a weight per node, ``2^(d-1-c)`` for input ``c`` of a node of
     in-degree ``d`` and 0 for a pad, so a node's weighted input bits sum to
     its index in its own table of the flat ``tables``.  Returns the record
     loop's ``update(keep)``, which cuts the networks kept out of the input
     rows, weights and table offsets, not out of the tables."""
-    # a copy made once the constructor's temporaries are freed: net.tables,
-    # allocated among them, held a desk sweep's peak RSS 0.4-0.9 MB higher
-    columns, tables = net._columns, net.tables.copy()
-    width = len(columns)
+    columns, tables, width = net._columns, net.tables, len(net._columns)
     # the index in the narrowest word that holds width bits, each bit raised to its
     # place by a multiply (numpy vectorizes a uint8 multiply, not a uint8 shift)
     dtype = np.uint8 if width <= 8 else np.intp
@@ -305,7 +307,7 @@ def _rbn_stacks(config: RbnConfig, seeds: Sequence[int]) -> Iterator[tuple]:
         return iter(np.ascontiguousarray(recorded.transpose(1, 2, 0)))
 
     def start(chunk):
-        stack = _block_diagonal([_draw(config, np.random.default_rng(s)) for s in chunk])
+        stack = BooleanNetwork(*_draw(config, [np.random.default_rng(s) for s in chunk]))
         return stack.state.reshape(len(chunk), -1), _lookup(stack, len(chunk)), unstack
 
     # RbnConfig has checked that one network fits every budget
@@ -319,7 +321,7 @@ def network_measures(traj: Trajectory, scale: int) -> MeasureSet:
     """One scale of :func:`series_matrix_measures` over ``traj.series``; a
     too-short window raises ValueError.  Not exported: it exists only for the
     traced sweep replica in ``perfbench/worker.py`` (also as
-    ``eca.eca_measures``), until ROADMAP item 6 retires the replica."""
+    ``eca.eca_measures``), until ROADMAP item 2b retires the replica."""
     measured = series_matrix_measures(traj.series, [scale])[scale]
     if measured is None:
         raise ValueError(f"window too short for scale {scale}")
@@ -342,7 +344,7 @@ def serialize_network(net: BooleanNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NODE_LINE = re.compile(r"^(\d+):\s*inputs=([\d,]*)\s+table=([01]+)$")
+_NODE_LINE = re.compile(r"^(\d+):\s*inputs=((?:\d+(?:,\d+)*)?)\s+table=([01]+)$")
 
 
 def parse_network(text: str) -> BooleanNetwork:
@@ -370,9 +372,7 @@ def parse_network(text: str) -> BooleanNetwork:
     if len(nodes) != len(range(n)) or sorted(nodes) != list(range(n)):
         raise ValueError("node lines must cover 0..n-1 exactly once")
     srcs = [nodes[i][0] for i in range(n)]
-    return BooleanNetwork(
-        np.array([len(s) for s in srcs], dtype=np.int64),
-        np.array([x for s in srcs for x in s], dtype=np.int64),
-        _text_bits("".join(nodes[i][1] for i in range(n)))[0],
-        np.zeros(len(srcs), dtype=np.uint8),
-    )
+    return BooleanNetwork(np.array([len(s) for s in srcs], dtype=np.int64),
+                          np.array([x for s in srcs for x in s], dtype=np.int64),
+                          _text_bits("".join(nodes[i][1] for i in range(n)))[0],
+                          np.zeros(n, dtype=np.uint8))

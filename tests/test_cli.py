@@ -160,7 +160,7 @@ class TestRbnCommand:
         assert main(["rbn", "--n", "134217728", "--k", "1", "--transient", "0",
                      "--window", "2"]) == 2
         assert capsys.readouterr().err == (
-            "error: 134,217,728 nodes of in-degree up to 1 need about 15,032,385,536 bytes"
+            "error: 134,217,728 nodes of in-degree up to 1 need about 10,737,418,240 bytes"
             " to draw, check and look up, over the 1,073,741,824-byte limit\n")
 
     def test_a_huge_k_exits_2_before_any_table_is_sized(self, monkeypatch, capsys):
